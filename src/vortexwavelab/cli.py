@@ -4,8 +4,9 @@ run    executes a scenario config and writes its trajectory CSV.
        Exit status: 0 on normal completion, 2 when the monitor stopped
        the run because inf A1 reached -eta1 (the destabilization outcome
        the transition experiment looks for), 1 on any error (a malformed
-       config is reported with the offending key; a fatal vortex-interface
-       approach still writes the partial trajectory).
+       config is reported with the offending key; a run stopped by a
+       fatal vortex-interface approach, the stability limit or a
+       non-finite state still writes the partial trajectory).
 sweep  scans the closed-form stability profile over a gamma range and
        writes gamma,x,y,lambda,inf_A1,argmin_alpha rows.
 verify runs the acceptance checks and prints one line per check;

@@ -20,7 +20,8 @@ key per line::
     monitor.eta1      = 0.5
 
 Exactly one of vortex.gamma / vortex.lambda may appear; gamma sets the
-strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  Trajectories are
+strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  Without
+gevrey.delta0 the radius decays at L0 / (2 t_end).  Trajectories are
 written as CSV with a fixed 16-column header and 17-significant-digit
 floats.
 """
@@ -52,7 +53,6 @@ _DEFAULTS = {
     "wave.kind": "zero_wave",
     "wave.amplitude": 0.0,
     "gevrey.L0": 10.0,
-    "gevrey.delta0": 1000.0,
     "time.scheme": "rk4",
     "output.path": "trajectory.csv",
     "output.stride": 1,
@@ -168,7 +168,10 @@ def build_run_inputs(cfg):
     integrator = IntegratorConfig(dt=cfg.get("time.dt"),
                                   t_end=cfg.get("time.t_end"),
                                   scheme=cfg.get("time.scheme"))
-    gevrey = GevreyParams(L0=cfg.get("gevrey.L0"), delta0=cfg.get("gevrey.delta0"))
+    L0, delta0, t_end = cfg.get("gevrey.L0"), cfg.get("gevrey.delta0"), integrator.t_end
+    if delta0 is None:  # phi reaches L0/2, the edge of AS5, at t_end
+        delta0 = L0 / (2.0 * t_end) if t_end > 0 else 1.0
+    gevrey = GevreyParams(L0=L0, delta0=delta0)
     eta1 = cfg.get("monitor.eta1")
     return grid, state, integrator, gevrey, eta1, cfg.get("output.stride")
 

@@ -23,9 +23,9 @@ class RadiusExhaustedError(VortexWaveError):
     """The shrinking analyticity radius L0 - delta0*t reached zero."""
 
 
-class CFLViolationError(VortexWaveError):
-    """The requested time step exceeds the advective/dispersive
-    stability limit of the current state."""
+class NonFiniteStateError(VortexWaveError, ValueError):
+    """A state holds NaN or infinite values, so nothing derived from it
+    means anything."""
 
 
 class PicardDivergedError(VortexWaveError):

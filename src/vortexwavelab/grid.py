@@ -94,14 +94,6 @@ class Field:
             return True
         return np.max(np.abs(self.samples.imag)) <= tol * scale
 
-    @property
-    def real(self):
-        return Field(self.grid, self.samples.real)
-
-    @property
-    def imag(self):
-        return Field(self.grid, self.samples.imag)
-
     def conj(self):
         return Field(self.grid, np.conj(self.samples))
 

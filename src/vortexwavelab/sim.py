@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PicardDivergedError, VortexProximityError
-from .gevrey import GevreyParams, energy
+from .errors import NonFiniteStateError, PicardDivergedError, VortexProximityError
+from .gevrey import GevreyParams, _derivative_l2sq, energy
 from .grid import Field, field_from_function, zero_field
 from .spectral import low_pass
 from .waves import Vortex, WaveState, assemble, rhs
@@ -109,11 +109,14 @@ def make_initial(kind, amplitude, pair, grid):
 
 
 def cfl_limit(state, derived):
-    """Largest stable dt for the current state (before the safety factor)."""
+    """Largest stable dt for the current state (before the safety factor);
+    raises NonFiniteStateError when b or A is not finite."""
     grid = state.grid
     bmax = derived.b.sup_norm()
-    adv = grid.spacing / bmax if bmax > 0 else math.inf
     amax = float(np.max(np.abs(derived.A.samples.real)))
+    if not (math.isfinite(bmax) and math.isfinite(amax)):
+        raise NonFiniteStateError("b or A is not finite at t=%g" % state.t)
+    adv = grid.spacing / bmax if bmax > 0 else math.inf
     disp = 1.0 / math.sqrt(max(amax, 1e-300) * grid.k_max)
     return min(adv, disp)
 
@@ -146,14 +149,7 @@ def _h4_distance(s1, s2):
     """Discrete H4 x H4 distance of (W, U) plus the vortex separation."""
     total = 0.0
     for f1, f2 in ((s1.W, s2.W), (s1.U, s2.U)):
-        diff = Field(f1.grid, f1.samples - f2.samples)
-        power = (np.abs(diff.fft) ** 2) * (diff.grid.spacing / diff.grid.n_points)
-        k2 = diff.grid.wavenumbers ** 2
-        acc = power.copy()
-        total += acc.sum()
-        for _ in range(4):
-            acc *= k2
-            total += acc.sum()
+        total += _derivative_l2sq(Field(f1.grid, f1.samples - f2.samples), 4).sum()
     for v1, v2 in zip(s1.vortices, s2.vortices):
         total += abs(v1.position - v2.position) ** 2
     return math.sqrt(total)
@@ -300,10 +296,17 @@ def _record(state, report, picard_iters):
 @dataclass
 class RunResult:
     records: list
-    exit_reason: str      # completed | taylor_negative | vortex_proximity | cfl_violation
+    exit_reason: str      # completed | taylor_negative | vortex_proximity | cfl_violation | non_finite
     final_state: WaveState
     message: str = ""
     states: list = None   # populated only when collect_states is requested
+
+
+def _check_finite(state):
+    """Raise NonFiniteStateError unless W, U and the vortex positions are finite."""
+    values = [state.W.samples, state.U.samples, [v.position for v in state.vortices]]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NonFiniteStateError("non-finite W, U or vortex position at t=%g" % state.t)
 
 
 def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
@@ -311,51 +314,57 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
     """March a state to t_end, recording monitors every ``stride`` steps.
 
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
-    a truncated trajectory on fatal vortex proximity / CFL violation.
+    a truncated trajectory on fatal vortex proximity, CFL violation or a
+    state that is no longer finite (reason "non_finite").
     """
     params = gevrey_params or GevreyParams()
     n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
     records = []
     states = [] if collect_states else None
-    derived = assemble(state)
-    baseline = Baseline(chord_arc0=derived.chord_arc, d_I0=derived.d_I,
-                        x0=abs(state.vortices[-1].position.real) if state.vortices else 0.0)
-    report = monitor(state, derived, params, baseline)
-    records.append(_record(state, report, None))
-    if collect_states:
-        states.append(state)
-    picard_iters = None
-    for step_index in range(1, n_steps + 1):
-        if state.vortices and derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:
-            return RunResult(records, "vortex_proximity", state,
-                             "d_I=%g below %g spacings" % (derived.d_I, FATAL_PROXIMITY_SPACINGS),
-                             states=states)
-        limit = integrator.cfl_safety * cfl_limit(state, derived)
-        if integrator.dt > limit:
-            return RunResult(records, "cfl_violation", state,
-                             "dt=%g exceeds stability limit %g at t=%g"
-                             % (integrator.dt, limit, state.t), states=states)
-        try:
+
+    def stop(reason, message):
+        return RunResult(records, reason, state, message, states=states)
+
+    try:
+        _check_finite(state)
+        derived = assemble(state)
+        baseline = Baseline(chord_arc0=derived.chord_arc, d_I0=derived.d_I,
+                            x0=abs(state.vortices[-1].position.real) if state.vortices else 0.0)
+        report = monitor(state, derived, params, baseline)
+        records.append(_record(state, report, None))
+        if collect_states:
+            states.append(state)
+        picard_iters = None
+        for step_index in range(1, n_steps + 1):
+            if state.vortices and derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:
+                return stop("vortex_proximity", "d_I=%g below %g spacings"
+                            % (derived.d_I, FATAL_PROXIMITY_SPACINGS))
+            limit = integrator.cfl_safety * cfl_limit(state, derived)
+            if integrator.dt > limit:
+                return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
+                            % (integrator.dt, limit, state.t))
             if integrator.scheme == "rk4":
                 state = step_rk4(state, integrator.dt, derived)
                 picard_iters = None
             else:
                 state, picard_iters, _ = step_picard(state, integrator.dt,
                                                      integrator, derived)
-        except VortexProximityError as exc:
-            return RunResult(records, "vortex_proximity", state, str(exc), states=states)
-        derived = assemble(state)
-        last = step_index == n_steps
-        hit = eta1 is not None and derived.inf_A1 <= -eta1
-        if step_index % stride == 0 or last or hit:
-            report = monitor(state, derived, params, baseline)
-            records.append(_record(state, report, picard_iters))
-            if collect_states:
-                states.append(state)
-        if hit:
-            return RunResult(records, "taylor_negative", state,
-                             "inf A1 = %g <= -%g at t=%g" % (derived.inf_A1, eta1, state.t),
-                             states=states)
+            _check_finite(state)
+            derived = assemble(state)
+            last = step_index == n_steps
+            hit = eta1 is not None and derived.inf_A1 <= -eta1
+            if step_index % stride == 0 or last or hit:
+                report = monitor(state, derived, params, baseline)
+                records.append(_record(state, report, picard_iters))
+                if collect_states:
+                    states.append(state)
+            if hit:
+                return stop("taylor_negative", "inf A1 = %g <= -%g at t=%g"
+                            % (derived.inf_A1, eta1, state.t))
+    except VortexProximityError as exc:
+        return stop("vortex_proximity", str(exc))
+    except NonFiniteStateError as exc:
+        return stop("non_finite", str(exc))
     return RunResult(records, "completed", state, states=states)
 
 

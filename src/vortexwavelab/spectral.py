@@ -140,6 +140,21 @@ def curve_derivative(Z):
 # ----------------------------------------------------------------------
 # singular quadratures
 
+def _circulant_rows(grid, kernel, rows):
+    """(i, K_i) for i in ``rows``, K_i[j] = kernel(alpha_i - alpha_j) off
+    the diagonal and 0 on it.  The periodized kernel depends on i - j mod n
+    only, so it is evaluated once, for row 0, and rolled by i.  It is
+    evaluated at the separation of least modulus: near +-2L its argument
+    would lose the relative accuracy of the near-diagonal cells."""
+    n = grid.n_points
+    offsets = np.arange(1, n)
+    row0 = np.zeros(n, dtype=np.complex128)
+    row0[1:] = kernel(-grid.spacing * np.where(offsets <= n // 2, offsets, offsets - n),
+                      grid.half_length)
+    for i in rows:
+        yield i, np.roll(row0, i)
+
+
 def sq_diff_integral(f, method="spectral", out_indices=None):
     """The field a -> (1/2pi) * integral |f(a) - f(b)|^2 / (a - b)^2 db.
 
@@ -167,20 +182,13 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     fp = derivative(f).samples
     out = np.zeros(grid.n_points)
     h = grid.spacing
-    for i in idx:
-        w = grid.alpha[i] - grid.alpha
+    for i, kern in _circulant_rows(grid, periodic_square_kernel, idx):
         diff2 = np.abs(f.samples[i] - f.samples) ** 2
-        kern = np.empty(grid.n_points)
-        mask = np.ones(grid.n_points, dtype=bool)
-        mask[i] = False
-        kern[mask] = periodic_square_kernel(w[mask], grid.half_length).real
-        kern[i] = 0.0
-        total = np.sum(diff2 * kern) + np.abs(fp[i]) ** 2  # diagonal limit
+        total = np.sum(diff2 * kern.real) + np.abs(fp[i]) ** 2  # diagonal limit
         out[i] = total * h / (2.0 * np.pi)
-    result = Field(grid, out)
     if out_indices is not None:
         return Field(grid, out), idx
-    return result
+    return Field(grid, out)
 
 
 def pv_commutator(f, g):
@@ -194,14 +202,8 @@ def pv_commutator(f, g):
     grid = check_same_grid(f, g)
     h = grid.spacing
     fp = derivative(f).samples
-    n = grid.n_points
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        w = grid.alpha[i] - grid.alpha
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        kern = np.zeros(n, dtype=np.complex128)
-        kern[mask] = periodic_cauchy_kernel(w[mask], grid.half_length)
+    out = np.empty(grid.n_points, dtype=np.complex128)
+    for i, kern in _circulant_rows(grid, periodic_cauchy_kernel, range(grid.n_points)):
         total = np.sum((f.samples[i] - f.samples) * kern * g.samples)
         total += fp[i] * g.samples[i]  # diagonal limit of the difference quotient
         out[i] = total * h / (1j * np.pi)
@@ -214,14 +216,8 @@ def hilbert_quadrature(f):
     grid = f.grid
     h = grid.spacing
     fp = derivative(f).samples
-    n = grid.n_points
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        w = grid.alpha[i] - grid.alpha
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        kern = np.zeros(n, dtype=np.complex128)
-        kern[mask] = periodic_cauchy_kernel(w[mask], grid.half_length)
+    out = np.empty(grid.n_points, dtype=np.complex128)
+    for i, kern in _circulant_rows(grid, periodic_cauchy_kernel, range(grid.n_points)):
         total = np.sum((f.samples - f.samples[i]) * kern)
         total += -fp[i]  # limit of (f(b)-f(a)) * kernel(a-b) as b -> a
         out[i] = total * h / (1j * np.pi)

@@ -15,25 +15,27 @@ From these the assembly derives, per state:
     b      transport coefficient of the material derivative D_t = d_t + b d_a,
     A1     Taylor-sign coefficient (A1 < 0 somewhere = Rayleigh-Taylor
            unstable), with A = A1 / |Z_a|^2,
-    G, R   the forcing felt by (U, W).
+    G      the vortex forcing of U,
+
+with one periodized kernel evaluation per vortex (:func:`pole_kernels`).
 
 b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
 of a function holomorphic below and decaying, i.e. annihilated by the
 projection (I - H)/2 up to its mean.  b_residual measures exactly that
-and is carried as a per-state diagnostic; it is formula-convention
-independent, which is the point.
+(formula-convention independent, which is the point); it and chord_arc
+are computed on first read, so right-hand-side stages never pay for them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import VortexProximityError
+from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import (analytic_projection, apply_multiplier, cauchy_velocity,
-                       commutator_hilbert, derivative, lambda_op, low_pass,
-                       periodic_cauchy_kernel, periodic_square_kernel, pminus,
+from .spectral import (analytic_projection, apply_multiplier, derivative,
+                       lambda_op, low_pass, periodic_cauchy_kernel, pminus,
                        sq_diff_integral)
 
 TWO_PI = 2.0 * np.pi
@@ -69,7 +71,8 @@ class WaveState:
 @dataclass
 class DerivedFields:
     """Everything computable from one state, assembled in a single pass
-    and read-only afterwards."""
+    and read-only afterwards.  The diagnostics ``b_residual`` and
+    ``chord_arc`` are computed on first read."""
 
     Z: Field
     Z_alpha: Field
@@ -78,19 +81,26 @@ class DerivedFields:
     DtZ: Field
     DtQ: Field
     b: Field
-    b0: Field
-    b1: Field
-    commutator_F: Field     # Re [conj(F), H] (1/Z_a - 1), reused by the W-equation
     A1: Field
     A: Field
     G: Field
-    R: Field
     zdots: tuple
-    b_residual: float
     d_I: float
-    chord_arc: float
     inf_A1: float
     argmin_alpha: float
+
+    @cached_property
+    def b_residual(self):
+        """||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2; at most
+        1e-6 * (1 + ||b||_L2) for a trustworthy b."""
+        g = 1.0 / self.Z_alpha.samples - 1.0
+        resid = (self.b.samples - self.DtZ.samples * g
+                 - np.conj(self.Q.samples) - np.conj(self.F.samples))
+        return pminus(Field(self.b.grid, resid)).l2_norm()
+
+    @cached_property
+    def chord_arc(self):
+        return chord_arc_constant(self.Z)
 
 
 def reconstruct(W, U):
@@ -101,13 +111,15 @@ def reconstruct(W, U):
     holomorphic below the interface, so (I - H)(Z - alpha) vanishes.
     """
     grid = check_same_grid(W, U)
+    if not (np.all(np.isfinite(W.samples)) and np.all(np.isfinite(U.samples))):
+        raise NonFiniteStateError("W and U must be finite")
     if not (W.is_real() and U.is_real()):
         raise ValueError("W and U must be real fields")
     plus = 1.0 - np.sign(grid.wavenumbers)
     Zm = apply_multiplier(W, plus)            # Z - alpha
     F = apply_multiplier(U, plus)
     Z = Field(grid, grid.alpha + Zm.samples)
-    Z_alpha = 1.0 + derivative(Zm)
+    Z_alpha = 1.0 + apply_multiplier(W, 1j * grid.wavenumbers * plus)
     return Z, F, Z_alpha
 
 
@@ -135,24 +147,34 @@ def chord_arc_constant(Z):
     return best
 
 
-def compute_Q(Z, vortices):
-    """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), periodized kernel."""
+def pole_kernels(Z, vortices):
+    """Per vortex, the periodized K1_j = 1/(Z - z_j) and, from the same
+    evaluation, K2_j = 1/(Z - z_j)^2 = s^2 + K1_j^2 (csc^2 = 1 + cot^2)."""
+    s2 = (np.pi / (2.0 * Z.grid.half_length)) ** 2
+    K1 = [periodic_cauchy_kernel(Z.samples - v.position, Z.grid.half_length)
+          for v in vortices]
+    return K1, [s2 + k1 * k1 for k1 in K1]
+
+
+def compute_Q(Z, vortices, K1):
+    """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), K1 from :func:`pole_kernels`."""
     out = np.zeros(Z.grid.n_points, dtype=np.complex128)
-    for v in vortices:
-        out -= (v.strength * 1j / TWO_PI) * periodic_cauchy_kernel(
-            Z.samples - v.position, Z.grid.half_length)
+    for v, k1 in zip(vortices, K1):
+        out -= (v.strength * 1j / TWO_PI) * k1
     return Field(Z.grid, out)
 
 
-def vortex_velocity(Z, F, Z_alpha, vortices, j):
+def vortex_velocity(Z, F, Z_alpha, vortices, j, K1j):
     """zdot_j = conj(U(z_j)) + sum_{k != j} (lam_k i / 2 pi) / conj(z_j - z_k).
 
-    The mutual-induction part keeps the plain 1/conj(dz) form (point
+    U(z_j) is the Cauchy integral of :func:`spectral.cauchy_velocity`,
+    whose periodized kernel 1/(z_j - Z) is exactly -K1_j.  The
+    mutual-induction part keeps the plain 1/conj(dz) form (point
     evaluation, no periodization): for the symmetric pair with no wave it
     reduces to lam i / (4 pi x) exactly.
     """
     zj = vortices[j].position
-    u = cauchy_velocity(Z, F, zj, Z_alpha=Z_alpha)
+    u = np.sum(Z_alpha.samples * F.samples * -K1j) * Z.grid.spacing / (2.0j * np.pi)
     total = np.conj(u)
     for k, v in enumerate(vortices):
         if k != j:
@@ -160,42 +182,28 @@ def vortex_velocity(Z, F, Z_alpha, vortices, j):
     return complex(total)
 
 
-def compute_DtQ(Z, DtZ, vortices, zdots):
+def compute_DtQ(Z, DtZ, vortices, zdots, K2):
     """DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) / (Z - z_j)^2."""
     out = np.zeros(Z.grid.n_points, dtype=np.complex128)
-    for v, zd in zip(vortices, zdots):
-        kern = periodic_square_kernel(Z.samples - v.position, Z.grid.half_length)
-        out += (v.strength * 1j / TWO_PI) * (DtZ.samples - zd) * kern
+    for v, zd, k2 in zip(vortices, zdots, K2):
+        out += (v.strength * 1j / TWO_PI) * (DtZ.samples - zd) * k2
     return Field(Z.grid, out)
 
 
-def compute_b(U, F, Q, DtZ, Z_alpha):
-    """Transport coefficient b and its split b = b0 + b1.
+def compute_b(U, Q, DtZ, Z_alpha):
+    """Transport coefficient
 
-    b  = Re (I-H)[DtZ (1/Z_a - 1)] + Re (I-H) conj(Q) + 2 Re F
-    b0 = 2 Re F + Re [conj(F), H](1/Z_a - 1)      (the rough, wave part)
-    b1 = b - b0                                    (more regular)
+        b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
 
-    Also returns the commutator field entering the W-equation and the
-    holomorphicity residual
-    ||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2, which must stay
-    at quadrature level (<= 1e-6 * (1 + ||b||_L2)) for a trustworthy b.
+    one projection of the summed holomorphic pieces.  How well b meets
+    its defining property is :attr:`DerivedFields.b_residual`.
     """
-    grid = U.grid
-    g = Field(grid, 1.0 / Z_alpha.samples - 1.0)
-    twoU = 2.0 * U.samples.real
-    b = Field(grid, analytic_projection(DtZ * g).samples.real
-              + analytic_projection(Q.conj()).samples.real
-              + twoU)
-    comm = Field(grid, commutator_hilbert(F.conj(), g).samples.real)
-    b0 = Field(grid, twoU + comm.samples)
-    b1 = b - b0
-    resid = b - DtZ * g - Q.conj() - F.conj()
-    b_residual = pminus(resid).l2_norm()
-    return b, b0, b1, comm, b_residual
+    g = 1.0 / Z_alpha.samples - 1.0
+    proj = analytic_projection(Field(U.grid, DtZ.samples * g + np.conj(Q.samples)))
+    return Field(U.grid, proj.samples.real + 2.0 * U.samples.real)
 
 
-def compute_A1(Z, Z_alpha, DtZ, vortices, zdots):
+def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):
     """Taylor-sign coefficient
 
          A1 = 1 + (1/2pi) int |DtZ(a) - DtZ(b)|^2/(a-b)^2 db
@@ -203,10 +211,8 @@ def compute_A1(Z, Z_alpha, DtZ, vortices, zdots):
     """
     grid = Z.grid
     out = 1.0 + sq_diff_integral(DtZ).samples.real
-    for v, zd in zip(vortices, zdots):
-        kern = Field(grid, Z_alpha.samples * periodic_square_kernel(
-            Z.samples - v.position, grid.half_length))
-        proj = analytic_projection(kern).samples
+    for v, zd, k2 in zip(vortices, zdots, K2):
+        proj = analytic_projection(Field(grid, Z_alpha.samples * k2)).samples
         out -= (v.strength / TWO_PI) * (proj * (DtZ.samples - zd)).real
     return Field(grid, out)
 
@@ -228,52 +234,44 @@ def refine_minimum(alpha, values, i):
 
 
 def assemble(state, min_vortex_spacings=4.0):
-    """One full derived-field pass over a state; raises
-    VortexProximityError when a vortex is too close to the interface for
-    the quadratures to mean anything."""
-    W, U = state.W, state.U
+    """One derived-field pass over a state; raises VortexProximityError
+    when a vortex is too close to the interface for the quadratures to
+    mean anything, NonFiniteStateError when W or U is not finite."""
+    W, U, vortices = state.W, state.U, state.vortices
     grid = state.grid
     Z, F, Z_alpha = reconstruct(W, U)
-    d_I = interface_distance(Z, state.vortices)
+    d_I = interface_distance(Z, vortices)
     if d_I < min_vortex_spacings * grid.spacing:
         raise VortexProximityError(
             "vortex within %.3g of the interface (< %g grid spacings)"
             % (d_I, min_vortex_spacings))
-    Q = compute_Q(Z, state.vortices)
+    K1, K2 = pole_kernels(Z, vortices)
+    Q = compute_Q(Z, vortices, K1)
     DtZ = F.conj() + Q.conj()
-    zdots = tuple(vortex_velocity(Z, F, Z_alpha, state.vortices, j)
-                  for j in range(len(state.vortices)))
-    DtQ = compute_DtQ(Z, DtZ, state.vortices, zdots)
-    b, b0, b1, comm, b_residual = compute_b(U, F, Q, DtZ, Z_alpha)
-    A1 = compute_A1(Z, Z_alpha, DtZ, state.vortices, zdots)
+    zdots = tuple(vortex_velocity(Z, F, Z_alpha, vortices, j, K1[j])
+                  for j in range(len(vortices)))
+    DtQ = compute_DtQ(Z, DtZ, vortices, zdots, K2)
+    b = compute_b(U, Q, DtZ, Z_alpha)
+    A1 = compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2)
     A = Field(grid, A1.samples.real / np.abs(Z_alpha.samples) ** 2)
     G = Field(grid, -DtQ.samples.real)
-    R = Field(grid, Q.samples.real - b1.samples.real)
     vals = A1.samples.real
-    i_min = int(np.argmin(vals))
-    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, vals, i_min)
+    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, vals, int(np.argmin(vals)))
     return DerivedFields(Z=Z, Z_alpha=Z_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
-                         b=b, b0=b0, b1=b1, commutator_F=comm,
-                         A1=A1, A=A, G=G, R=R, zdots=zdots,
-                         b_residual=b_residual, d_I=d_I,
-                         chord_arc=chord_arc_constant(Z),
+                         b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I,
                          inf_A1=inf_A1, argmin_alpha=argmin_alpha)
-
-
-def compute_G_R(derived):
-    """(G, R) = (-Re DtQ, Re Q - b1); thin accessor kept for symmetry with
-    the assembly pieces."""
-    return derived.G, derived.R
 
 
 def rhs(state, derived=None):
     """Time derivatives (dW/dt, dU/dt, [dz_j/dt]) of the evolution
 
         d_t U = -b dU/da + A |d/da| W + G
-        d_t W = -b dW/da - U - Re[conj(F), H](1/Z_a - 1) + R
+        d_t W = -b dW/da + U + Re Q - b
 
-    plus the vortex ODEs.  ``derived`` may be passed in when the caller
-    already assembled this state.
+    plus the vortex ODEs.  The W-equation is the real part of the
+    kinematic identity d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
+    ``derived`` may be passed in when the caller already assembled this
+    state.
     """
     if derived is None:
         derived = assemble(state)
@@ -283,9 +281,7 @@ def rhs(state, derived=None):
     dU = Field(state.grid, -bs * dU_a
                + derived.A.samples.real * lambda_op(state.W).samples.real
                + derived.G.samples.real)
-    dW = Field(state.grid, -bs * dW_a
-               - state.U.samples.real
-               - derived.commutator_F.samples.real
-               + derived.R.samples.real)
+    dW = Field(state.grid, -bs * dW_a + state.U.samples.real
+               + derived.Q.samples.real - bs)
     # keep the evolved fields band-limited to half the grid band (de-aliasing)
     return low_pass(dW), low_pass(dU), list(derived.zdots)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vortexwavelab.cli import main
-from vortexwavelab.config import ScenarioConfig, run_scenario, sweep_rows, write_trajectory
+from vortexwavelab.config import (ScenarioConfig, build_run_inputs, run_scenario, sweep_rows,
+                                  write_trajectory)
 from vortexwavelab.errors import ConfigError
 from vortexwavelab.sim import StepRecord
 
@@ -126,6 +127,42 @@ def test_cmd_run_proximity_writes_partial_file(tmp_path):
     assert main(["run", str(cfg_path)]) == 1
     lines = out.read_text().strip().splitlines()
     assert len(lines) >= 2                      # header + at least one record
+
+
+def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
+    import vortexwavelab.sim as sim
+    real = sim.step_rk4
+    seen = []
+
+    def step(state, dt, derived=None):
+        out = real(state, dt, derived)
+        seen.append(1)
+        if len(seen) == 2:
+            out.U.samples[0] = np.inf
+        return out
+    monkeypatch.setattr(sim, "step_rk4", step)
+    out = tmp_path / "partial.csv"
+    cfg_path = tmp_path / "blowup.cfg"
+    cfg_path.write_text(MINI_RUN + "output.path = %s\n" % out)
+    assert main(["run", str(cfg_path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 3                      # header + the two finite records
+
+
+def test_derived_delta0_keeps_the_radius_to_t_end():
+    cfg = ScenarioConfig.parse(MINI_RUN)        # no gevrey.delta0
+    assert "gevrey.delta0" not in cfg.serialize()
+    result = run_scenario(cfg)
+    assert result.exit_reason == "completed"
+    assert result.records[-1].t == pytest.approx(cfg.get("time.t_end"))
+    assert all(math.isfinite(r.E_gevrey) for r in result.records)
+    assert result.records[-1].phi == pytest.approx(cfg.get("gevrey.L0") / 2.0)
+    assert build_run_inputs(ScenarioConfig.parse(TRANSITION_MINI))[3].delta0 == 5.0
+    at_rest = ScenarioConfig.parse(MINI_RUN.replace("time.t_end = 0.03", "time.t_end = 0"))
+    delta0 = build_run_inputs(at_rest)[3].delta0
+    assert math.isfinite(delta0) and delta0 > 0
+    assert run_scenario(at_rest).exit_reason == "completed"
 
 
 def test_run_scenario_picard_records_iterations():

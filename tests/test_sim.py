@@ -11,7 +11,7 @@ import pytest
 
 from vortexwavelab.errors import PicardDivergedError
 from vortexwavelab.gevrey import GevreyParams, energy
-from vortexwavelab.grid import GridSpec, zero_field
+from vortexwavelab.grid import Field, GridSpec, zero_field
 from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
                                reversed_state, run_simulation, step_picard,
                                step_rk4, symmetry_defect)
@@ -207,3 +207,48 @@ def test_radius_exhaustion_marks_energy_nan(sim_grid):
     assert math.isnan(res.records[-1].E_gevrey)
     assert not monitor(res.final_state, gevrey_params=GevreyParams(
         L0=10.0, delta0=1000.0)).as_flags["AS5"]
+
+
+def _nan_after(monkeypatch, calls):
+    """Make sim.step_rk4 return a NaN state from its ``calls``-th call on."""
+    import vortexwavelab.sim as sim
+    real = sim.step_rk4
+    seen = []
+
+    def step(state, dt, derived=None):
+        seen.append(1)
+        out = real(state, dt, derived)
+        if len(seen) >= calls:
+            out.W.samples[3] = np.nan
+        return out
+    monkeypatch.setattr(sim, "step_rk4", step)
+
+
+def test_run_ends_non_finite_with_earlier_rows(sim_grid, monkeypatch):
+    _nan_after(monkeypatch, 3)
+    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
+    res = run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.05), stride=1)
+    assert res.exit_reason == "non_finite"
+    assert "non-finite" in res.message
+    assert [r.t for r in res.records] == pytest.approx([0.0, 5e-3, 1e-2])
+    assert all(math.isfinite(r.inf_A1) for r in res.records)
+
+
+def test_run_ends_non_finite_on_nan_b(sim_grid, monkeypatch):
+    # a NaN transport coefficient must not slip through the CFL guard
+    import vortexwavelab.sim as sim
+    real = sim.assemble
+    seen = []
+
+    def assemble(state):
+        d = real(state)
+        seen.append(1)
+        if len(seen) == 2:
+            d.b = Field(state.grid, np.full(state.grid.n_points, np.nan))
+        return d
+    monkeypatch.setattr(sim, "assemble", assemble)
+    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
+    res = run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.05), stride=1)
+    assert res.exit_reason == "non_finite"
+    assert "b or A" in res.message
+    assert len(res.records) == 2

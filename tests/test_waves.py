@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from vortexwavelab.errors import VortexProximityError
+from vortexwavelab.errors import NonFiniteStateError, VortexProximityError
 from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
 from vortexwavelab.spectral import (analytic_projection, commutator_hilbert,
                                     low_pass, periodic_cauchy_kernel,
                                     periodic_square_kernel, pv_commutator)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
 from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant,
-                                 compute_Q, interface_distance, reconstruct, rhs)
+                                 compute_Q, interface_distance, pole_kernels,
+                                 reconstruct, rhs)
 
 from conftest import band_limited, per_pole
 
@@ -72,18 +73,36 @@ def test_reconstruct_rejects_complex_input(grid):
         reconstruct(bad, zero_field(grid))
 
 
+def test_reconstruct_names_non_finite_input(grid):
+    W = np.zeros(grid.n_points)
+    W[7] = np.nan
+    with pytest.raises(NonFiniteStateError, match="finite"):
+        reconstruct(Field(grid, W), zero_field(grid))
+
+
 # ----------------------------------------------------------------------
 # vortex-induced fields
 
+def test_pole_kernels_match_direct_evaluation(grid):
+    Z = Field(grid, grid.alpha + 0.1 * np.sin(grid.alpha / 7.0) + 0j)
+    vortices = (Vortex(-1 - 4j, 3.0), Vortex(2 - 6j, -1.0))
+    K1, K2 = pole_kernels(Z, vortices)
+    for v, k1, k2 in zip(vortices, K1, K2):
+        assert np.array_equal(-k1, periodic_cauchy_kernel(v.position - Z.samples,
+                                                          grid.half_length))
+        direct = periodic_square_kernel(Z.samples - v.position, grid.half_length)
+        assert np.max(np.abs(k2 - direct) / np.abs(direct)) <= 1e-14
+
+
 def test_compute_q_no_vortices(grid):
     Z = Field(grid, grid.alpha.astype(complex))
-    assert compute_Q(Z, ()).sup_norm() == 0.0
+    assert compute_Q(Z, (), pole_kernels(Z, ())[0]).sup_norm() == 0.0
 
 
 def test_compute_q_pair_value_and_symmetry(grid):
     Z = Field(grid, grid.alpha.astype(complex))
     vortices = (Vortex(-1 - 2j, math.pi), Vortex(1 - 2j, -math.pi))
-    Q = compute_Q(Z, vortices)
+    Q = compute_Q(Z, vortices, pole_kernels(Z, vortices)[0])
     i0 = grid.n_points // 2          # alpha = 0
     # line value: -(pi i/2pi) [1/(1+2i) - 1/(-1+2i)] = -0.2i, periodization O(1/L^2)
     assert abs(Q.samples[i0] + 0.2j) <= 1e-4
@@ -203,14 +222,21 @@ def test_inf_a1_refinement(grid):
 # forcing and right-hand side
 
 def test_g_r_no_vortices(grid):
-    d = assemble(WaveState(zero_field(grid), zero_field(grid), ()))
+    # no vortices: no forcing of U (G) and none of W (the Re Q - b part of dW)
+    state = WaveState(zero_field(grid), zero_field(grid), ())
+    d = assemble(state)
     assert d.DtQ.sup_norm() == 0.0
-    assert d.G.sup_norm() == 0.0 and d.R.sup_norm() == 0.0
+    assert d.G.sup_norm() == 0.0
+    dW, _, _ = rhs(state, d)
+    assert dW.sup_norm() == 0.0
 
 
 def test_r_equals_re_q_for_flat_pair(grid):
-    d = assemble(flat_pair_state(grid, 1.0, -6.0, 10.0))
-    assert np.max(np.abs(d.R.samples.real - d.Q.samples.real)) <= 1e-12
+    # flat interface at rest: the W-forcing Re Q - b reduces to Re Q
+    state = flat_pair_state(grid, 1.0, -6.0, 10.0)
+    d = assemble(state)
+    dW, _, _ = rhs(state, d)
+    assert np.max(np.abs(dW.samples.real - low_pass(d.Q).samples.real)) <= 1e-12
 
 
 def test_rhs_equilibrium_and_pair_forcing(grid):
@@ -233,6 +259,53 @@ def test_rhs_preserves_oddness(grid):
         assert np.max(np.abs(s + s[rev])) <= 1e-8 * max(1.0, np.max(np.abs(s)))
     assert zd[0].real == pytest.approx(-zd[1].real, abs=1e-12)
     assert zd[0].imag == pytest.approx(zd[1].imag, abs=1e-12)
+
+
+def test_stage_budget(monkeypatch):
+    # one RHS stage (assemble + rhs) of the canonical pair state: one
+    # periodized pole kernel per vortex and at most 22 transforms
+    # (computed FFTs of fields plus multiplier applications)
+    import sys
+    from vortexwavelab import spectral
+    from vortexwavelab.sim import make_initial
+    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
+                         GridSpec(200.0, 2 ** 10))
+    counts = dict.fromkeys(("fft", "apply_multiplier", "periodic_cauchy_kernel",
+                            "periodic_square_kernel"), 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("vortexwavelab")]
+    for name in ("apply_multiplier", "periodic_cauchy_kernel", "periodic_square_kernel"):
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    compute = Field.fft.fget
+
+    def fft(field):
+        if field._fft is None:
+            counts["fft"] += 1
+        return compute(field)
+    monkeypatch.setattr(Field, "fft", property(fft))
+    rhs(state, assemble(state))
+    assert counts["periodic_cauchy_kernel"] == 2
+    assert counts["periodic_square_kernel"] == 0
+    assert counts["fft"] + counts["apply_multiplier"] <= 22
+
+
+def test_diagnostics_computed_on_read(grid, monkeypatch):
+    import vortexwavelab.waves as waves
+    calls = []
+    original = waves.chord_arc_constant
+    monkeypatch.setattr(waves, "chord_arc_constant",
+                        lambda Z: calls.append(1) or original(Z))
+    d = assemble(flat_pair_state(grid, 1.0, -6.0, 10.0))
+    rhs(flat_pair_state(grid, 1.0, -6.0, 10.0), d)
+    assert calls == [] and "b_residual" not in vars(d)
+    assert d.chord_arc == d.chord_arc == pytest.approx(1.0, rel=1e-14)
+    assert calls == [1]
 
 
 # ----------------------------------------------------------------------
