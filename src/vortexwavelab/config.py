@@ -58,6 +58,21 @@ _DEFAULTS = {
     "output.stride": 1,
 }
 _REQUIRED = ("vortex.y0", "time.dt", "time.t_end")
+# key -> (test, requirement), checked here so that a bad value is named by
+# its key; the objects built from these keys check them again
+_RANGES = {
+    "grid.n": (lambda v: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
+    "grid.half_length": (lambda v: v > 0, "positive"),
+    "vortex.x0": (lambda v: v > 0, "positive"),
+    "vortex.gamma": (lambda v: v >= 0, "nonnegative"),
+    "wave.amplitude": (lambda v: v >= 0, "nonnegative"),
+    "gevrey.L0": (lambda v: v >= 4, "at least 4"),
+    "gevrey.delta0": (lambda v: v > 0, "positive"),
+    "time.dt": (lambda v: v > 0, "positive"),
+    "time.t_end": (lambda v: v >= 0, "nonnegative"),
+    "output.stride": (lambda v: v >= 1, "at least 1"),
+    "monitor.eta1": (lambda v: v >= 0, "nonnegative"),
+}
 
 
 @dataclass
@@ -101,6 +116,11 @@ class ScenarioConfig:
         for key, v in self.values.items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError("value of %r is not finite" % key, key=key)
+        for key, (ok, requirement) in _RANGES.items():
+            value = self.get(key)
+            if value is not None and not ok(value):
+                raise ConfigError("%s must be %s, got %r" % (key, requirement, value),
+                                  key=key)
         if self.get("wave.kind") not in ("zero_wave", "odd_bump"):
             raise ConfigError("wave.kind must be zero_wave or odd_bump",
                               key="wave.kind")

@@ -1,4 +1,4 @@
-"""Uniform periodic grid and complex-sampled fields.
+"""Uniform periodic grid, its Fourier multipliers, and sampled fields.
 
 The real line is truncated to the periodic interval [-half_length,
 half_length).  Spectral operators act on the discrete modes
@@ -8,9 +8,14 @@ tolerance before the interval ends.  Functions with algebraic tails
 (vortex-induced velocities and the like) are represented through their
 periodization; see :mod:`vortexwavelab.spectral` for the periodized
 kernels that keep that representation exact.
+
+Fields keep real data real: W, U and everything the transition is read
+from (b, A1, A, G) are float64 samples, the complex traces (Z, F, Q, ...)
+complex128.
 """
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridMismatchError
 
@@ -39,6 +44,13 @@ class GridSpec:
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
         self.abs_k = np.abs(self.wavenumbers)
         self.k_max = float(np.max(self.abs_k))
+        # the multipliers of the spectral operators, computed once per grid
+        sgn = np.sign(self.wavenumbers)
+        self.ik = 1j * self.wavenumbers          # d/da
+        self.neg_sgn = -sgn                      # H
+        self.i_plus_h = 1.0 - sgn                # I + H
+        self.i_minus_h = 1.0 + sgn               # I - H
+        self.half_band = (self.abs_k <= 0.5 * self.k_max).astype(float)
 
     def __eq__(self, other):
         return (isinstance(other, GridSpec)
@@ -53,7 +65,8 @@ class GridSpec:
 
 
 class Field:
-    """A complex-valued function sampled on a :class:`GridSpec`.
+    """A function sampled on a :class:`GridSpec`: float64 samples for real
+    data, complex128 otherwise.
 
     The raw FFT of the samples is computed lazily and cached; treat the
     sample array as immutable once the field is constructed (compute-once,
@@ -63,7 +76,9 @@ class Field:
     __slots__ = ("grid", "samples", "_fft")
 
     def __init__(self, grid, samples):
-        samples = np.asarray(samples, dtype=np.complex128)
+        samples = np.asarray(samples)
+        samples = samples.astype(np.complex128 if np.iscomplexobj(samples) else np.float64,
+                                 copy=False)
         if samples.shape != (grid.n_points,):
             raise ValueError("samples shape %s does not match grid with %d points"
                              % (samples.shape, grid.n_points))
@@ -73,9 +88,10 @@ class Field:
 
     @property
     def fft(self):
-        """Cached raw ``np.fft.fft`` of the samples."""
+        """Cached raw ``scipy.fft.fft`` of the samples (the full spectrum,
+        fftfreq order)."""
         if self._fft is None:
-            self._fft = np.fft.fft(self.samples)
+            self._fft = scipy.fft.fft(self.samples)
         return self._fft
 
     @property
@@ -94,9 +110,6 @@ class Field:
             return True
         return np.max(np.abs(self.samples.imag)) <= tol * scale
 
-    def conj(self):
-        return Field(self.grid, np.conj(self.samples))
-
     def l2_norm(self):
         """Continuum L2 norm of the sampled function (trapezoid weight)."""
         return float(np.sqrt(self.grid.spacing * np.sum(np.abs(self.samples) ** 2)))
@@ -107,36 +120,6 @@ class Field:
     def mean(self):
         """Interval average (1/2L) * integral."""
         return complex(np.mean(self.samples))
-
-    # Small arithmetic surface so call sites read like formulas.
-    def _coerce(self, other):
-        if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise GridMismatchError("fields live on different grids")
-            return other.samples
-        return other
-
-    def __add__(self, other):
-        return Field(self.grid, self.samples + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Field(self.grid, self.samples - self._coerce(other))
-
-    def __rsub__(self, other):
-        return Field(self.grid, self._coerce(other) - self.samples)
-
-    def __mul__(self, other):
-        return Field(self.grid, self.samples * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Field(self.grid, self.samples / self._coerce(other))
-
-    def __neg__(self):
-        return Field(self.grid, -self.samples)
 
 
 def check_same_grid(*fields):
@@ -150,7 +133,7 @@ def check_same_grid(*fields):
 
 def field_from_function(grid, fn):
     """Sample a callable of alpha into a Field."""
-    return Field(grid, np.asarray(fn(grid.alpha), dtype=np.complex128))
+    return Field(grid, fn(grid.alpha))
 
 
 def zero_field(grid):
@@ -158,4 +141,4 @@ def zero_field(grid):
 
 
 def constant_field(grid, value):
-    return Field(grid, np.full(grid.n_points, value, dtype=np.complex128))
+    return Field(grid, np.full(grid.n_points, value))

@@ -92,13 +92,11 @@ def make_initial(kind, amplitude, pair, grid):
         raise ValueError("amplitude must be nonnegative")
     if kind not in ("zero_wave", "odd_bump"):
         raise ValueError("unknown initial kind %r" % kind)
-    if kind == "zero_wave" or amplitude == 0.0:
-        W = zero_field(grid)
-        U = zero_field(grid)
+    if kind == "odd_bump" and amplitude > 0.0:
+        W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
     else:
-        bump = field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0))
-        W = Field(grid, low_pass(bump).samples.real)
-        U = Field(grid, W.samples.copy())
+        W = zero_field(grid)
+    U = Field(grid, W.samples.copy())
     vortices = ()
     if pair is not None:
         if pair.y >= 0:
@@ -113,7 +111,7 @@ def cfl_limit(state, derived):
     raises NonFiniteStateError when b or A is not finite."""
     grid = state.grid
     bmax = derived.b.sup_norm()
-    amax = float(np.max(np.abs(derived.A.samples.real)))
+    amax = float(np.max(np.abs(derived.A.samples)))
     if not (math.isfinite(bmax) and math.isfinite(amax)):
         raise NonFiniteStateError("b or A is not finite at t=%g" % state.t)
     adv = grid.spacing / bmax if bmax > 0 else math.inf
@@ -123,16 +121,15 @@ def cfl_limit(state, derived):
 
 def _advance(state, dt_t, parts, weights):
     """state + sum_i weights[i] * parts[i], time advanced by dt_t."""
-    W = state.W.samples.copy()
-    U = state.U.samples.copy()
+    W = state.W.samples
+    U = state.U.samples
     zs = [v.position for v in state.vortices]
     for w, (dW, dU, zd) in zip(weights, parts):
         W = W + w * dW.samples
         U = U + w * dU.samples
         zs = [z + w * d for z, d in zip(zs, zd)]
     vortices = tuple(Vortex(z, v.strength) for z, v in zip(zs, state.vortices))
-    return WaveState(Field(state.grid, W.real), Field(state.grid, U.real),
-                     vortices, state.t + dt_t)
+    return WaveState(Field(state.grid, W), Field(state.grid, U), vortices, state.t + dt_t)
 
 
 def step_rk4(state, dt, derived=None):
@@ -189,7 +186,7 @@ def symmetry_defect(state):
     n = state.grid.n_points
     idx = (-np.arange(n)) % n
     for f in (state.W, state.U):
-        s = f.samples.real
+        s = f.samples
         defect = max(defect, float(np.max(np.abs(s + s[idx]))))
     if len(state.vortices) == 2:
         z1, z2 = (v.position for v in state.vortices)

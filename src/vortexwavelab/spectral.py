@@ -18,6 +18,7 @@ pairs H with a vortex kernel would be polluted at the 1e-4 level.
 """
 
 import numpy as np
+import scipy.fft
 
 from .errors import NearBoundaryError
 from .grid import Field, check_same_grid
@@ -39,22 +40,34 @@ def periodic_square_kernel(w, half_length):
 
 
 # ----------------------------------------------------------------------
-# multipliers
+# multipliers, precomputed on the GridSpec; derivative, lambda_op and
+# low_pass keep a float64 field float64
 
 def apply_multiplier(f, multiplier):
     """Inverse transform of multiplier * fhat; multiplier is an array over
     the grid's fftfreq-ordered wavenumbers."""
-    return Field(f.grid, np.fft.ifft(multiplier * f.fft))
+    return Field(f.grid, scipy.fft.ifft(multiplier * f.fft))
+
+
+def _apply_real(f, multiplier):
+    """apply_multiplier for a multiplier with m(-k) = conj(m(k)): float64
+    in, float64 out (the real part; it drops the unpaired Nyquist mode's
+    imaginary image)."""
+    out = apply_multiplier(f, multiplier)
+    if f.samples.dtype == np.float64:
+        return Field(f.grid, out.samples.real.copy())
+    return out
 
 
 def hilbert(f):
-    """Hilbert transform, multiplier -sgn(k) with the k = 0 mode zeroed."""
-    return apply_multiplier(f, -np.sign(f.grid.wavenumbers))
+    """Hilbert transform, multiplier -sgn(k) with the k = 0 mode zeroed.
+    A real field maps to an imaginary one, so the result is complex."""
+    return apply_multiplier(f, f.grid.neg_sgn)
 
 
 def lambda_op(f):
     """Half-Laplacian |d/da|, multiplier |k|."""
-    return apply_multiplier(f, f.grid.abs_k)
+    return _apply_real(f, f.grid.abs_k)
 
 
 def derivative(f, n=1):
@@ -63,11 +76,11 @@ def derivative(f, n=1):
         raise ValueError("derivative order must be >= 0")
     if n == 0:
         return Field(f.grid, f.samples.copy())
-    return apply_multiplier(f, (1j * f.grid.wavenumbers) ** n)
+    return _apply_real(f, f.grid.ik if n == 1 else f.grid.ik ** n)
 
 
-def low_pass(f, fraction=0.5):
-    """Zero all modes with |k| > fraction * k_max.
+def low_pass(f):
+    """Zero all modes above half the grid's band, |k| > k_max / 2.
 
     Evolved fields are kept band-limited to half the grid's band: their
     genuine spectral content sits far below the cutoff (the states are
@@ -75,10 +88,10 @@ def low_pass(f, fraction=0.5):
     the advection terms then cannot alias, which removes the spurious
     Nyquist-band growth of variable-coefficient advection on a Fourier
     grid.  At the cutoff the attenuated amplitudes are at round-off level,
-    so the filter is invisible to every resolved quantity.
+    so the filter is invisible to every resolved quantity.  A float64
+    field stays float64.
     """
-    mask = f.grid.abs_k <= fraction * f.grid.k_max
-    return apply_multiplier(f, mask.astype(float))
+    return _apply_real(f, f.grid.half_band)
 
 
 def analytic_projection(f):
@@ -86,7 +99,7 @@ def analytic_projection(f):
 
     Vanishes (up to the mean) exactly on boundary values of functions
     holomorphic below the interface."""
-    return apply_multiplier(f, 1.0 + np.sign(f.grid.wavenumbers))
+    return apply_multiplier(f, f.grid.i_minus_h)
 
 
 def pminus(f):
@@ -98,8 +111,9 @@ def pminus(f):
 
 def commutator_hilbert(f, g):
     """[f, H] g = f * Hg - H(f g) computed through the multiplier form."""
-    check_same_grid(f, g)
-    return f * hilbert(g) - hilbert(f * g)
+    grid = check_same_grid(f, g)
+    fg = Field(grid, f.samples * g.samples)
+    return Field(grid, f.samples * hilbert(g).samples - hilbert(fg).samples)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +148,7 @@ def curve_derivative(Z):
     raw samples of alpha through the FFT would differentiate a sawtooth.
     """
     periodic_part = Field(Z.grid, Z.samples - Z.grid.alpha)
-    return 1.0 + derivative(periodic_part)
+    return Field(Z.grid, 1.0 + derivative(periodic_part).samples)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +187,7 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     if method == "spectral":
         lam_f = lambda_op(f)
         absq = Field(grid, (f.samples * np.conj(f.samples)).real)
-        out = (np.conj(f.samples) * lam_f.samples).real - 0.5 * lambda_op(absq).samples.real
+        out = (np.conj(f.samples) * lam_f.samples).real - 0.5 * lambda_op(absq).samples
         return Field(grid, out)
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)

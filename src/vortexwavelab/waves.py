@@ -23,8 +23,9 @@ b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
 of a function holomorphic below and decaying, i.e. annihilated by the
 projection (I - H)/2 up to its mean.  b_residual measures exactly that
-(formula-convention independent, which is the point); it and chord_arc
-are computed on first read, so right-hand-side stages never pay for them.
+(formula-convention independent, which is the point); it, chord_arc and
+the refined minimum of A1 (inf_A1, argmin_alpha) are computed on first
+read, so right-hand-side stages never pay for them.
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,7 @@ import numpy as np
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
 from .spectral import (analytic_projection, apply_multiplier, derivative,
-                       lambda_op, low_pass, periodic_cauchy_kernel, pminus,
-                       sq_diff_integral)
+                       low_pass, periodic_cauchy_kernel, pminus, sq_diff_integral)
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,8 +71,9 @@ class WaveState:
 @dataclass
 class DerivedFields:
     """Everything computable from one state, assembled in a single pass
-    and read-only afterwards.  The diagnostics ``b_residual`` and
-    ``chord_arc`` are computed on first read."""
+    and read-only afterwards.  The diagnostics ``b_residual``,
+    ``chord_arc``, ``inf_A1`` and ``argmin_alpha`` are computed on first
+    read."""
 
     Z: Field
     Z_alpha: Field
@@ -86,8 +87,6 @@ class DerivedFields:
     G: Field
     zdots: tuple
     d_I: float
-    inf_A1: float
-    argmin_alpha: float
 
     @cached_property
     def b_residual(self):
@@ -102,6 +101,14 @@ class DerivedFields:
     def chord_arc(self):
         return chord_arc_constant(self.Z)
 
+    @cached_property
+    def _A1_minimum(self):
+        """(argmin_alpha, inf_A1): the grid minimum of A1, refined."""
+        return refine_minimum(self.A1.grid.alpha, self.A1.samples)
+
+    argmin_alpha = property(lambda self: self._A1_minimum[0])
+    inf_A1 = property(lambda self: self._A1_minimum[1])
+
 
 def reconstruct(W, U):
     """(Z, F, Z_alpha) from the real parts W, U.
@@ -113,13 +120,12 @@ def reconstruct(W, U):
     grid = check_same_grid(W, U)
     if not (np.all(np.isfinite(W.samples)) and np.all(np.isfinite(U.samples))):
         raise NonFiniteStateError("W and U must be finite")
-    if not (W.is_real() and U.is_real()):
+    if not all(f.samples.dtype == np.float64 or f.is_real() for f in (W, U)):
         raise ValueError("W and U must be real fields")
-    plus = 1.0 - np.sign(grid.wavenumbers)
-    Zm = apply_multiplier(W, plus)            # Z - alpha
-    F = apply_multiplier(U, plus)
+    Zm = apply_multiplier(W, grid.i_plus_h)            # Z - alpha
+    F = apply_multiplier(U, grid.i_plus_h)
     Z = Field(grid, grid.alpha + Zm.samples)
-    Z_alpha = 1.0 + apply_multiplier(W, 1j * grid.wavenumbers * plus)
+    Z_alpha = Field(grid, 1.0 + apply_multiplier(W, grid.ik * grid.i_plus_h).samples)
     return Z, F, Z_alpha
 
 
@@ -200,7 +206,7 @@ def compute_b(U, Q, DtZ, Z_alpha):
     """
     g = 1.0 / Z_alpha.samples - 1.0
     proj = analytic_projection(Field(U.grid, DtZ.samples * g + np.conj(Q.samples)))
-    return Field(U.grid, proj.samples.real + 2.0 * U.samples.real)
+    return Field(U.grid, proj.samples.real + 2.0 * U.samples)
 
 
 def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):
@@ -210,15 +216,16 @@ def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):
                 - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }.
     """
     grid = Z.grid
-    out = 1.0 + sq_diff_integral(DtZ).samples.real
+    out = 1.0 + sq_diff_integral(DtZ).samples
     for v, zd, k2 in zip(vortices, zdots, K2):
         proj = analytic_projection(Field(grid, Z_alpha.samples * k2)).samples
         out -= (v.strength / TWO_PI) * (proj * (DtZ.samples - zd)).real
     return Field(grid, out)
 
 
-def refine_minimum(alpha, values, i):
-    """Parabolic refinement of a grid minimum through three points."""
+def refine_minimum(alpha, values):
+    """Parabolic refinement of the grid minimum through three points."""
+    i = int(np.argmin(values))
     n = len(values)
     im, ip = (i - 1) % n, (i + 1) % n
     fm, f0, fp = values[im], values[i], values[ip]
@@ -247,19 +254,16 @@ def assemble(state, min_vortex_spacings=4.0):
             % (d_I, min_vortex_spacings))
     K1, K2 = pole_kernels(Z, vortices)
     Q = compute_Q(Z, vortices, K1)
-    DtZ = F.conj() + Q.conj()
+    DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))
     zdots = tuple(vortex_velocity(Z, F, Z_alpha, vortices, j, K1[j])
                   for j in range(len(vortices)))
     DtQ = compute_DtQ(Z, DtZ, vortices, zdots, K2)
     b = compute_b(U, Q, DtZ, Z_alpha)
     A1 = compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2)
-    A = Field(grid, A1.samples.real / np.abs(Z_alpha.samples) ** 2)
+    A = Field(grid, A1.samples / np.abs(Z_alpha.samples) ** 2)
     G = Field(grid, -DtQ.samples.real)
-    vals = A1.samples.real
-    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, vals, int(np.argmin(vals)))
     return DerivedFields(Z=Z, Z_alpha=Z_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
-                         b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I,
-                         inf_A1=inf_A1, argmin_alpha=argmin_alpha)
+                         b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I)
 
 
 def rhs(state, derived=None):
@@ -270,18 +274,18 @@ def rhs(state, derived=None):
 
     plus the vortex ODEs.  The W-equation is the real part of the
     kinematic identity d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
-    ``derived`` may be passed in when the caller already assembled this
-    state.
+    dW/da and |d/da| W are read off the assembled Z_a = 1 + (I + H) dW/da,
+    as Re Z_a - 1 and -Im Z_a.  ``derived`` may be passed in when the
+    caller already assembled this state.
     """
     if derived is None:
         derived = assemble(state)
-    dW_a = derivative(state.W).samples.real
-    dU_a = derivative(state.U).samples.real
-    bs = derived.b.samples.real
-    dU = Field(state.grid, -bs * dU_a
-               + derived.A.samples.real * lambda_op(state.W).samples.real
-               + derived.G.samples.real)
-    dW = Field(state.grid, -bs * dW_a + state.U.samples.real
+    Z_alpha = derived.Z_alpha.samples
+    dU_a = derivative(state.U).samples
+    bs = derived.b.samples
+    dU = Field(state.grid, -bs * dU_a + derived.A.samples * -Z_alpha.imag
+               + derived.G.samples)
+    dW = Field(state.grid, -bs * (Z_alpha.real - 1.0) + state.U.samples
                + derived.Q.samples.real - bs)
     # keep the evolved fields band-limited to half the grid band (de-aliasing)
     return low_pass(dW), low_pass(dU), list(derived.zdots)

@@ -117,6 +117,25 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("output.stride", "0"), ("grid.n", "1000"), ("grid.half_length", "-5"),
+    ("time.dt", "0"), ("time.t_end", "-1"), ("gevrey.L0", "2"), ("gevrey.delta0", "0"),
+    ("vortex.x0", "-1"), ("vortex.gamma", "-1"), ("wave.amplitude", "-1"),
+    ("monitor.eta1", "-2")])
+def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
+    lines = [line for line in MINI_RUN.splitlines() if not line.startswith(key + " ")]
+    if key == "vortex.gamma":
+        lines.remove("vortex.lambda = 0.0")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(lines + ["%s = %s" % (key, value),
+                                           "output.path = %s" % (tmp_path / "t.csv")]) + "\n")
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: (key: %s)" % key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_cmd_run_proximity_writes_partial_file(tmp_path):
     # vortex starting within the fatal window: exit 1 but the truncated
     # trajectory is still written

@@ -1,4 +1,5 @@
-"""Property tests of the operator algebra and the assembly on small grids.
+"""Property tests of the operator algebra, the assembly and the
+right-hand side on small grids.
 
 H is the multiplier -sgn(k), so H^2 = I on mean-zero fields (the
 H^2 = -I of the -i sgn(k) convention does not apply here).
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.spectral import apply_multiplier, hilbert
-from vortexwavelab.waves import Vortex, WaveState, assemble, reconstruct
+from vortexwavelab.sim import reversed_state
+from vortexwavelab.waves import Vortex, WaveState, assemble, reconstruct, rhs
 
 from conftest import band_limited
 
@@ -26,13 +28,22 @@ def random_field(grid, rng, amplitude=1.0):
     return Field(grid, amplitude * f.samples.real / f.sup_norm())
 
 
+def odd_part(f):
+    """(f(a) - f(-a)) / 2, odd to the last bit."""
+    rev = (-np.arange(f.grid.n_points)) % f.grid.n_points
+    return Field(f.grid, 0.5 * (f.samples - f.samples[rev]))
+
+
+PAIRS = (st.floats(0.5, 2.0), st.floats(-10.0, -3.0), st.floats(-20.0, 20.0))
+
+
 @SETTINGS
 @given(GRIDS, SEEDS, st.booleans())
 def test_hilbert_squared_is_identity(grid, seed, complex_valued):
     rng = np.random.default_rng(seed)
     f = random_field(grid, rng)
     if complex_valued:
-        f = f + 1j * random_field(grid, rng)
+        f = Field(grid, f.samples + 1j * random_field(grid, rng).samples)
     assert np.max(np.abs(hilbert(hilbert(f)).samples - f.samples)) <= 1e-12 * f.sup_norm()
 
 
@@ -58,11 +69,44 @@ def test_reconstruct_keeps_the_real_parts(grid, seed):
 
 
 @SETTINGS
-@given(GRIDS, SEEDS, st.floats(0.5, 2.0), st.floats(-10.0, -3.0), st.floats(-20.0, 20.0),
-       st.floats(0.0, 1e-2))
+@given(GRIDS, SEEDS, *PAIRS, st.floats(0.0, 1e-2))
 def test_b_residual_small_with_a_pair(grid, seed, x, y, lam, amplitude):
     rng = np.random.default_rng(seed)
     state = WaveState(random_field(grid, rng, amplitude), random_field(grid, rng, amplitude),
                       (Vortex(complex(-x, y), lam), Vortex(complex(x, y), -lam)))
     d = assemble(state)
     assert d.b_residual <= 1e-6 * (1.0 + d.b.l2_norm())
+
+
+@SETTINGS
+@given(GRIDS, SEEDS, *PAIRS, st.floats(1e-4, 1e-2))
+def test_time_reversal_image(grid, seed, x, y, lam, amplitude):
+    # (W, U, z_j, lam_j) -> (W, -U, z_j, -lam_j) flips the sign of dW/dt
+    # and of the vortex velocities and keeps dU/dt; negation commutes with
+    # rounding, so the image is exact
+    rng = np.random.default_rng(seed)
+    state = WaveState(random_field(grid, rng, amplitude), random_field(grid, rng, amplitude),
+                      (Vortex(complex(-x, y), lam), Vortex(complex(x, 0.8 * y), -0.5 * lam)))
+    dW, dU, zdots = rhs(state)
+    rW, rU, rzdots = rhs(reversed_state(state))
+    assert np.array_equal(rW.samples, -dW.samples)
+    assert np.array_equal(rU.samples, dU.samples)
+    assert rzdots == [-z for z in zdots]
+
+
+@SETTINGS
+@given(GRIDS, SEEDS, *PAIRS, st.floats(1e-4, 1e-2))
+def test_rhs_keeps_odd_fields_odd(grid, seed, x, y, lam, amplitude):
+    rng = np.random.default_rng(seed)
+    W = odd_part(random_field(grid, rng, amplitude))
+    U = odd_part(random_field(grid, rng, amplitude))
+    dW, dU, (z1, z2) = rhs(WaveState(W, U, (Vortex(complex(-x, y), lam),
+                                           Vortex(complex(x, y), -lam))))
+    # round-off scales with the terms summed, which the wave amplitude and
+    # the vortex strength bound where the result itself cancels
+    inputs = amplitude + abs(lam)
+    for f in (dW, dU):
+        assert np.max(np.abs(odd_part(f).samples - f.samples)) <= 1e-14 * (f.sup_norm() + inputs)
+    scale = max(abs(z1), abs(z2)) + inputs
+    assert abs(z1.real + z2.real) <= 1e-14 * scale
+    assert abs(z1.imag - z2.imag) <= 1e-14 * scale

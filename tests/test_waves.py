@@ -8,8 +8,8 @@ import pytest
 
 from vortexwavelab.errors import NonFiniteStateError, VortexProximityError
 from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
-from vortexwavelab.spectral import (analytic_projection, commutator_hilbert,
-                                    low_pass, periodic_cauchy_kernel,
+from vortexwavelab.spectral import (analytic_projection, commutator_hilbert, derivative,
+                                    hilbert, lambda_op, low_pass, periodic_cauchy_kernel,
                                     periodic_square_kernel, pv_commutator)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
 from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant,
@@ -178,8 +178,9 @@ def test_b0_matches_pv_quadrature(small_grid):
     W = band_limited(small_grid, rng, modes=16, scale=0.05)
     Z, F, Z_alpha = reconstruct(W, U)
     g = Field(small_grid, 1.0 / Z_alpha.samples - 1.0)
-    via_mult = commutator_hilbert(F.conj(), g)
-    via_pv = pv_commutator(F.conj(), g)
+    conj_F = Field(small_grid, np.conj(F.samples))
+    via_mult = commutator_hilbert(conj_F, g)
+    via_pv = pv_commutator(conj_F, g)
     assert np.max(np.abs(via_mult.samples - via_pv.samples)) <= 1e-8
 
 
@@ -263,7 +264,7 @@ def test_rhs_preserves_oddness(grid):
 
 def test_stage_budget(monkeypatch):
     # one RHS stage (assemble + rhs) of the canonical pair state: one
-    # periodized pole kernel per vortex and at most 22 transforms
+    # periodized pole kernel per vortex and at most 20 transforms
     # (computed FFTs of fields plus multiplier applications)
     import sys
     from vortexwavelab import spectral
@@ -292,7 +293,20 @@ def test_stage_budget(monkeypatch):
     rhs(state, assemble(state))
     assert counts["periodic_cauchy_kernel"] == 2
     assert counts["periodic_square_kernel"] == 0
-    assert counts["fft"] + counts["apply_multiplier"] <= 22
+    assert counts["fft"] + counts["apply_multiplier"] <= 20
+
+
+def test_real_fields_stay_float64(grid):
+    from vortexwavelab.sim import make_initial
+    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
+                         grid)
+    d = assemble(state)
+    dW, dU, _ = rhs(state, d)
+    for f in (state.W, state.U, d.b, d.A1, d.A, d.G, dW, dU):
+        assert f.samples.dtype == np.float64
+    for op in (derivative, lambda_op, low_pass):
+        assert op(state.W).samples.dtype == np.float64
+    assert hilbert(state.W).samples.dtype == np.complex128
 
 
 def test_diagnostics_computed_on_read(grid, monkeypatch):
@@ -303,9 +317,10 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
                         lambda Z: calls.append(1) or original(Z))
     d = assemble(flat_pair_state(grid, 1.0, -6.0, 10.0))
     rhs(flat_pair_state(grid, 1.0, -6.0, 10.0), d)
-    assert calls == [] and "b_residual" not in vars(d)
+    assert calls == [] and "b_residual" not in vars(d) and "_A1_minimum" not in vars(d)
     assert d.chord_arc == d.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert calls == [1]
+    assert d.inf_A1 <= float(np.min(d.A1.samples)) and "_A1_minimum" in vars(d)
 
 
 # ----------------------------------------------------------------------
