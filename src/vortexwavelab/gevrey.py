@@ -90,11 +90,15 @@ class GevreyReport:
 
 def _derivative_l2sq(f, n_max, floor=0.0):
     """||d^n f||_L2^2 for n = 0..n_max via the power spectrum; modes below
-    ``floor`` times the peak amplitude are dropped as round-off."""
+    ``floor`` times the peak amplitude are dropped as round-off; the half
+    spectrum's modes 0 < k < k_max count twice, for +-k."""
     grid = f.grid
     power = (np.abs(f.fft) ** 2) * (grid.spacing / grid.n_points)
+    if power.ndim == 2:
+        power = power.sum(axis=0)            # real and imaginary parts
     if floor > 0.0 and power.size:
         power[power < power.max() * floor * floor] = 0.0
+    power[1:-1] *= 2.0
     k2 = grid.wavenumbers ** 2
     out = np.empty(n_max + 1)
     acc = power.copy()

@@ -1,17 +1,19 @@
 """Uniform periodic grid, its Fourier multipliers, and sampled fields.
 
 The real line is truncated to the periodic interval [-half_length,
-half_length).  Spectral operators act on the discrete modes
-k_m = pi*m/half_length with m = -n/2 .. n/2-1, so anything fed to them
-must either be genuinely periodic or decay well below the working
-tolerance before the interval ends.  Functions with algebraic tails
-(vortex-induced velocities and the like) are represented through their
-periodization; see :mod:`vortexwavelab.spectral` for the periodized
-kernels that keep that representation exact.
+half_length).  Spectral operators act on the half spectrum (``rfft``
+order), k_m = pi*m/half_length with m = 0 .. n/2.  sgn k is taken as 0
+at the mean and at the unpaired Nyquist mode m = n/2, so C = i sgn k
+removes that mode and Re((I + iC) W) = W holds exactly.  Anything fed to
+the operators must either be genuinely periodic or decay well below the
+working tolerance before the interval ends.  Functions with algebraic
+tails (vortex-induced velocities and the like) are represented through
+their periodization; see :mod:`vortexwavelab.spectral` for the
+periodized kernels that keep that representation exact.
 
 Fields keep real data real: W, U and everything the transition is read
 from (b, A1, A, G) are float64 samples, the complex traces (Z, F, Q, ...)
-complex128.
+complex128, transformed as their real and imaginary parts.
 """
 
 import numpy as np
@@ -40,17 +42,15 @@ class GridSpec:
         self.n_points = n_points
         self.spacing = 2.0 * self.half_length / n_points
         self.alpha = -self.half_length + self.spacing * np.arange(n_points)
-        # fftfreq ordering, radians per unit length: k_m = pi*m/half_length
-        self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n_points, d=self.spacing)
-        self.abs_k = np.abs(self.wavenumbers)
-        self.k_max = float(np.max(self.abs_k))
-        # the multipliers of the spectral operators, computed once per grid
-        sgn = np.sign(self.wavenumbers)
-        self.ik = 1j * self.wavenumbers          # d/da
-        self.neg_sgn = -sgn                      # H
-        self.i_plus_h = 1.0 - sgn                # I + H
-        self.i_minus_h = 1.0 + sgn               # I - H
-        self.half_band = (self.abs_k <= 0.5 * self.k_max).astype(float)
+        # half spectrum (rfftfreq order), radians per unit length:
+        # k_m = pi*m/half_length >= 0, which is also the multiplier |k|
+        self.wavenumbers = 2.0 * np.pi * scipy.fft.rfftfreq(n_points, d=self.spacing)
+        self.k_max = float(self.wavenumbers[-1])
+        # the multipliers of the spectral operators, each real to real
+        self.ik = 1j * self.wavenumbers                      # d/da
+        self.i_sgn = 1j * np.sign(self.wavenumbers)          # C, with H = iC
+        self.i_sgn[-1] = 0.0                                 # unpaired Nyquist mode
+        self.half_band = (self.wavenumbers <= 0.5 * self.k_max).astype(float)
 
     def __eq__(self, other):
         return (isinstance(other, GridSpec)
@@ -68,9 +68,9 @@ class Field:
     """A function sampled on a :class:`GridSpec`: float64 samples for real
     data, complex128 otherwise.
 
-    The raw FFT of the samples is computed lazily and cached; treat the
-    sample array as immutable once the field is constructed (compute-once,
-    read-many), so sharing a Field across workers is safe.
+    The half spectrum of the samples is computed lazily and cached; treat
+    the sample array as immutable once the field is constructed
+    (compute-once, read-many), so sharing a Field across workers is safe.
     """
 
     __slots__ = ("grid", "samples", "_fft")
@@ -88,19 +88,13 @@ class Field:
 
     @property
     def fft(self):
-        """Cached raw ``scipy.fft.fft`` of the samples (the full spectrum,
-        fftfreq order)."""
+        """Cached ``scipy.fft.rfft`` of the samples (rfftfreq order); for
+        complex samples the half spectra of the real part and of the
+        imaginary part, stacked along the first axis."""
         if self._fft is None:
-            self._fft = scipy.fft.fft(self.samples)
+            s = self.samples
+            self._fft = scipy.fft.rfft(np.stack((s.real, s.imag)) if np.iscomplexobj(s) else s)
         return self._fft
-
-    @property
-    def spectrum(self):
-        """Fourier coefficients under fhat(k) = sum_j f(a_j) e^(-i k a_j) h
-        (the fft phased to the grid origin and weighted by the spacing)."""
-        n = self.grid.n_points
-        phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # e^(i k_m L) = (-1)^m
-        return self.grid.spacing * phase * self.fft
 
     def is_real(self, tol=_DEF_REAL_TOL):
         """True when the imaginary part is negligible relative to the size

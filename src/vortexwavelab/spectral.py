@@ -1,7 +1,11 @@
 """Fourier-multiplier operators and singular quadratures on the periodic grid.
 
-The Hilbert transform is realized as the multiplier -sgn(k) (zero on the
-mean mode).  With the transform convention fhat(k) = integral f exp(-i k a),
+Every operator is one multiplier on a field's half spectrum, applied by
+:func:`apply_multiplier` as irfft(m * rfft f): ik, |k|, the half-band
+mask and C = i sgn(k), each mapping real fields to real fields (a complex
+field goes through as its real and imaginary parts).  The Hilbert
+transform H = iC is the multiplier -sgn(k), zero on the mean and Nyquist
+modes.  With the transform convention fhat(k) = integral f exp(-i k a),
 boundary values of functions holomorphic in the lower half-plane and
 decaying there carry only k <= 0 modes, so they are fixed points of H;
 upper-half-plane boundary values are flipped in sign.  H1 = 0.
@@ -40,34 +44,24 @@ def periodic_square_kernel(w, half_length):
 
 
 # ----------------------------------------------------------------------
-# multipliers, precomputed on the GridSpec; derivative, lambda_op and
-# low_pass keep a float64 field float64
+# multipliers, precomputed on the GridSpec
 
 def apply_multiplier(f, multiplier):
-    """Inverse transform of multiplier * fhat; multiplier is an array over
-    the grid's fftfreq-ordered wavenumbers."""
-    return Field(f.grid, scipy.fft.ifft(multiplier * f.fft))
-
-
-def _apply_real(f, multiplier):
-    """apply_multiplier for a multiplier with m(-k) = conj(m(k)): float64
-    in, float64 out (the real part; it drops the unpaired Nyquist mode's
-    imaginary image)."""
-    out = apply_multiplier(f, multiplier)
-    if f.samples.dtype == np.float64:
-        return Field(f.grid, out.samples.real.copy())
-    return out
+    """irfft(multiplier * fhat), multiplier an array over the grid's half
+    spectrum: float64 in, float64 out; complex in, complex out."""
+    out = scipy.fft.irfft(multiplier * f.fft, f.grid.n_points)
+    return Field(f.grid, out if out.ndim == 1 else out[0] + 1j * out[1])
 
 
 def hilbert(f):
-    """Hilbert transform, multiplier -sgn(k) with the k = 0 mode zeroed.
-    A real field maps to an imaginary one, so the result is complex."""
-    return apply_multiplier(f, f.grid.neg_sgn)
+    """Hilbert transform H = iC (multiplier -sgn(k)).  A real field maps
+    to an imaginary one, so the result is complex."""
+    return Field(f.grid, 1j * apply_multiplier(f, f.grid.i_sgn).samples)
 
 
 def lambda_op(f):
     """Half-Laplacian |d/da|, multiplier |k|."""
-    return _apply_real(f, f.grid.abs_k)
+    return apply_multiplier(f, f.grid.wavenumbers)
 
 
 def derivative(f, n=1):
@@ -76,7 +70,7 @@ def derivative(f, n=1):
         raise ValueError("derivative order must be >= 0")
     if n == 0:
         return Field(f.grid, f.samples.copy())
-    return _apply_real(f, f.grid.ik if n == 1 else f.grid.ik ** n)
+    return apply_multiplier(f, f.grid.ik if n == 1 else f.grid.ik ** n)
 
 
 def low_pass(f):
@@ -88,10 +82,9 @@ def low_pass(f):
     the advection terms then cannot alias, which removes the spurious
     Nyquist-band growth of variable-coefficient advection on a Fourier
     grid.  At the cutoff the attenuated amplitudes are at round-off level,
-    so the filter is invisible to every resolved quantity.  A float64
-    field stays float64.
+    so the filter is invisible to every resolved quantity.
     """
-    return _apply_real(f, f.grid.half_band)
+    return apply_multiplier(f, f.grid.half_band)
 
 
 def analytic_projection(f):
@@ -99,7 +92,7 @@ def analytic_projection(f):
 
     Vanishes (up to the mean) exactly on boundary values of functions
     holomorphic below the interface."""
-    return apply_multiplier(f, f.grid.i_minus_h)
+    return Field(f.grid, f.samples - 1j * apply_multiplier(f, f.grid.i_sgn).samples)
 
 
 def pminus(f):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import (analytic_projection, apply_multiplier, derivative,
+from .spectral import (analytic_projection, apply_multiplier, derivative, lambda_op,
                        low_pass, periodic_cauchy_kernel, pminus, sq_diff_integral)
 
 TWO_PI = 2.0 * np.pi
@@ -111,7 +111,8 @@ class DerivedFields:
 
 
 def reconstruct(W, U):
-    """(Z, F, Z_alpha) from the real parts W, U.
+    """(Z, F, Z_alpha) from the real parts W, U and their cached spectra:
+    with H = iC, Z - alpha = W + iCW, F = U + iCU, Z_a = 1 + W_a - i|D|W.
 
     The plus sign in (I + H) is forced: with the -sgn(k) multiplier it
     projects onto k <= 0 modes, exactly the boundary values of functions
@@ -122,10 +123,9 @@ def reconstruct(W, U):
         raise NonFiniteStateError("W and U must be finite")
     if not all(f.samples.dtype == np.float64 or f.is_real() for f in (W, U)):
         raise ValueError("W and U must be real fields")
-    Zm = apply_multiplier(W, grid.i_plus_h)            # Z - alpha
-    F = apply_multiplier(U, grid.i_plus_h)
-    Z = Field(grid, grid.alpha + Zm.samples)
-    Z_alpha = Field(grid, 1.0 + apply_multiplier(W, grid.ik * grid.i_plus_h).samples)
+    Z = Field(grid, grid.alpha + W.samples + 1j * apply_multiplier(W, grid.i_sgn).samples)
+    F = Field(grid, U.samples + 1j * apply_multiplier(U, grid.i_sgn).samples)
+    Z_alpha = Field(grid, 1.0 + derivative(W).samples - 1j * lambda_op(W).samples)
     return Z, F, Z_alpha
 
 
@@ -201,12 +201,12 @@ def compute_b(U, Q, DtZ, Z_alpha):
 
         b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
 
-    one projection of the summed holomorphic pieces.  How well b meets
-    its defining property is :attr:`DerivedFields.b_residual`.
+    one projection of the summed holomorphic pieces h, as Re h + C Im h.
+    How well b meets its defining property is :attr:`DerivedFields.b_residual`.
     """
-    g = 1.0 / Z_alpha.samples - 1.0
-    proj = analytic_projection(Field(U.grid, DtZ.samples * g + np.conj(Q.samples)))
-    return Field(U.grid, proj.samples.real + 2.0 * U.samples)
+    h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
+    c_im = apply_multiplier(Field(U.grid, h.imag), U.grid.i_sgn).samples
+    return Field(U.grid, h.real + c_im + 2.0 * U.samples)
 
 
 def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):

@@ -37,8 +37,6 @@ def mean_zero(f):
 
 def band_limited(grid, rng, modes=32, scale=1.0):
     """Random real mean-zero field supported on grid modes 1..modes."""
-    spec = np.zeros(grid.n_points, dtype=np.complex128)
-    coef = rng.normal(size=modes) + 1j * rng.normal(size=modes)
-    spec[1:modes + 1] = coef
-    spec[-modes:] = np.conj(coef[::-1])
-    return Field(grid, np.fft.ifft(spec).real * scale)
+    spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
+    spec[1:modes + 1] = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    return Field(grid, np.fft.irfft(spec, grid.n_points) * scale)

@@ -239,11 +239,13 @@ def test_verify_plumbing_and_mutation(monkeypatch, capsys):
     r2 = acceptance.run_all(acceptance.RunCache(), names=["C02"])[0]
     assert r1.detail == r2.detail and r1.passed
 
-    # injected sign flip in the Hilbert multiplier: the calibration check
-    # must fail and be named
+    # injected sign flip in the Hilbert multiplier (-H for H): the
+    # calibration check must fail and be named
     import vortexwavelab.spectral as sp
+    from vortexwavelab.grid import Field
+
     def flipped(f):
-        return sp.apply_multiplier(f, np.sign(f.grid.wavenumbers))
+        return Field(f.grid, -sp.hilbert(f).samples)
     monkeypatch.setattr("vortexwavelab.acceptance.hilbert", flipped)
     res = acceptance.run_all(acceptance.RunCache(), names=["C04"])[0]
     assert not res.passed

@@ -2,7 +2,8 @@
 right-hand side on small grids.
 
 H is the multiplier -sgn(k), so H^2 = I on mean-zero fields (the
-H^2 = -I of the -i sgn(k) convention does not apply here).
+H^2 = -I of the -i sgn(k) convention does not apply here).  The
+half-spectrum operators are checked against a full-spectrum reference.
 """
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexwavelab.grid import Field, GridSpec
-from vortexwavelab.spectral import apply_multiplier, hilbert
+from vortexwavelab.spectral import (analytic_projection, apply_multiplier, derivative,
+                                    hilbert, lambda_op, low_pass)
 from vortexwavelab.sim import reversed_state
 from vortexwavelab.waves import Vortex, WaveState, assemble, reconstruct, rhs
 
@@ -51,21 +53,77 @@ def test_hilbert_squared_is_identity(grid, seed, complex_valued):
 @given(GRIDS, SEEDS)
 def test_holomorphic_projection_is_idempotent(grid, seed):
     f = random_field(grid, np.random.default_rng(seed))
-    plus_half = 0.5 * (1.0 - np.sign(grid.wavenumbers))   # (I + H)/2
-    once = apply_multiplier(f, plus_half)
-    twice = apply_multiplier(once, plus_half)
+    def plus_half(g):                                      # (I + H)/2 = (I + iC)/2
+        return Field(grid, 0.5 * (g.samples + 1j * apply_multiplier(g, grid.i_sgn).samples))
+    once = plus_half(f)
+    twice = plus_half(once)
     assert np.max(np.abs(twice.samples - once.samples)) <= 1e-12 * f.sup_norm()
 
 
 @SETTINGS
-@given(GRIDS, SEEDS)
-def test_reconstruct_keeps_the_real_parts(grid, seed):
+@given(GRIDS, SEEDS, st.floats(-1e-3, 1e-3))
+def test_reconstruct_keeps_the_real_parts(grid, seed, nyquist):
+    # also with a component on the unpaired Nyquist mode (-1)^j, which H
+    # must neither double nor drop from the real part
     rng = np.random.default_rng(seed)
-    W = random_field(grid, rng, 0.1)
-    U = random_field(grid, rng, 0.1)
+    sawtooth = nyquist * (-1.0) ** np.arange(grid.n_points)
+    W = Field(grid, random_field(grid, rng, 0.1).samples + sawtooth)
+    U = Field(grid, random_field(grid, rng, 0.1).samples - sawtooth)
     Z, F, _ = reconstruct(W, U)
     assert np.max(np.abs((Z.samples - grid.alpha).real - W.samples.real)) <= 1e-14
     assert np.max(np.abs(F.samples.real - U.samples.real)) <= 1e-14
+
+
+def full_spectrum(grid, samples, multiplier):
+    """ifft(multiplier(k) * fft(samples)) over the fftfreq wavenumbers k."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+    return np.fft.ifft(multiplier(k) * np.fft.fft(samples))
+
+
+def broadband_field(grid, rng, complex_valued):
+    """Random field with a mean and every mode below the Nyquist mode."""
+    def part():
+        n = grid.n_points
+        spec = np.zeros(n // 2 + 1, dtype=np.complex128)
+        spec[:n // 2] = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
+        return np.fft.irfft(spec, n)
+    return Field(grid, part() + 1j * part() if complex_valued else part())
+
+
+@SETTINGS
+@given(GRIDS, SEEDS, st.booleans())
+def test_operators_match_the_full_spectrum(grid, seed, complex_valued):
+    f = broadband_field(grid, np.random.default_rng(seed), complex_valued)
+    k_max = np.pi / grid.spacing
+    cases = [   # (result, full-spectrum multiplier, maps real fields to real fields)
+        (derivative(f), lambda k: 1j * k, True),
+        (lambda_op(f), np.abs, True),
+        (low_pass(f), lambda k: (np.abs(k) <= 0.5 * k_max).astype(float), True),
+        (hilbert(f), lambda k: -np.sign(k), False),
+        (analytic_projection(f), lambda k: 1.0 + np.sign(k), False),
+    ]
+    for got, multiplier, real_to_real in cases:
+        ref = full_spectrum(grid, f.samples, multiplier)
+        assert got.samples.dtype == (np.float64 if real_to_real and not complex_valued
+                                     else np.complex128)
+        assert np.max(np.abs(got.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@SETTINGS
+@given(GRIDS, SEEDS)
+def test_reconstruct_matches_the_full_spectrum(grid, seed):
+    rng = np.random.default_rng(seed)
+    W = broadband_field(grid, rng, False)
+    U = broadband_field(grid, rng, False)
+    Z, F, Z_alpha = reconstruct(W, U)
+    cases = [
+        (Z.samples - grid.alpha, W, lambda k: 1.0 - np.sign(k)),
+        (F.samples, U, lambda k: 1.0 - np.sign(k)),
+        (Z_alpha.samples - 1.0, W, lambda k: 1j * k * (1.0 - np.sign(k))),
+    ]
+    for got, f, multiplier in cases:
+        ref = full_spectrum(grid, f.samples, multiplier)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @SETTINGS

@@ -35,25 +35,31 @@ def test_grid_invariants():
 
 
 def test_spectrum_convention(grid):
-    # fhat(k) = integral f e^(-ika): a pure mode carries weight 2L at its
-    # own wavenumber, and a gaussian reproduces sqrt(pi) e^(-k^2/4)
+    # fhat(k) = integral f e^(-ika) = h (-1)^m rfft(f)_m on k_m >= 0: a pure
+    # mode carries weight 2L at its own wavenumber (a complex field's half
+    # spectra, of its real and imaginary parts, combine as re + i im), and
+    # a gaussian reproduces sqrt(pi) e^(-k^2/4)
     m = 37
     k = grid.wavenumbers[m]
+    phase = grid.spacing * (-1.0) ** np.arange(grid.n_points // 2 + 1)
     f = field_from_function(grid, lambda a: np.exp(1j * k * a))
-    s = f.spectrum
-    assert abs(s[m] - 2 * grid.half_length) <= 1e-9
+    re, im = phase * f.fft
+    assert abs(re[m] + 1j * im[m] - 2 * grid.half_length) <= 1e-9
     gauss = field_from_function(grid, lambda a: np.exp(-a * a))
     kk = grid.wavenumbers
-    sel = np.abs(kk) < 8
+    sel = kk < 8
     expected = np.sqrt(np.pi) * np.exp(-kk[sel] ** 2 / 4)
-    assert np.max(np.abs(gauss.spectrum[sel] - expected)) <= 1e-12
+    assert np.max(np.abs((phase * gauss.fft)[sel] - expected)) <= 1e-12
 
 
 def test_field_roundtrip_and_real_flag(grid):
     rng = np.random.default_rng(1)
     f = band_limited(grid, rng)
-    back = np.fft.ifft(f.fft)
+    back = np.fft.irfft(f.fft, grid.n_points)
     assert np.max(np.abs(back - f.samples)) <= 1e-12 * f.sup_norm()
+    z = Field(grid, f.samples + 1j * band_limited(grid, rng).samples)
+    back = np.fft.irfft(z.fft, grid.n_points)
+    assert np.max(np.abs(back[0] + 1j * back[1] - z.samples)) <= 1e-12 * z.sup_norm()
     assert f.is_real()
     assert not Field(grid, f.samples + 1e-6j * np.ones(grid.n_points)).is_real()
 

@@ -264,21 +264,25 @@ def test_rhs_preserves_oddness(grid):
 
 def test_stage_budget(monkeypatch):
     # one RHS stage (assemble + rhs) of the canonical pair state: one
-    # periodized pole kernel per vortex and at most 20 transforms
-    # (computed FFTs of fields plus multiplier applications)
+    # periodized pole kernel per vortex and at most 27 real transforms
+    # (12 rfft of fields plus 15 irfft of multiplier applications; a
+    # complex field's real and imaginary parts count as two)
     import sys
     from vortexwavelab import spectral
     from vortexwavelab.sim import make_initial
     state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
                          GridSpec(200.0, 2 ** 10))
-    counts = dict.fromkeys(("fft", "apply_multiplier", "periodic_cauchy_kernel",
+    counts = dict.fromkeys(("rfft", "apply_multiplier", "periodic_cauchy_kernel",
                             "periodic_square_kernel"), 0)
+
+    def transforms(field):
+        return 2 if np.iscomplexobj(field.samples) else 1
     modules = [m for name, m in sys.modules.items() if name.startswith("vortexwavelab")]
     for name in ("apply_multiplier", "periodic_cauchy_kernel", "periodic_square_kernel"):
         original = getattr(spectral, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
+            counts[_name] += transforms(args[0]) if _name == "apply_multiplier" else 1
             return _fn(*args, **kwargs)
         for module in modules:
             if getattr(module, name, None) is original:
@@ -287,13 +291,13 @@ def test_stage_budget(monkeypatch):
 
     def fft(field):
         if field._fft is None:
-            counts["fft"] += 1
+            counts["rfft"] += transforms(field)
         return compute(field)
     monkeypatch.setattr(Field, "fft", property(fft))
     rhs(state, assemble(state))
     assert counts["periodic_cauchy_kernel"] == 2
     assert counts["periodic_square_kernel"] == 0
-    assert counts["fft"] + counts["apply_multiplier"] <= 20
+    assert counts["rfft"] + counts["apply_multiplier"] <= 27
 
 
 def test_real_fields_stay_float64(grid):
