@@ -16,8 +16,8 @@ from .taylor import (PairConfig, StabilityProfile, a1_flat_pair, g_profile,
                      f_reduced, inf_a1_flat, crossing_depth,
                      residue_pair_integral, interaction_sum)
 from .waves import Vortex, WaveState, DerivedFields, assemble, rhs
-from .sim import (IntegratorConfig, MonitorReport, StepRecord, make_initial,
-                  monitor, run_simulation, step_picard, step_rk4)
+from .sim import (IntegratorConfig, StepRecord, make_initial, monitor,
+                  run_simulation, step_picard, step_rk4)
 from .config import ScenarioConfig, run_scenario
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
     "f_reduced", "inf_a1_flat", "crossing_depth",
     "residue_pair_integral", "interaction_sum",
     "Vortex", "WaveState", "DerivedFields", "assemble", "rhs",
-    "IntegratorConfig", "MonitorReport", "StepRecord", "make_initial",
-    "monitor", "run_simulation", "step_picard", "step_rk4",
+    "IntegratorConfig", "StepRecord", "make_initial", "monitor",
+    "run_simulation", "step_picard", "step_rk4",
     "ScenarioConfig", "run_scenario",
 ]
 

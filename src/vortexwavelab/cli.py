@@ -6,7 +6,8 @@ run    executes a scenario config and writes its trajectory CSV.
        the transition experiment looks for), 1 on any error (a malformed
        config is reported with the offending key; a run stopped by a
        fatal vortex-interface approach, the stability limit or a
-       non-finite state still writes the partial trajectory).
+       non-finite state still writes the partial trajectory; an output
+       path that cannot be written ends it before the run).
 sweep  scans the closed-form stability profile over a gamma range and
        writes gamma,x,y,lambda,inf_A1,argmin_alpha rows.
 verify runs the acceptance checks and prints one line per check;
@@ -33,6 +34,17 @@ def _threads():
         return min(8, os.cpu_count() or 1)
 
 
+def _writable(path):
+    """Create ``path`` if missing, keeping what it holds; on failure print
+    why and return False."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print("cannot write output: %s" % exc, file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args):
     try:
         cfg = ScenarioConfig.from_file(args.config)
@@ -43,12 +55,14 @@ def cmd_run(args):
     except OSError as exc:
         print("cannot read config: %s" % exc, file=sys.stderr)
         return 1
+    out = cfg.get("output.path")
+    if not _writable(out):
+        return 1
     try:
         result = run_scenario(cfg)
     except VortexWaveError as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 1
-    out = cfg.get("output.path")
     write_trajectory(out, result.records)
     print("wrote %d records to %s (%s)" % (len(result.records), out, result.exit_reason))
     if result.exit_reason == "taylor_negative":
@@ -61,6 +75,8 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    if not _writable(args.out):
+        return 1
     try:
         rows = sweep_rows(args.gamma_min, args.gamma_max, args.steps,
                           args.x, args.y, max_workers=_threads())

@@ -37,41 +37,29 @@ from .grid import GridSpec
 from .sim import IntegratorConfig, StepRecord, make_initial, run_simulation
 from .taylor import PairConfig
 
-_FLOAT_KEYS = {
-    "grid.half_length", "vortex.x0", "vortex.y0", "vortex.gamma",
-    "vortex.lambda", "wave.amplitude", "gevrey.L0", "gevrey.delta0",
-    "time.dt", "time.t_end", "monitor.eta1",
-}
-_INT_KEYS = {"grid.n", "output.stride"}
-_STR_KEYS = {"wave.kind", "time.scheme", "output.path"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+REQUIRED = object()  # the default of a key that every config must set
 
-_DEFAULTS = {
-    "grid.half_length": 200.0,
-    "grid.n": 16384,
-    "vortex.x0": 1.0,
-    "wave.kind": "zero_wave",
-    "wave.amplitude": 0.0,
-    "gevrey.L0": 10.0,
-    "time.scheme": "rk4",
-    "output.path": "trajectory.csv",
-    "output.stride": 1,
-}
-_REQUIRED = ("vortex.y0", "time.dt", "time.t_end")
-# key -> (test, requirement), checked here so that a bad value is named by
-# its key; the objects built from these keys check them again
-_RANGES = {
-    "grid.n": (lambda v: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
-    "grid.half_length": (lambda v: v > 0, "positive"),
-    "vortex.x0": (lambda v: v > 0, "positive"),
-    "vortex.gamma": (lambda v: v >= 0, "nonnegative"),
-    "wave.amplitude": (lambda v: v >= 0, "nonnegative"),
-    "gevrey.L0": (lambda v: v >= 4, "at least 4"),
-    "gevrey.delta0": (lambda v: v > 0, "positive"),
-    "time.dt": (lambda v: v > 0, "positive"),
-    "time.t_end": (lambda v: v >= 0, "nonnegative"),
-    "output.stride": (lambda v: v >= 1, "at least 1"),
-    "monitor.eta1": (lambda v: v >= 0, "nonnegative"),
+# key -> (type, default or REQUIRED, test, requirement).  Each value set is
+# checked here, so that a bad one is named by its key; the objects built
+# from these keys check them again.  A key with default None is optional.
+_KEYS = {
+    "grid.half_length": (float, 200.0, lambda v: v > 0, "positive"),
+    "grid.n": (int, 16384, lambda v: v >= 16 and v & (v - 1) == 0, "a power of two >= 16"),
+    "vortex.x0": (float, 1.0, lambda v: v > 0, "positive"),
+    "vortex.y0": (float, REQUIRED, lambda v: v < 0, "negative (below the interface)"),
+    "vortex.gamma": (float, None, lambda v: v >= 0, "nonnegative"),
+    "vortex.lambda": (float, None, None, None),
+    "wave.kind": (str, "zero_wave", lambda v: v in ("zero_wave", "odd_bump"),
+                  "zero_wave or odd_bump"),
+    "wave.amplitude": (float, 0.0, lambda v: v >= 0, "nonnegative"),
+    "gevrey.L0": (float, 10.0, lambda v: v >= 4, "at least 4"),
+    "gevrey.delta0": (float, None, lambda v: v > 0, "positive"),
+    "time.dt": (float, REQUIRED, lambda v: v > 0, "positive"),
+    "time.t_end": (float, REQUIRED, lambda v: v >= 0, "nonnegative"),
+    "time.scheme": (str, "rk4", lambda v: v in ("rk4", "picard"), "rk4 or picard"),
+    "output.path": (str, "trajectory.csv", None, None),
+    "output.stride": (int, 1, lambda v: v >= 1, "at least 1"),
+    "monitor.eta1": (float, None, lambda v: v >= 0, "nonnegative"),
 }
 
 
@@ -86,9 +74,8 @@ class ScenarioConfig:
 
     # --- accessors -----------------------------------------------------
     def get(self, key):
-        if key in self.values:
-            return self.values[key]
-        return _DEFAULTS.get(key)
+        default = _KEYS[key][1]
+        return self.values.get(key, None if default is REQUIRED else default)
 
     @property
     def lam(self):
@@ -101,10 +88,10 @@ class ScenarioConfig:
     # --- validation ----------------------------------------------------
     def validate(self):
         for key in self.values:
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ConfigError("unknown key %r" % key, key=key)
-        for key in _REQUIRED:
-            if key not in self.values:
+        for key, (_, default, _, _) in _KEYS.items():
+            if default is REQUIRED and key not in self.values:
                 raise ConfigError("missing required key %r" % key, key=key)
         has_gamma = "vortex.gamma" in self.values
         has_lambda = "vortex.lambda" in self.values
@@ -116,20 +103,10 @@ class ScenarioConfig:
         for key, v in self.values.items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError("value of %r is not finite" % key, key=key)
-        for key, (ok, requirement) in _RANGES.items():
-            value = self.get(key)
-            if value is not None and not ok(value):
-                raise ConfigError("%s must be %s, got %r" % (key, requirement, value),
+        for key, (_, _, ok, requirement) in _KEYS.items():
+            if key in self.values and ok is not None and not ok(self.values[key]):
+                raise ConfigError("%s must be %s, got %r" % (key, requirement, self.values[key]),
                                   key=key)
-        if self.get("wave.kind") not in ("zero_wave", "odd_bump"):
-            raise ConfigError("wave.kind must be zero_wave or odd_bump",
-                              key="wave.kind")
-        if self.get("time.scheme") not in ("rk4", "picard"):
-            raise ConfigError("time.scheme must be rk4 or picard",
-                              key="time.scheme")
-        if self.get("vortex.y0") >= 0:
-            raise ConfigError("vortex.y0 must be negative (below the interface)",
-                              key="vortex.y0")
 
     # --- text form -----------------------------------------------------
     @classmethod
@@ -144,17 +121,12 @@ class ScenarioConfig:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ConfigError("unknown key %r (line %d)" % (key, lineno), key=key)
             if key in values:
                 raise ConfigError("duplicate key %r (line %d)" % (key, lineno), key=key)
             try:
-                if key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                else:
-                    values[key] = val
+                values[key] = _KEYS[key][0](val)
             except ValueError:
                 raise ConfigError("bad value %r for key %r (line %d)"
                                   % (val, key, lineno), key=key)

@@ -13,11 +13,13 @@ in the Yd x X pair at the current radius.
 
 Spectral differentiation amplifies the Nyquist band by k_max^n, so for
 under-resolved fields the computed per-order terms eventually grow with
-n for no analytic reason.  The partial sum is truncated at a relative
-tail tolerance, and a report is flagged (and truncated) when a term
-jumps by more than ``growth_ratio`` past order 5 -- the signature of
-round-off amplification rather than genuine norm content, which grows
-by bounded factors only.
+n for no analytic reason.  The partial sum is truncated once a term
+drops below TAIL_TOL times the running sum, and a report is flagged (and
+truncated) when a term jumps by more than GROWTH_RATIO past order 5 --
+the signature of round-off amplification rather than genuine norm
+content, which grows by bounded factors only (legitimate norms can have
+mildly increasing early terms, so a plain "any increase" rule would
+misfire on them).
 """
 
 from dataclasses import dataclass, field
@@ -30,9 +32,8 @@ from .grid import check_same_grid
 from .spectral import derivative
 
 _KINDS = ("X", "Xd", "Y", "Yd")
-# accepted spellings for the homogeneous kinds
-_KIND_ALIASES = {"X": "X", "Y": "Y", "Xd": "Xd", "Yd": "Yd",
-                 "Xdot": "Xd", "Ydot": "Yd", "Ẋ": "Xd", "Ẏ": "Yd"}
+TAIL_TOL = 1e-14
+GROWTH_RATIO = 10.0
 
 
 @dataclass
@@ -40,21 +41,15 @@ class GevreyParams:
     """Radius schedule and series-truncation controls.
 
     L0 must be at least 4 and delta0 positive; n_max caps the summation
-    order and tail_tol stops it once a term drops below tail_tol times
-    the running sum.  growth_ratio is the jump factor past order 5 that
-    is treated as round-off amplification (legitimate norms can have
-    mildly increasing early terms, so a plain "any increase" rule would
-    misfire on them).  spectrum_floor gates out modes whose amplitude is
-    below that fraction of the spectral peak before differentiating:
-    they carry transform round-off, not data, and k_max^n would amplify
-    them into the sum long before the growth guard can fire.
+    order.  spectrum_floor gates out modes whose amplitude is below that
+    fraction of the spectral peak before differentiating: they carry
+    transform round-off, not data, and k_max^n would amplify them into
+    the sum long before the growth guard can fire.
     """
 
     L0: float = 10.0
     delta0: float = 1000.0
     n_max: int = 40
-    tail_tol: float = 1e-14
-    growth_ratio: float = 10.0
     spectrum_floor: float = 1e-13
 
     def __post_init__(self):
@@ -64,8 +59,6 @@ class GevreyParams:
             raise ValueError("delta0 must be positive")
         if self.n_max < 5:
             raise ValueError("n_max must be >= 5")
-        if self.tail_tol < 0:
-            raise ValueError("tail_tol must be nonnegative")
 
 
 @dataclass
@@ -117,9 +110,7 @@ def gevrey_norm(f, sigma, kind, params=None):
     if sigma <= 0:
         raise ValueError("sigma must be positive, got %g" % sigma)
     params = params or GevreyParams()
-    try:
-        kind = _KIND_ALIASES[kind]
-    except KeyError:
+    if kind not in _KINDS:
         raise ValueError("kind must be one of %s" % (_KINDS,))
 
     d2 = _derivative_l2sq(f, params.n_max, floor=params.spectrum_floor)
@@ -137,13 +128,13 @@ def gevrey_norm(f, sigma, kind, params=None):
             t *= n * n
             if kind == "Y" and n == 0:
                 t = float(d2[0])  # the plain L2 term
-        if prev is not None and n > 5 and t > params.growth_ratio * prev and t > 0:
+        if prev is not None and n > 5 and t > GROWTH_RATIO * prev and t > 0:
             flagged = True
             truncated_at = n
             break
         terms.append(t)
         total += t
-        if t <= params.tail_tol * total and n > n_start:
+        if t <= TAIL_TOL * total and n > n_start:
             truncated_at = n + 1
             break
         prev = t

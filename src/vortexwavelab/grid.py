@@ -21,8 +21,6 @@ import scipy.fft
 
 from .errors import GridMismatchError
 
-_DEF_REAL_TOL = 1e-12
-
 
 class GridSpec:
     """Equispaced periodic grid on [-half_length, half_length).
@@ -95,14 +93,6 @@ class Field:
             s = self.samples
             self._fft = scipy.fft.rfft(np.stack((s.real, s.imag)) if np.iscomplexobj(s) else s)
         return self._fft
-
-    def is_real(self, tol=_DEF_REAL_TOL):
-        """True when the imaginary part is negligible relative to the size
-        of the field (scale-free check; an all-zero field counts as real)."""
-        scale = np.max(np.abs(self.samples))
-        if scale == 0.0:
-            return True
-        return np.max(np.abs(self.samples.imag)) <= tol * scale
 
     def l2_norm(self):
         """Continuum L2 norm of the sampled function (trapezoid weight)."""

@@ -14,10 +14,11 @@ with its residual history if that fails.
 
 The step size is checked each step against
 
-    dt <= cfl_safety * min( spacing / max|b| ,  1 / sqrt(max|A| k_max) )
+    dt <= 0.5 * min( spacing / max|b| ,  1 / sqrt(max|A| k_max) )
 
-(advective and gravity-dispersive limits; the time scale of the fastest
-resolvable gravity wave is 1/sqrt(A k_max)).
+(the safety factor CFL_SAFETY = 0.5 times the advective and
+gravity-dispersive limits; the time scale of the fastest resolvable
+gravity wave is 1/sqrt(A k_max)).
 """
 
 import math
@@ -32,6 +33,8 @@ from .spectral import low_pass
 from .waves import Vortex, WaveState, assemble, rhs
 
 FATAL_PROXIMITY_SPACINGS = 8.0  # below this the quadratures are unresolved
+CFL_SAFETY = 0.5
+AS2_CAP = 1.0  # on 2E, ||U||_L2 and ||U||_inf
 
 
 @dataclass
@@ -41,34 +44,12 @@ class IntegratorConfig:
     scheme: str = "rk4"
     picard_tol: float = 1e-10       # discrete H4 change between sweeps
     picard_max_iter: int = 50
-    cfl_safety: float = 0.5
 
     def __post_init__(self):
         if self.scheme not in ("rk4", "picard"):
             raise ValueError("scheme must be 'rk4' or 'picard'")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
-
-
-@dataclass
-class MonitorReport:
-    """Per-state diagnostic record; the as_flags are advisory except for
-    vortex-interface proximity, which callers treat as fatal."""
-
-    t: float
-    E: float
-    chord_arc: float
-    d_I: float
-    phi: float
-    inf_A1: float
-    argmin_alpha: float
-    U_L2: float
-    U_inf: float
-    b_residual: float
-    symmetry_defect: float
-    as_flags: dict
 
 
 @dataclass
@@ -194,54 +175,10 @@ def symmetry_defect(state):
     return defect
 
 
-def monitor(state, derived=None, gevrey_params=None, baseline=None,
-            energy_cap=1.0, u_l2_cap=1.0, u_inf_cap=1.0):
-    """Full diagnostic record for one state.
-
-    The assumption flags: AS1 all quantities finite; AS2 the homogeneous
-    energy pair, ||U||_L2 and ||U||_inf within the configured caps; AS3
-    chord-arc at least half its initial value; AS4 vortex-interface
-    distance at least half of d_I(0)^(9/10) and half-separation at least
-    half its initial value; AS5 radius phi(t) still at least L0/2.
-    """
-    derived = derived if derived is not None else assemble(state)
-    params = gevrey_params or GevreyParams()
-    phi = params.L0 - params.delta0 * state.t
-    if phi > 0:
-        E = energy(state.W, state.U, state.t, params)
-    else:
-        E = math.nan
-    u_l2 = state.U.l2_norm()
-    u_inf = state.U.sup_norm()
-    sdef = symmetry_defect(state)
-    finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
-        and all(np.isfinite([derived.d_I if state.vortices else 0.0,
-                             derived.inf_A1, derived.b_residual]))
-    flags = {"AS1": bool(finite),
-             "AS2": bool(2.0 * E <= energy_cap + 1e-12 if not math.isnan(E) else False)
-             and u_l2 <= u_l2_cap and u_inf <= u_inf_cap,
-             "AS5": bool(phi >= params.L0 / 2.0)}
-    if baseline is not None:
-        flags["AS3"] = bool(derived.chord_arc >= 0.5 * baseline.chord_arc0)
-        ok4 = derived.d_I >= 0.5 * baseline.d_I0 ** 0.9 if state.vortices else True
-        if len(state.vortices) == 2:
-            x_now = abs(state.vortices[1].position.real)
-            ok4 = ok4 and x_now >= 0.5 * baseline.x0
-        flags["AS4"] = bool(ok4)
-    else:
-        flags["AS3"] = True
-        flags["AS4"] = True
-    return MonitorReport(t=state.t, E=E, chord_arc=derived.chord_arc,
-                         d_I=derived.d_I, phi=phi, inf_A1=derived.inf_A1,
-                         argmin_alpha=derived.argmin_alpha,
-                         U_L2=u_l2, U_inf=u_inf,
-                         b_residual=derived.b_residual,
-                         symmetry_defect=sdef, as_flags=flags)
-
-
 @dataclass
 class StepRecord:
-    """One trajectory row (the CSV column set, in order)."""
+    """One trajectory row: the CSV columns, in order, and the AS1-AS5
+    assumption flags, which the CSV leaves out."""
 
     t: float
     x1: float
@@ -259,6 +196,7 @@ class StepRecord:
     b_residual: float
     symmetry_defect: float
     picard_iters: object  # int, or None for rk4
+    as_flags: dict
 
     COLUMNS = ("t", "x1", "y1", "x2", "y2", "d_I", "inf_A1", "argmin_alpha",
                "E_gevrey", "phi", "chord_arc", "U_L2", "U_inf",
@@ -275,19 +213,50 @@ class StepRecord:
         return ",".join(vals)
 
 
-def _record(state, report, picard_iters):
+def monitor(state, derived=None, gevrey_params=None, baseline=None):
+    """The trajectory row of one state, with ``picard_iters`` None.
+
+    The assumption flags are advisory (vortex-interface proximity is
+    checked separately and is fatal): AS1 all quantities finite; AS2 the
+    homogeneous energy pair, ||U||_L2 and ||U||_inf within AS2_CAP; AS3
+    chord-arc at least half its initial value; AS4 vortex-interface
+    distance at least half of d_I(0)^(9/10) and half-separation at least
+    half its initial value; AS5 radius phi(t) still at least L0/2.
+    """
+    derived = derived if derived is not None else assemble(state)
+    params = gevrey_params or GevreyParams()
+    phi = params.L0 - params.delta0 * state.t
+    if phi > 0:
+        E = energy(state.W, state.U, state.t, params)
+    else:
+        E = math.nan
+    u_l2 = state.U.l2_norm()
+    u_inf = state.U.sup_norm()
+    finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
+        and all(np.isfinite([derived.d_I if state.vortices else 0.0,
+                             derived.inf_A1, derived.b_residual]))
+    as3 = as4 = True
+    if baseline is not None:
+        as3 = derived.chord_arc >= 0.5 * baseline.chord_arc0
+        as4 = derived.d_I >= 0.5 * baseline.d_I0 ** 0.9 if state.vortices else True
+        if len(state.vortices) == 2:
+            as4 = as4 and abs(state.vortices[1].position.real) >= 0.5 * baseline.x0
+    flags = {"AS1": bool(finite),
+             "AS2": (not math.isnan(E) and 2.0 * E <= AS2_CAP + 1e-12
+                     and u_l2 <= AS2_CAP and u_inf <= AS2_CAP),
+             "AS3": bool(as3), "AS4": bool(as4),
+             "AS5": bool(phi >= params.L0 / 2.0)}
     if len(state.vortices) == 2:
         z1, z2 = (v.position for v in state.vortices)
     else:
         z1 = z2 = complex(math.nan, math.nan)
     return StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
-                      d_I=report.d_I, inf_A1=report.inf_A1,
-                      argmin_alpha=report.argmin_alpha, E_gevrey=report.E,
-                      phi=report.phi, chord_arc=report.chord_arc,
-                      U_L2=report.U_L2, U_inf=report.U_inf,
-                      b_residual=report.b_residual,
-                      symmetry_defect=report.symmetry_defect,
-                      picard_iters=picard_iters)
+                      d_I=derived.d_I, inf_A1=derived.inf_A1,
+                      argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
+                      chord_arc=derived.chord_arc, U_L2=u_l2, U_inf=u_inf,
+                      b_residual=derived.b_residual,
+                      symmetry_defect=symmetry_defect(state), picard_iters=None,
+                      as_flags=flags)
 
 
 @dataclass
@@ -296,7 +265,6 @@ class RunResult:
     exit_reason: str      # completed | taylor_negative | vortex_proximity | cfl_violation | non_finite
     final_state: WaveState
     message: str = ""
-    states: list = None   # populated only when collect_states is requested
 
 
 def _check_finite(state):
@@ -306,8 +274,7 @@ def _check_finite(state):
         raise NonFiniteStateError("non-finite W, U or vortex position at t=%g" % state.t)
 
 
-def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
-                   collect_states=False):
+def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     """March a state to t_end, recording monitors every ``stride`` steps.
 
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
@@ -317,26 +284,21 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
     params = gevrey_params or GevreyParams()
     n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
     records = []
-    states = [] if collect_states else None
 
     def stop(reason, message):
-        return RunResult(records, reason, state, message, states=states)
+        return RunResult(records, reason, state, message)
 
     try:
         _check_finite(state)
         derived = assemble(state)
         baseline = Baseline(chord_arc0=derived.chord_arc, d_I0=derived.d_I,
                             x0=abs(state.vortices[-1].position.real) if state.vortices else 0.0)
-        report = monitor(state, derived, params, baseline)
-        records.append(_record(state, report, None))
-        if collect_states:
-            states.append(state)
-        picard_iters = None
+        records.append(monitor(state, derived, params, baseline))
         for step_index in range(1, n_steps + 1):
             if state.vortices and derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:
                 return stop("vortex_proximity", "d_I=%g below %g spacings"
                             % (derived.d_I, FATAL_PROXIMITY_SPACINGS))
-            limit = integrator.cfl_safety * cfl_limit(state, derived)
+            limit = CFL_SAFETY * cfl_limit(state, derived)
             if integrator.dt > limit:
                 return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
                             % (integrator.dt, limit, state.t))
@@ -351,10 +313,9 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
             last = step_index == n_steps
             hit = eta1 is not None and derived.inf_A1 <= -eta1
             if step_index % stride == 0 or last or hit:
-                report = monitor(state, derived, params, baseline)
-                records.append(_record(state, report, picard_iters))
-                if collect_states:
-                    states.append(state)
+                record = monitor(state, derived, params, baseline)
+                record.picard_iters = picard_iters
+                records.append(record)
             if hit:
                 return stop("taylor_negative", "inf A1 = %g <= -%g at t=%g"
                             % (derived.inf_A1, eta1, state.t))
@@ -362,7 +323,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1,
         return stop("vortex_proximity", str(exc))
     except NonFiniteStateError as exc:
         return stop("non_finite", str(exc))
-    return RunResult(records, "completed", state, states=states)
+    return RunResult(records, "completed", state)
 
 
 def reversed_state(state):

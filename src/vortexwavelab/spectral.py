@@ -27,6 +27,8 @@ import scipy.fft
 from .errors import NearBoundaryError
 from .grid import Field, check_same_grid
 
+MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
+
 
 # ----------------------------------------------------------------------
 # periodized Cauchy kernels
@@ -112,25 +114,23 @@ def commutator_hilbert(f, g):
 # ----------------------------------------------------------------------
 # Cauchy integral
 
-def cauchy_velocity(Z, F, z, Z_alpha=None, min_spacings=4.0):
+def cauchy_velocity(Z, F, z):
     """Trapezoid evaluation of (1/2pi i) * integral Z_b F(b) / (z - Z(b)) db.
 
     Z is the sampled curve (alpha plus a periodic part), F the density on
     it, z a point off the curve.  The 1/(z - Z) kernel is used in its
     periodized form.  Points closer to the sampled curve than
-    ``min_spacings`` grid spacings are rejected: the quadrature carries no
+    MIN_SPACINGS grid spacings are rejected: the quadrature carries no
     accuracy there.
     """
     grid = check_same_grid(Z, F)
-    if Z_alpha is None:
-        Z_alpha = curve_derivative(Z)
     dist = np.min(np.abs(z - Z.samples))
-    if dist < min_spacings * grid.spacing:
+    if dist < MIN_SPACINGS * grid.spacing:
         raise NearBoundaryError(
             "evaluation point %s is %.3g from the curve; need >= %g grid spacings"
-            % (z, dist, min_spacings))
+            % (z, dist, MIN_SPACINGS))
     kern = periodic_cauchy_kernel(z - Z.samples, grid.half_length)
-    total = np.sum(Z_alpha.samples * F.samples * kern) * grid.spacing
+    total = np.sum(curve_derivative(Z).samples * F.samples * kern) * grid.spacing
     return complex(total / (2.0j * np.pi))
 
 

@@ -140,7 +140,7 @@ def residue_pair_integral(w1, w2):
     return 2.0j * np.pi / (np.conj(w2) - w1)
 
 
-def residue_pair_integral_quad(w1, w2, epsabs=1e-11):
+def residue_pair_integral_quad(w1, w2):
     """Adaptive-quadrature companion of :func:`residue_pair_integral`,
     integrating over the whole real line."""
     if np.imag(w1) >= 0 or np.imag(w2) >= 0:
@@ -151,8 +151,8 @@ def residue_pair_integral_quad(w1, w2, epsabs=1e-11):
         v = 1.0 / ((b - w1) * (b - w2c))
         return v.real if part == "re" else v.imag
 
-    re, _ = quad(integrand, -np.inf, np.inf, args=("re",), epsabs=epsabs, limit=400)
-    im, _ = quad(integrand, -np.inf, np.inf, args=("im",), epsabs=epsabs, limit=400)
+    re, _ = quad(integrand, -np.inf, np.inf, args=("re",), epsabs=1e-11, limit=400)
+    im, _ = quad(integrand, -np.inf, np.inf, args=("im",), epsabs=1e-11, limit=400)
     return complex(re, im)
 
 

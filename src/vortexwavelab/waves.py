@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import (analytic_projection, apply_multiplier, derivative, lambda_op,
-                       low_pass, periodic_cauchy_kernel, pminus, sq_diff_integral)
+from .spectral import (MIN_SPACINGS, analytic_projection, apply_multiplier, derivative,
+                       lambda_op, low_pass, periodic_cauchy_kernel, pminus, sq_diff_integral)
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,7 +121,7 @@ def reconstruct(W, U):
     grid = check_same_grid(W, U)
     if not (np.all(np.isfinite(W.samples)) and np.all(np.isfinite(U.samples))):
         raise NonFiniteStateError("W and U must be finite")
-    if not all(f.samples.dtype == np.float64 or f.is_real() for f in (W, U)):
+    if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
         raise ValueError("W and U must be real fields")
     Z = Field(grid, grid.alpha + W.samples + 1j * apply_multiplier(W, grid.i_sgn).samples)
     F = Field(grid, U.samples + 1j * apply_multiplier(U, grid.i_sgn).samples)
@@ -240,7 +240,7 @@ def refine_minimum(alpha, values):
     return float(a_star), float(f_star)
 
 
-def assemble(state, min_vortex_spacings=4.0):
+def assemble(state):
     """One derived-field pass over a state; raises VortexProximityError
     when a vortex is too close to the interface for the quadratures to
     mean anything, NonFiniteStateError when W or U is not finite."""
@@ -248,10 +248,10 @@ def assemble(state, min_vortex_spacings=4.0):
     grid = state.grid
     Z, F, Z_alpha = reconstruct(W, U)
     d_I = interface_distance(Z, vortices)
-    if d_I < min_vortex_spacings * grid.spacing:
+    if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
             "vortex within %.3g of the interface (< %g grid spacings)"
-            % (d_I, min_vortex_spacings))
+            % (d_I, MIN_SPACINGS))
     K1, K2 = pole_kernels(Z, vortices)
     Q = compute_Q(Z, vortices, K1)
     DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))

@@ -121,7 +121,7 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
     ("output.stride", "0"), ("grid.n", "1000"), ("grid.half_length", "-5"),
     ("time.dt", "0"), ("time.t_end", "-1"), ("gevrey.L0", "2"), ("gevrey.delta0", "0"),
     ("vortex.x0", "-1"), ("vortex.gamma", "-1"), ("wave.amplitude", "-1"),
-    ("monitor.eta1", "-2")])
+    ("monitor.eta1", "-2"), ("wave.kind", "square_bump"), ("time.scheme", "euler")])
 def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     lines = [line for line in MINI_RUN.splitlines() if not line.startswith(key + " ")]
     if key == "vortex.gamma":
@@ -134,6 +134,23 @@ def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     assert "config error: (key: %s)" % key in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_cmd_output_in_missing_directory_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    import vortexwavelab.cli as cli
+    started = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: started.append("run"))
+    monkeypatch.setattr(cli, "sweep_rows", lambda *a, **k: started.append("sweep"))
+    out = tmp_path / "missing" / "out.csv"
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINI_RUN + "output.path = %s\n" % out)
+    assert main(["run", str(cfg_path)]) == 1
+    assert main(["sweep", "--gamma-min", "3.9", "--gamma-max", "4.1", "--steps", "5",
+                 "--x", "1e-3", "--y", "-10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("cannot write output:") == 2 and "Traceback" not in err
+    assert started == []
+    assert not out.parent.exists()
 
 
 def test_cmd_run_proximity_writes_partial_file(tmp_path):
@@ -191,6 +208,7 @@ def test_run_scenario_picard_records_iterations():
     result = run_scenario(cfg)
     assert result.exit_reason == "completed"
     assert all(r.picard_iters >= 1 for r in result.records[1:])
+    assert all(set(r.as_flags) == {"AS1", "AS2", "AS3", "AS4", "AS5"} for r in result.records)
     line = result.records[-1].csv_row()
     assert line.split(",")[-1] != ""            # iterations recorded in CSV
 

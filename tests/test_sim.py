@@ -119,7 +119,7 @@ def test_picard_diverges_with_huge_step(sim_grid):
 def test_monitor_zero_state(sim_grid):
     s = WaveState(zero_field(sim_grid), zero_field(sim_grid), ())
     rep = monitor(s, gevrey_params=GevreyParams(L0=10, delta0=1))
-    assert rep.E == 0.0
+    assert rep.E_gevrey == 0.0
     assert rep.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert all(rep.as_flags.values())
     assert rep.inf_A1 == pytest.approx(1.0, abs=1e-14)

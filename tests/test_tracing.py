@@ -1,29 +1,32 @@
-"""The benchmark's per-layer tracer (perfbench/tracing.py) still finds the
-package's names: a refactor that renames or bypasses them would silently
-empty the benchmark's per-layer trace."""
+"""The benchmark (perfbench/) still finds the package's names: a refactor
+that renames or bypasses them would silently empty the per-layer trace,
+and one that deletes a name the benchmark reads would break every run."""
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
+import vortexwavelab
+import vortexwavelab.cli
 from vortexwavelab import waves
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.sim import make_initial
 from vortexwavelab.taylor import PairConfig
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_records_a_stage_and_uninstalls():
-    tracing = load_tracing()
+    tracing = load("tracing")
     originals = {key: getattr(sys.modules["vortexwavelab." + key[0]], key[1])
                  for key in tracing.TARGETS}
     field_members = {name: Field.__dict__[name] for name in ("fft", "__init__")}
@@ -42,3 +45,13 @@ def test_tracer_records_a_stage_and_uninstalls():
     for (module, name), original in originals.items():
         assert getattr(sys.modules["vortexwavelab." + module], name) is original
     assert {name: Field.__dict__[name] for name in field_members} == field_members
+
+
+def test_benchmark_environment_record(monkeypatch):
+    # run.py puts perfbench/ on sys.path and imports its siblings by name
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load("run")
+    env = run.environment(vortexwavelab, run.WORKLOADS["sweep"](0))
+    assert env["sweep_workers"] == 1
+    assert env["sweep_default_workers"] == vortexwavelab.cli._threads() >= 1
+    json.dumps(env)
