@@ -20,7 +20,7 @@ import numpy as np
 
 from vortexwavelab.config import sweep_rows
 from vortexwavelab.taylor import (PairConfig, a1_flat_pair, crossing_depth,
-                                  g_profile, inf_a1_flat)
+                                  g_profile, inf_a1_flat_rows)
 
 print("g(k) extrema: g(0) = %g (min), g(+-1) = %g (max)" % (g_profile(0.0), g_profile(1.0)))
 print("threshold: f(4, +-1) = 0, so gamma = 4 is the sign boundary\n")
@@ -37,8 +37,8 @@ for lam in (2 * math.pi, 4 * math.pi, 2 * math.pi * 6.75 ** 1.5):
 
 print("\nfinite-separation correction at x = 1 (exact minimum vs reduced):")
 lam = 2 * math.pi * 6.75 ** 1.5
-for y in (-12.0, -9.0, -6.75, -6.0):
-    inf_v, _ = inf_a1_flat(PairConfig(1.0, y, lam))
+depths = np.array([-12.0, -9.0, -6.75, -6.0])
+for y, inf_v in zip(depths, inf_a1_flat_rows(1.0, depths, lam)[0]):
     gamma = lam ** 2 / (math.pi ** 2 * abs(y) ** 3)
     print(f"  y = {y:6.2f}: inf A1 = {inf_v:+.4f}, 1 - gamma/4 = {1 - gamma/4:+.4f}")
 

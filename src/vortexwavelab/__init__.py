@@ -13,7 +13,7 @@ and double as oracles for the discrete operators.
 from .grid import GridSpec, Field, field_from_function, zero_field
 from .gevrey import GevreyParams, GevreyReport, gevrey_norm, radius, energy, embedding_bound
 from .taylor import (PairConfig, StabilityProfile, a1_flat_pair, g_profile,
-                     f_reduced, inf_a1_flat, crossing_depth,
+                     f_reduced, inf_a1_flat, inf_a1_flat_rows, crossing_depth,
                      residue_pair_integral, interaction_sum)
 from .waves import Vortex, WaveState, DerivedFields, assemble, rhs
 from .sim import (IntegratorConfig, StepRecord, make_initial, monitor,
@@ -25,7 +25,7 @@ __all__ = [
     "GevreyParams", "GevreyReport", "gevrey_norm", "radius", "energy",
     "embedding_bound",
     "PairConfig", "StabilityProfile", "a1_flat_pair", "g_profile",
-    "f_reduced", "inf_a1_flat", "crossing_depth",
+    "f_reduced", "inf_a1_flat", "inf_a1_flat_rows", "crossing_depth",
     "residue_pair_integral", "interaction_sum",
     "Vortex", "WaveState", "DerivedFields", "assemble", "rhs",
     "IntegratorConfig", "StepRecord", "make_initial", "monitor",

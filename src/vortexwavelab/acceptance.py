@@ -25,7 +25,7 @@ from .grid import Field, GridSpec, field_from_function
 from .sim import IntegratorConfig, make_initial, run_simulation, reversed_state, step_rk4, step_picard
 from .spectral import hilbert, periodic_cauchy_kernel, sq_diff_integral
 from .taylor import (PairConfig, a1_flat_pair, crossing_depth, f_reduced,
-                     g_profile, inf_a1_flat, interaction_sum,
+                     g_profile, inf_a1_flat_rows, interaction_sum,
                      residue_pair_integral, residue_pair_integral_quad)
 from .waves import assemble
 
@@ -197,13 +197,11 @@ def check_dual_path_a1(cache):
 
 
 def check_deep_pair_limit(cache):
-    gaps = []
-    for y in (-10.0, -20.0, -40.0, -80.0):
-        inf_v, _ = inf_a1_flat(PairConfig(1.0, y, 10.0))
-        gaps.append((abs(y), abs(inf_v - 1.0)))
-    decreasing = all(gaps[i + 1][1] < gaps[i][1] for i in range(len(gaps) - 1))
-    bounded = all(gap <= 5.0 / depth for depth, gap in gaps)
-    detail = ", ".join("|y|=%g: %.2e (cap %.2e)" % (d, g, 5.0 / d) for d, g in gaps)
+    depths = np.array([10.0, 20.0, 40.0, 80.0])
+    gaps = np.abs(inf_a1_flat_rows(1.0, -depths, 10.0)[0] - 1.0)
+    decreasing = bool(np.all(np.diff(gaps) < 0))
+    bounded = bool(np.all(gaps <= 5.0 / depths))
+    detail = ", ".join("|y|=%g: %.2e (cap %.2e)" % (d, g, 5.0 / d) for d, g in zip(depths, gaps))
     return decreasing and bounded, detail
 
 

@@ -9,11 +9,14 @@ run    executes a scenario config and writes its trajectory CSV.
        non-finite state still writes the partial trajectory; an output
        path that cannot be written ends it before the run).
 sweep  scans the closed-form stability profile over a gamma range and
-       writes gamma,x,y,lambda,inf_A1,argmin_alpha rows.
+       writes gamma,x,y,lambda,inf_A1,argmin_alpha rows (argmin_alpha
+       >= 0); a non-finite or out-of-range option is named in the error,
+       exit 1.
 verify runs the acceptance checks and prints one line per check;
        exit 0 only if all pass.
 
-VWL_THREADS caps worker parallelism for sweep rows.
+The environment variable VWL_THREADS is ignored: the sweep is one array
+computation.
 """
 
 import argparse
@@ -26,6 +29,9 @@ from .errors import ConfigError, VortexWaveError
 
 
 def _threads():
+    """Worker count read from VWL_THREADS.  Nothing in the package uses it:
+    it stays only because the benchmark records it, until the next
+    benchmark change deletes it."""
     raw = os.environ.get("VWL_THREADS", "")
     try:
         n = int(raw)
@@ -78,8 +84,7 @@ def cmd_sweep(args):
     if not _writable(args.out):
         return 1
     try:
-        rows = sweep_rows(args.gamma_min, args.gamma_max, args.steps,
-                          args.x, args.y, max_workers=_threads())
+        rows = sweep_rows(args.gamma_min, args.gamma_max, args.steps, args.x, args.y)
     except ValueError as exc:
         print("sweep error: %s" % exc, file=sys.stderr)
         return 1

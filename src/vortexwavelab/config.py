@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .gevrey import GevreyParams
 from .grid import GridSpec
 from .sim import IntegratorConfig, StepRecord, make_initial, run_simulation
-from .taylor import PairConfig
+from .taylor import PairConfig, inf_a1_flat_rows
 
 REQUIRED = object()  # the default of a key that every config must set
 
@@ -193,24 +193,28 @@ def write_sweep(path, rows):
 def sweep_rows(gamma_min, gamma_max, steps, x, y, max_workers=None):
     """Closed-form stability scan over gamma in [gamma_min, gamma_max].
 
-    lambda is derived per row as pi*sqrt(gamma)*|y|^(3/2); rows come back
-    in gamma order regardless of worker scheduling.
+    lambda = pi*sqrt(gamma)*|y|^(3/2) is derived for every row, and the
+    minima of all rows come from one :func:`taylor.inf_a1_flat_rows` call.
+    ``max_workers`` is ignored; it is still accepted because the benchmark
+    passes it, until the next benchmark change deletes it.  A bad argument
+    raises ValueError naming its ``vwl sweep`` option.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from .taylor import inf_a1_flat
-
+    for option, value in (("--gamma-min", gamma_min), ("--gamma-max", gamma_max),
+                          ("--x", x), ("--y", y)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (option, value))
+    if gamma_min < 0:
+        raise ValueError("--gamma-min must be nonnegative, got %r" % gamma_min)
     if not gamma_min < gamma_max:
-        raise ValueError("need gamma_min < gamma_max")
+        raise ValueError("need --gamma-min < --gamma-max")
     if steps < 2:
-        raise ValueError("need at least 2 steps")
+        raise ValueError("need at least 2 --steps")
+    if x <= 0:
+        raise ValueError("--x must be positive, got %r" % x)
+    if y >= 0:
+        raise ValueError("--y must be negative (below the interface), got %r" % y)
     gammas = np.linspace(gamma_min, gamma_max, steps)
-
-    def one(gamma):
-        lam = math.pi * math.sqrt(gamma) * abs(y) ** 1.5
-        inf_v, argmin = inf_a1_flat(PairConfig(x, y, lam))
-        return (gamma, x, y, lam, inf_v, argmin)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, gammas))
-    return [one(g) for g in gammas]
+    lams = np.pi * np.sqrt(gammas) * abs(y) ** 1.5
+    infs, argmins = inf_a1_flat_rows(x, y, lams)
+    return [(g, x, y, lam, v, a) for g, lam, v, a in
+            zip(gammas.tolist(), lams.tolist(), infs.tolist(), argmins.tolist())]

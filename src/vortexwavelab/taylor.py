@@ -17,28 +17,43 @@ f(gamma, k) = 1 - gamma*g(k) with gamma = lam^2/(pi^2 |y|^3) and
 whose extrema g(0) = -1 and g(+-1) = 1/4 put the stability threshold at
 gamma = 4: the pair destabilizes the interface exactly when it rises past
 the depth |y_c| = (lam^2 / 4 pi^2)^(1/3).
+
+The minimum over a is closed-form too.  A1 depends on a only through
+u = a^2; with u = r^2 v, r^2 = x^2 + y^2, p = x^2/r^2, q = y^2/r^2 and
+k = x^2/4y^2,
+
+    A1 - 1 = (lam^2 |y| / pi^2 r^4) * (k n2/d - n1/d^2),
+    n1 = 3v^2 + 2v + 3p - q,  n2 = v + p + 5q,  d = v^2 + 2(q - p)v + 1,
+
+so dA1/dv = 0, multiplied by d^3, is one quartic in v,
+k (n2' d - n2 d') d - (n1' d - 2 n1 d') = 0, whose coefficients depend on
+x/|y| alone.  A1 -> 1 as |a| -> inf, and at a = r the bracket is
+-(4 - 2p + 4p^2)/16q^2 < 0, so for lam != 0 the minimum is attained at
+u = 0 or at a stationary point.  The candidates are therefore a = 0 and
+a = r sqrt(max(Re v, 0)) for each of the quartic's four roots v; a complex
+or negative root still gives a real a, which can only lose the comparison.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 
 @dataclass
 class PairConfig:
     """Symmetric counter-rotating pair: half-separation x > 0, depth y < 0,
-    strength lam (left vortex +lam, right vortex -lam)."""
+    strength lam (left vortex +lam, right vortex -lam).  The fields may be
+    arrays that broadcast together, one pair per element."""
 
     x: float
     y: float
     lam: float
 
     def __post_init__(self):
-        if self.x <= 0:
+        if np.any(self.x <= 0):
             raise ValueError("x must be positive")
-        if self.y >= 0:
+        if np.any(self.y >= 0):
             raise ValueError("y must be negative (below the interface)")
 
 
@@ -90,27 +105,47 @@ def _g2(alpha, cfg):
 
 
 def inf_a1_flat(cfg):
-    """Global minimum of a1_flat_pair over alpha.
+    """Global minimum of a1_flat_pair over alpha, as (inf_value, argmin_alpha)
+    with argmin_alpha >= 0: the one-row case of :func:`inf_a1_flat_rows`."""
+    inf_value, argmin = inf_a1_flat_rows(cfg.x, cfg.y, cfg.lam)
+    return float(inf_value), float(argmin)
 
-    Coarse scan over |alpha| <= 10(|y| + x) at step |y|/200, then
-    golden-section refinement to 1e-10 in alpha.  Returns
-    (inf_value, argmin_alpha).
+
+def inf_a1_flat_rows(x, y, lam):
+    """Global minimum of a1_flat_pair over alpha for every row of x, y and
+    lam, which broadcast together; returns (inf, argmin) arrays with
+    argmin >= 0.
+
+    The stationary points are the roots of the quartic in v = alpha^2/r^2 of
+    the module docstring, taken for all rows in one ``eigvals`` call on a
+    stack of companion matrices; the quartic depends on x and y only, so
+    there is one per row of (x, y).  A1 is evaluated at alpha = 0 and at each
+    root's alpha, and the smallest value wins (alpha = 0 on a tie, so a row
+    with lam = 0, where A1 = 1 everywhere, gives (1, 0)).
     """
-    if cfg.lam == 0.0:
-        return 1.0, 0.0
-    span = 10.0 * (abs(cfg.y) + cfg.x)
-    step = abs(cfg.y) / 200.0
-    grid = np.arange(-span, span + step, step)
-    vals = a1_flat_pair(grid, cfg)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda a: float(a1_flat_pair(a, cfg)),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if res.fun <= vals[i]:
-        return float(res.fun), float(res.x)
-    return float(vals[i]), float(grid[i])
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    r2 = x * x + y * y
+    p, q, k = x * x / r2, y * y / r2, x * x / (4.0 * y * y)
+    s, e, m = q - p, 3.0 * p - q, p + 5.0 * q
+    # d = v^2 + 2sv + 1; n1'd - 2 n1 d' = -6v^3 - 6v^2 + (6 - 4s - 4e)v + 2 - 4es
+    # and n2'd - n2 d' = -v^2 - 2mv + c; highest power first:
+    c = 1.0 - 2.0 * m * s
+    quartic = np.stack([-k,
+                        6.0 - 2.0 * k * (s + m),
+                        6.0 + k * (c - 1.0 - 4.0 * m * s),
+                        2.0 * k * (s * c - m) - 6.0 + 4.0 * (s + e),
+                        k * c - 2.0 + 4.0 * e * s], axis=-1)
+    companion = np.zeros(x.shape + (4, 4))
+    companion[..., 0, :] = -quartic[..., 1:] / quartic[..., :1]
+    companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
+    v = np.linalg.eigvals(companion).real
+    alpha = np.sqrt(r2[..., None] * np.maximum(v, 0.0))
+    alpha = np.concatenate([np.zeros(x.shape + (1,)), alpha], axis=-1)
+    values = a1_flat_pair(alpha, PairConfig(x[..., None], y[..., None], lam[..., None]))
+    i = np.argmin(values, axis=-1)[..., None]
+    argmin = np.take_along_axis(np.broadcast_to(alpha, values.shape), i, axis=-1)
+    return np.take_along_axis(values, i, axis=-1)[..., 0], argmin[..., 0]
 
 
 def crossing_depth(lam):

@@ -224,20 +224,28 @@ def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):
 
 
 def refine_minimum(alpha, values):
-    """Parabolic refinement of the grid minimum through three points."""
-    i = int(np.argmin(values))
+    """Parabolic refinement of the grid minimum through three points.
+
+    Where the minimum lies at alpha < 0 and the mirror node (alpha -> -alpha)
+    ties it to round-off, as for the even A1 of an odd state, the mirror of
+    the refined point is returned, so round-off does not pick the sign.
+    """
     n = len(values)
+    i = int(np.argmin(values))
+    sign = 1.0
+    if alpha[i] < 0 and values[(n - i) % n] - values[i] <= 1e-12 * np.max(np.abs(values)):
+        sign = -1.0
     im, ip = (i - 1) % n, (i + 1) % n
     fm, f0, fp = values[im], values[i], values[ip]
     denom = fp - 2.0 * f0 + fm
     if denom <= 0:
-        return float(alpha[i]), float(f0)
+        return sign * float(alpha[i]), float(f0)
     shift = 0.5 * (fm - fp) / denom
     shift = float(np.clip(shift, -1.0, 1.0))
     h = alpha[1] - alpha[0]
     a_star = alpha[i] + shift * h
     f_star = f0 - 0.125 * (fm - fp) ** 2 / denom
-    return float(a_star), float(f_star)
+    return sign * float(a_star), float(f_star)
 
 
 def assemble(state):

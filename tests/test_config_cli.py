@@ -226,6 +226,35 @@ def test_sweep_rows_and_threshold():
         sweep_rows(1.0, 2.0, 1, 1.0, -10.0)
 
 
+def test_sweep_rows_ignore_max_workers():
+    assert sweep_rows(3.9, 4.1, 7, 1e-3, -10.0, max_workers=2) == sweep_rows(3.9, 4.1, 7, 1e-3, -10.0)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--gamma-min", "inf"), ("--gamma-min", "nan"), ("--gamma-max", "inf"),
+    ("--gamma-max", "nan"), ("--x", "inf"), ("--x", "nan"), ("--y", "-inf"), ("--y", "nan"),
+])
+def test_cmd_sweep_non_finite_option_is_named(tmp_path, capsys, option, value):
+    args = {"--gamma-min": "3.9", "--gamma-max": "4.1", "--x": "1e-3", "--y": "-10"}
+    args[option] = value
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--steps", "3", "--out", str(out)] + ["%s=%s" % kv for kv in args.items()]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sweep error: %s must be finite" % option in err
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("option,value", [
+    ("gamma_min", -1.0), ("x", 0.0), ("x", -1.0), ("y", 0.0), ("y", 2.0),
+])
+def test_sweep_rows_out_of_range_names_the_option(option, value):
+    args = dict(gamma_min=3.9, gamma_max=4.1, steps=3, x=1e-3, y=-10.0)
+    args[option] = value
+    with pytest.raises(ValueError, match="--%s" % option.replace("_", "-")):
+        sweep_rows(**args)
+
+
 def test_sweep_depth_trend():
     # frozen strength: same gamma at |y| = 10 defines lam; at |y| = 100 the
     # pair with that lam is far in the stable regime

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vortexwavelab.taylor import (PairConfig, a1_flat_pair, crossing_depth,
-                                  f_reduced, g_profile, inf_a1_flat,
+                                  f_reduced, g_profile, inf_a1_flat, inf_a1_flat_rows,
                                   interaction_sum, residue_pair_integral,
                                   residue_pair_integral_quad, stability_profile)
 
@@ -116,6 +116,46 @@ def test_inf_matches_dense_scan():
     i = np.argmin(brute)
     assert val <= brute[i] + 1e-12
     assert abs(val - brute[i]) <= 1e-8
+
+
+def _a1_mp(a, x, y, lam):
+    """a1_flat_pair in mpmath, straight from the G1 + G2 formula."""
+    import mpmath as mp
+    r2 = x * x + y * y
+    g1 = (lam ** 2 / mp.pi ** 2) * (3 * y * a ** 4 + r2 * y * (3 * x * x - y * y + 2 * a * a)) \
+        / (a ** 4 + r2 * r2 + 2 * a * a * (y * y - x * x)) ** 2
+    g2 = (lam ** 2 / (4 * mp.pi ** 2)) * (a * a * x * x + x ** 4 + 5 * x * x * y * y) \
+        / (((a + x) ** 2 + y * y) * ((a - x) ** 2 + y * y) * r2 * abs(y))
+    return 1 + g1 + g2
+
+
+def test_inf_rows_match_a_40_digit_stationary_point():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2007)
+    n = 30
+    x = rng.uniform(1e-3, 5.0, n)
+    y = rng.uniform(-50.0, -0.5, n)
+    lam = rng.uniform(-200.0, 200.0, n)
+    lam[::6] = 0.0
+    inf, argmin = inf_a1_flat_rows(x, y, lam)
+    assert inf.shape == argmin.shape == (n,)
+    for j in range(n):
+        assert (inf[j], argmin[j]) == inf_a1_flat(PairConfig(x[j], y[j], lam[j]))
+        if lam[j] == 0.0:
+            assert (inf[j], argmin[j]) == (1.0, 0.0)
+            continue
+        # start from a scan of alpha >= 0 (A1 is even), polish at 40 digits
+        step = abs(y[j]) / 200.0
+        a = np.arange(0.0, 10.0 * (abs(y[j]) + x[j]), step)
+        start = a[np.argmin(a1_flat_pair(a, PairConfig(x[j], y[j], lam[j])))]
+        with mp.workdps(40):
+            xj, yj, lj = mp.mpf(x[j]), mp.mpf(y[j]), mp.mpf(lam[j])
+            star = mp.findroot(lambda t: mp.diff(lambda s: _a1_mp(s, xj, yj, lj), t), start)
+            value = float(_a1_mp(star, xj, yj, lj))
+            star = float(star)
+        assert argmin[j] >= 0.0
+        assert abs(argmin[j] - star) <= 1e-9 * max(1.0, star)
+        assert abs(inf[j] - value) <= 1e-12 * max(1.0, abs(value))
 
 
 def test_crossing_depth():

@@ -1,6 +1,8 @@
 """The benchmark (perfbench/) still finds the package's names: a refactor
 that renames or bypasses them would silently empty the per-layer trace,
-and one that deletes a name the benchmark reads would break every run."""
+and one that deletes a name the benchmark reads would break every run.
+The benchmark's sweep repetition is cheap enough to run here with its
+gates."""
 
 import importlib.util
 import json
@@ -55,3 +57,13 @@ def test_benchmark_environment_record(monkeypatch):
     assert env["sweep_workers"] == 1
     assert env["sweep_default_workers"] == vortexwavelab.cli._threads() >= 1
     json.dumps(env)
+
+
+def test_benchmark_sweep_gates_pass(tmp_path, monkeypatch):
+    # the benchmarked `vwl sweep` repetition, with the gates the benchmark checks
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    workloads = load("workloads")
+    sweep = workloads.Sweep(0)
+    rep = sweep.rep(sweep.setup(tmp_path))
+    assert len(rep.gates) == 3
+    assert [gate for gate in rep.gates if not gate[1]] == []

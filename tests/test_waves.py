@@ -14,7 +14,7 @@ from vortexwavelab.spectral import (analytic_projection, commutator_hilbert, der
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
 from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant,
                                  compute_Q, interface_distance, pole_kernels,
-                                 reconstruct, rhs)
+                                 reconstruct, refine_minimum, rhs)
 
 from conftest import band_limited, per_pole
 
@@ -217,6 +217,23 @@ def test_inf_a1_refinement(grid):
     exact, argmin = inf_a1_flat(PairConfig(1.0, -6.0, 2 * math.pi * 6 ** 1.5))
     assert d.inf_A1 == pytest.approx(exact, abs=2e-4)
     assert abs(abs(d.argmin_alpha) - abs(argmin)) <= 0.05
+
+
+def test_refine_minimum_takes_the_nonnegative_of_two_tied_minima(grid):
+    # an even A1 with minima at +-a_star between nodes, where round-off makes
+    # the node left of zero the smaller one
+    alpha, h = grid.alpha, grid.spacing
+    a_star = 6.0 + 0.3 * h
+    values = 1.0 - 0.8 * np.exp(-((np.abs(alpha) - a_star) / 3.0) ** 2)
+    n = len(values)
+    left = int(np.argmin(np.where(alpha < 0, values, np.inf)))
+    values[left] = np.nextafter(values[n - left], -np.inf)
+    assert int(np.argmin(values)) == left
+    a, f = refine_minimum(alpha, values)
+    assert 0.0 <= a and abs(a - a_star) <= 0.05 * h
+    assert f == pytest.approx(0.2, abs=1e-6)
+    values[left] -= 1e-6                  # a real, not a round-off, difference
+    assert refine_minimum(alpha, values)[0] < 0.0
 
 
 # ----------------------------------------------------------------------
