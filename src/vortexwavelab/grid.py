@@ -66,9 +66,10 @@ class Field:
     """A function sampled on a :class:`GridSpec`: float64 samples for real
     data, complex128 otherwise.
 
-    The half spectrum of the samples is computed lazily and cached; treat
-    the sample array as immutable once the field is constructed
-    (compute-once, read-many), so sharing a Field across workers is safe.
+    The half spectrum of the samples is computed lazily and cached, unless
+    it was known at construction (:meth:`with_spectrum`); treat the sample
+    array as immutable once the field is constructed (compute-once,
+    read-many), so sharing a Field across workers is safe.
     """
 
     __slots__ = ("grid", "samples", "_fft")
@@ -83,6 +84,15 @@ class Field:
         self.grid = grid
         self.samples = samples
         self._fft = None
+
+    @classmethod
+    def with_spectrum(cls, grid, samples, spectrum):
+        """A Field whose half spectrum is already known: ``spectrum`` must
+        be what :attr:`fft` would compute from ``samples``, as when both are
+        the same linear combination of fields and their spectra."""
+        f = cls(grid, samples)
+        f._fft = spectrum
+        return f
 
     @property
     def fft(self):

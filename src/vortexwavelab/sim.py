@@ -101,16 +101,24 @@ def cfl_limit(state, derived):
 
 
 def _advance(state, dt_t, parts, weights):
-    """state + sum_i weights[i] * parts[i], time advanced by dt_t."""
-    W = state.W.samples
-    U = state.U.samples
+    """state + sum_i weights[i] * parts[i], time advanced by dt_t.
+
+    W and U carry their half spectra, the same combination of the spectra
+    of the state (cached by its right-hand side) and of the low-passed
+    parts, so the next stage transforms neither.
+    """
+    W, U = state.W.samples, state.U.samples
+    W_hat, U_hat = state.W.fft, state.U.fft
     zs = [v.position for v in state.vortices]
     for w, (dW, dU, zd) in zip(weights, parts):
         W = W + w * dW.samples
         U = U + w * dU.samples
+        W_hat = W_hat + w * dW.fft
+        U_hat = U_hat + w * dU.fft
         zs = [z + w * d for z, d in zip(zs, zd)]
     vortices = tuple(Vortex(z, v.strength) for z, v in zip(zs, state.vortices))
-    return WaveState(Field(state.grid, W), Field(state.grid, U), vortices, state.t + dt_t)
+    return WaveState(Field.with_spectrum(state.grid, W, W_hat),
+                     Field.with_spectrum(state.grid, U, U_hat), vortices, state.t + dt_t)
 
 
 def step_rk4(state, dt, derived=None):
@@ -127,7 +135,8 @@ def _h4_distance(s1, s2):
     """Discrete H4 x H4 distance of (W, U) plus the vortex separation."""
     total = 0.0
     for f1, f2 in ((s1.W, s2.W), (s1.U, s2.U)):
-        total += _derivative_l2sq(Field(f1.grid, f1.samples - f2.samples), 4).sum()
+        diff = Field.with_spectrum(f1.grid, f1.samples - f2.samples, f1.fft - f2.fft)
+        total += _derivative_l2sq(diff, 4).sum()
     for v1, v2 in zip(s1.vortices, s2.vortices):
         total += abs(v1.position - v2.position) ** 2
     return math.sqrt(total)
@@ -332,4 +341,5 @@ def reversed_state(state):
     Running the image forward retraces the original trajectory backwards.
     """
     vortices = tuple(Vortex(v.position, -v.strength) for v in state.vortices)
-    return WaveState(state.W, Field(state.grid, -state.U.samples), vortices, 0.0)
+    U = Field.with_spectrum(state.grid, -state.U.samples, -state.U.fft)
+    return WaveState(state.W, U, vortices, 0.0)

@@ -85,8 +85,15 @@ def low_pass(f):
     Nyquist-band growth of variable-coefficient advection on a Fourier
     grid.  At the cutoff the attenuated amplitudes are at round-off level,
     so the filter is invisible to every resolved quantity.
+
+    The result carries its half spectrum half_band * fhat: the mask zeroes
+    the Nyquist mode, so that is the rfft of the output, and a filtered
+    field, or a linear combination of filtered fields, is never transformed
+    again.
     """
-    return apply_multiplier(f, f.grid.half_band)
+    out = apply_multiplier(f, f.grid.half_band)
+    out._fft = f.grid.half_band * f.fft
+    return out
 
 
 def analytic_projection(f):

@@ -91,7 +91,9 @@ def _g1(alpha, cfg):
     x, y, lam = cfg.x, cfg.y, cfg.lam
     r2 = x * x + y * y
     num = 3.0 * y * a ** 4 + r2 * y * (3.0 * x * x - y * y + 2.0 * a * a)
-    den = (a ** 4 + r2 * r2 + 2.0 * a * a * (y * y - x * x)) ** 2
+    # (a^4 + r^4 + 2a^2(y^2 - x^2))^2 as a product, which does not cancel
+    # near a = x when x >> |y|
+    den = (((a + x) ** 2 + y * y) * ((a - x) ** 2 + y * y)) ** 2
     return (lam * lam / np.pi ** 2) * num / den
 
 
@@ -118,10 +120,11 @@ def inf_a1_flat_rows(x, y, lam):
 
     The stationary points are the roots of the quartic in v = alpha^2/r^2 of
     the module docstring, taken for all rows in one ``eigvals`` call on a
-    stack of companion matrices; the quartic depends on x and y only, so
-    there is one per row of (x, y).  A1 is evaluated at alpha = 0 and at each
-    root's alpha, and the smallest value wins (alpha = 0 on a tie, so a row
-    with lam = 0, where A1 = 1 everywhere, gives (1, 0)).
+    stack of companion matrices and polished by two Newton steps; the
+    quartic depends on x and y only, so there is one per row of (x, y).  A1
+    is evaluated at alpha = 0 and at each root's alpha, and the smallest
+    value wins (alpha = 0 on a tie, so a row with lam = 0, where A1 = 1
+    everywhere, gives (1, 0)).
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     lam = np.asarray(lam, dtype=float)
@@ -139,13 +142,35 @@ def inf_a1_flat_rows(x, y, lam):
     companion = np.zeros(x.shape + (4, 4))
     companion[..., 0, :] = -quartic[..., 1:] / quartic[..., :1]
     companion[..., 1, 0] = companion[..., 2, 1] = companion[..., 3, 2] = 1.0
-    v = np.linalg.eigvals(companion).real
+    v = _polish_roots(quartic, np.linalg.eigvals(companion)).real
     alpha = np.sqrt(r2[..., None] * np.maximum(v, 0.0))
     alpha = np.concatenate([np.zeros(x.shape + (1,)), alpha], axis=-1)
     values = a1_flat_pair(alpha, PairConfig(x[..., None], y[..., None], lam[..., None]))
     i = np.argmin(values, axis=-1)[..., None]
     argmin = np.take_along_axis(np.broadcast_to(alpha, values.shape), i, axis=-1)
     return np.take_along_axis(values, i, axis=-1)[..., 0], argmin[..., 0]
+
+
+def _polish_roots(coeffs, roots):
+    """Two Newton steps on the polynomials ``coeffs`` (highest power first,
+    along the last axis) from their ``roots``.  The companion matrix carries
+    entries near 4y^2/x^2, which costs ``eigvals`` accuracy at small x/|y|;
+    a step that does not lower |P| (a zero derivative, say) is not taken."""
+    def horner(v):
+        p = dp = np.zeros_like(v)
+        for c in np.moveaxis(coeffs, -1, 0):
+            dp = dp * v + p
+            p = p * v + c[..., None]
+        return p, dp
+
+    v = roots
+    for _ in range(2):
+        p, dp = horner(v)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = v - p / dp
+            better = np.abs(horner(new)[0]) < np.abs(p)
+        v = np.where(better, new, v)
+    return v
 
 
 def crossing_depth(lam):

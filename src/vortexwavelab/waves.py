@@ -17,7 +17,8 @@ From these the assembly derives, per state:
            unstable), with A = A1 / |Z_a|^2,
     G      the vortex forcing of U,
 
-with one periodized kernel evaluation per vortex (:func:`pole_kernels`).
+with the periodized pole kernels of every vortex taken from one complex
+exponential over the grid (:func:`pole_kernels`).
 
 b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
 from .spectral import (MIN_SPACINGS, analytic_projection, apply_multiplier, derivative,
-                       lambda_op, low_pass, periodic_cauchy_kernel, pminus, sq_diff_integral)
+                       lambda_op, low_pass, pminus, sq_diff_integral)
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,12 +155,35 @@ def chord_arc_constant(Z):
 
 
 def pole_kernels(Z, vortices):
-    """Per vortex, the periodized K1_j = 1/(Z - z_j) and, from the same
-    evaluation, K2_j = 1/(Z - z_j)^2 = s^2 + K1_j^2 (csc^2 = 1 + cot^2)."""
-    s2 = (np.pi / (2.0 * Z.grid.half_length)) ** 2
-    K1 = [periodic_cauchy_kernel(Z.samples - v.position, Z.grid.half_length)
-          for v in vortices]
-    return K1, [s2 + k1 * k1 for k1 in K1]
+    """Per vortex, the periodized K1_j = 1/(Z - z_j) and K2_j = 1/(Z - z_j)^2,
+    from one complex exponential E = exp(2isZ), s = pi/2L, for all vortices.
+
+    With e_j = E exp(-2is z_j) = exp(2is(Z - z_j)), cot = i(e + 1)/(e - 1)
+    and 1/sin^2 = -4e/(e - 1)^2 give
+
+        K1_j = is (e_j + 1)/(e_j - 1),    K2_j = -4 s^2 e_j/(e_j - 1)^2.
+
+    A vortex below the curve has |exp(-2is z_j)| <= 1, so nothing
+    overflows; a deep one gives e_j -> 0, K1_j -> -is and K2_j -> 0 with
+    its relative accuracy kept.  Near the curve e_j - 1 cancels, with a
+    relative error of about eps / |2s(Z - z_j)|.
+    """
+    s = np.pi / (2.0 * Z.grid.half_length)
+    E = np.exp(2j * s * Z.samples)
+    K1, K2 = [], []
+    for v in vortices:
+        e = E * np.exp(-2j * s * v.position)
+        r = np.subtract(e, 1.0)
+        np.reciprocal(r, out=r)
+        r *= 1j * s                      # is/(e - 1)
+        k1 = e + 1.0
+        k1 *= r
+        e *= r
+        e *= r
+        e *= 4.0                         # 4e (is/(e - 1))^2
+        K1.append(k1)
+        K2.append(e)
+    return K1, K2
 
 
 def compute_Q(Z, vortices, K1):

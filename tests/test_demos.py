@@ -1,6 +1,8 @@
 """Smoke test of the narrative demos: each runs to completion.
 
-Demos 03, 04 and 06 (full runs of 4 to 14 s) are left to be run by hand.
+Demo 06 (about 3 s) also runs ``step_picard`` and the RK4 stage
+combinations end to end.  Demos 03 and 04 (full runs of 4 to 14 s) are
+left to be run by hand.
 """
 
 import os
@@ -14,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_hilbert_and_kernels.py", "02_stability_profile.py",
-                                  "05_gevrey_diagnostics.py"])
+                                  "05_gevrey_diagnostics.py", "06_scheme_crosscheck.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -158,6 +158,29 @@ def test_inf_rows_match_a_40_digit_stationary_point():
         assert abs(inf[j] - value) <= 1e-12 * max(1.0, abs(value))
 
 
+@pytest.mark.parametrize("ratio, argmin_rel, inf_abs", [
+    (1e-8, 1e-12, 1e-13), (1e-6, 1e-12, 1e-13), (1e-4, 1e-12, 1e-13), (1e2, 1e-12, 1e-13),
+    (1e4, None, 1e-9)])
+def test_inf_at_extreme_separation_ratios_matches_a_60_digit_stationary_point(
+        ratio, argmin_rel, inf_abs):
+    # x/|y| far outside the random draw above: a near-degenerate quartic
+    # at small ratios, and a G1 denominator that could cancel near a = x at
+    # large ones
+    mp = pytest.importorskip("mpmath")
+    x, y, lam = ratio, -1.0, 10.0
+    inf, argmin = inf_a1_flat(PairConfig(x, y, lam))
+    a = np.linspace(0.0, 2.0 * (x + abs(y)) + 20.0, 400_001)
+    start = a[np.argmin(a1_flat_pair(a, PairConfig(x, y, lam)))]
+    with mp.workdps(60):
+        xm, ym, lm = mp.mpf(x), mp.mpf(y), mp.mpf(lam)
+        star = mp.findroot(lambda t: mp.diff(lambda s: _a1_mp(s, xm, ym, lm), t), start)
+        value = float(_a1_mp(star, xm, ym, lm))
+        star = float(star)
+    if argmin_rel is not None:
+        assert abs(argmin - star) <= argmin_rel * star
+    assert abs(inf - value) <= inf_abs
+
+
 def test_crossing_depth():
     y0 = 9.0
     lam = 2 * math.pi * y0 ** 1.5

@@ -8,9 +8,10 @@ import pytest
 
 from vortexwavelab.errors import NonFiniteStateError, VortexProximityError
 from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
-from vortexwavelab.spectral import (analytic_projection, commutator_hilbert, derivative,
-                                    hilbert, lambda_op, low_pass, periodic_cauchy_kernel,
-                                    periodic_square_kernel, pv_commutator)
+from vortexwavelab.spectral import (MIN_SPACINGS, analytic_projection, commutator_hilbert,
+                                    derivative, hilbert, lambda_op, low_pass,
+                                    periodic_cauchy_kernel, periodic_square_kernel,
+                                    pv_commutator)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
 from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant,
                                  compute_Q, interface_distance, pole_kernels,
@@ -84,14 +85,22 @@ def test_reconstruct_names_non_finite_input(grid):
 # vortex-induced fields
 
 def test_pole_kernels_match_direct_evaluation(grid):
+    # one exponential for every vortex against the tan-based periodized
+    # kernels: round-off away from the curve; at the nearest approach the
+    # quadratures resolve, e_j - 1 cancels (error about eps/|2s(Z - z_j)|);
+    # a vortex ten half-periods deep has e_j near 0 and K2 near 0
     Z = Field(grid, grid.alpha + 0.1 * np.sin(grid.alpha / 7.0) + 0j)
-    vortices = (Vortex(-1 - 4j, 3.0), Vortex(2 - 6j, -1.0))
+    i = int(np.argmin(np.abs(grid.alpha - 3.5 * np.pi)))   # a crest of the curve
+    near = Z.samples[i] - 1j * MIN_SPACINGS * grid.spacing
+    cases = ((Vortex(-1 - 4j, 3.0), 1e-14), (Vortex(2 - 6j, -1.0), 1e-14),
+             (Vortex(near, 1.0), 1e-12), (Vortex(0.5 - 10j * grid.half_length, 2.0), 1e-14))
+    vortices = tuple(v for v, _ in cases)
+    assert interface_distance(Z, vortices) >= (MIN_SPACINGS - 1e-3) * grid.spacing
     K1, K2 = pole_kernels(Z, vortices)
-    for v, k1, k2 in zip(vortices, K1, K2):
-        assert np.array_equal(-k1, periodic_cauchy_kernel(v.position - Z.samples,
-                                                          grid.half_length))
-        direct = periodic_square_kernel(Z.samples - v.position, grid.half_length)
-        assert np.max(np.abs(k2 - direct) / np.abs(direct)) <= 1e-14
+    for (v, tol), k1, k2 in zip(cases, K1, K2):
+        for k, ref in ((k1, periodic_cauchy_kernel(Z.samples - v.position, grid.half_length)),
+                       (k2, periodic_square_kernel(Z.samples - v.position, grid.half_length))):
+            assert np.max(np.abs(k - ref) / np.abs(ref)) <= tol
 
 
 def test_compute_q_no_vortices(grid):
@@ -280,23 +289,27 @@ def test_rhs_preserves_oddness(grid):
 
 
 def test_stage_budget(monkeypatch):
-    # one RHS stage (assemble + rhs) of the canonical pair state: one
-    # periodized pole kernel per vortex and at most 27 real transforms
-    # (12 rfft of fields plus 15 irfft of multiplier applications; a
-    # complex field's real and imaginary parts count as two)
+    # one RHS stage (assemble + rhs) on a state the steppers produce: one
+    # pole_kernels call for both vortices, no tan-based kernel, and at most
+    # 25 real transforms (10 rfft of fields plus 15 irfft of multiplier
+    # applications; a complex field's real and imaginary parts count as
+    # two).  W and U carry their spectra from _advance, so neither is
+    # transformed again.
     import sys
-    from vortexwavelab import spectral
-    from vortexwavelab.sim import make_initial
-    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
+    from vortexwavelab import spectral, waves
+    from vortexwavelab.sim import _advance, make_initial
+    start = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
                          GridSpec(200.0, 2 ** 10))
+    state = _advance(start, 4e-3, [rhs(start)], [4e-3])
     counts = dict.fromkeys(("rfft", "apply_multiplier", "periodic_cauchy_kernel",
-                            "periodic_square_kernel"), 0)
+                            "periodic_square_kernel", "pole_kernels"), 0)
 
     def transforms(field):
         return 2 if np.iscomplexobj(field.samples) else 1
     modules = [m for name, m in sys.modules.items() if name.startswith("vortexwavelab")]
-    for name in ("apply_multiplier", "periodic_cauchy_kernel", "periodic_square_kernel"):
-        original = getattr(spectral, name)
+    for owner, name in ((spectral, "apply_multiplier"), (spectral, "periodic_cauchy_kernel"),
+                        (spectral, "periodic_square_kernel"), (waves, "pole_kernels")):
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += transforms(args[0]) if _name == "apply_multiplier" else 1
@@ -312,9 +325,28 @@ def test_stage_budget(monkeypatch):
         return compute(field)
     monkeypatch.setattr(Field, "fft", property(fft))
     rhs(state, assemble(state))
-    assert counts["periodic_cauchy_kernel"] == 2
-    assert counts["periodic_square_kernel"] == 0
-    assert counts["rfft"] + counts["apply_multiplier"] <= 27
+    assert counts["pole_kernels"] == 1
+    assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
+    assert counts["rfft"] + counts["apply_multiplier"] <= 25
+
+
+def test_steppers_carry_the_spectra_of_w_and_u():
+    # the spectra _advance and reversed_state attach are the rfft of the
+    # samples they go with, to round-off
+    import scipy.fft
+    from vortexwavelab.sim import (IntegratorConfig, make_initial, reversed_state,
+                                   step_picard, step_rk4)
+    grid = GridSpec(200.0, 2 ** 10)
+    start = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
+                         grid)
+    config = IntegratorConfig(dt=4e-3, t_end=4e-3, scheme="picard", picard_tol=1e-9)
+    states = (step_rk4(start, 4e-3), step_picard(start, 4e-3, config)[0])
+    states += tuple(reversed_state(s) for s in states)
+    for s in states:
+        for f in (s.W, s.U):
+            assert f._fft is not None
+            direct = scipy.fft.rfft(f.samples)
+            assert np.max(np.abs(f.fft - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_real_fields_stay_float64(grid):
