@@ -86,14 +86,14 @@ def _canonical_state(grid, lam=CANONICAL_LAMBDA):
 # the criteria
 
 def check_closed_form_trichotomy(cache):
-    t0 = time.time()
+    t0 = time.perf_counter()
     errs = [abs(g_profile(1.0) - 0.25), abs(g_profile(-1.0) - 0.25),
             abs(g_profile(0.0) + 1.0),
             abs(f_reduced(4.0, 1.0)), abs(f_reduced(4.0, -1.0))]
     k = np.linspace(-100.0, 100.0, 400_001)
     gk = g_profile(k)
     in_range = gk.min() >= -1.0 - 1e-15 and gk.max() <= 0.25 + 1e-15
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     passed = max(errs) <= 1e-12 and in_range and wall < 1.0
     return passed, ("extrema/zero errors <= %.2e; g in [-1,1/4] on |k|<=100: %s; "
                     "%.2fs (cap 1s)" % (max(errs), in_range, wall))
@@ -206,7 +206,7 @@ def check_deep_pair_limit(cache):
 
 
 def check_linear_dispersion(cache):
-    t_start = time.time()
+    t_start = time.perf_counter()
     grid = GridSpec(200.0, 2 ** 12)
     state = make_initial("odd_bump", 1e-6, None, grid)
     m = int(round(grid.half_length / math.pi))      # grid mode nearest k = 1
@@ -227,16 +227,16 @@ def check_linear_dispersion(cache):
     popt, _ = curve_fit(model, times, series, p0=p0)
     omega = abs(popt[2])
     dev = abs(omega - 1.0)
-    wall = time.time() - t_start
+    wall = time.perf_counter() - t_start
     return dev <= 0.01 and wall < 30.0, (
         "mode k=%.5f: fitted omega=%.5f, |omega-1|=%.4f (cap 0.01); %.0fs (cap 30s)"
         % (k_mode, omega, dev, wall))
 
 
 def check_transition_experiment(cache):
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = cache.transition()
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     infs = np.array([r.inf_A1 for r in res.records])
     ys = np.array([r.y1 for r in res.records])
     start_ok = infs[0] >= 0.8
@@ -351,10 +351,10 @@ def run_all(cache=None, names=None):
     for name, fn in REGISTRY:
         if names is not None and not any(s in name for s in names):
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, detail = fn(cache)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(passed), detail, time.time() - t0))
+        results.append(CheckResult(name, bool(passed), detail, time.perf_counter() - t0))
     return results

@@ -2,12 +2,16 @@
 
 Each test executes the corresponding registry check at its stated
 tolerance and prints the measured one-line summary; `vwl verify` runs
-the same registry from the command line.
+the same registry from the command line.  The checks time themselves on
+a monotonic clock, which a stepped wall clock does not move.
 """
+
+import itertools
+import time
 
 import pytest
 
-from vortexwavelab.acceptance import REGISTRY, RunCache
+from vortexwavelab.acceptance import REGISTRY, RunCache, run_all
 
 
 @pytest.fixture(scope="module")
@@ -20,3 +24,13 @@ def test_criterion(name, fn, cache):
     passed, detail = fn(cache)
     print("%s: %s  [%s]" % (name, "PASS" if passed else "FAIL", detail))
     assert passed, "%s failed: %s" % (name, detail)
+
+
+def test_check_times_ignore_wall_clock_steps(monkeypatch):
+    # a wall clock stepping an hour per read (say, NTP correcting it) moves
+    # neither C01's 1 s cap nor the seconds run_all reports
+    clock = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    result = run_all(RunCache(), names=["C01"])[0]
+    assert result.passed, result.detail
+    assert 0.0 <= result.seconds < 1.0
