@@ -156,7 +156,15 @@ def radius(t, params):
 
 
 def energy(W, U, t, params):
-    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius phi(t)."""
+    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius phi(t).
+
+    The weights sigma^(2n) make E sensitive to round-off in the high
+    modes: on states of the canonical transition run at t <= 0.24, 1e-14
+    relative noise on W and U moves E by up to 4.9e-2 relative at L0 = 10
+    (7.5e-2 with more noise draws), but by at most about 5e-5 at L0 = 4,
+    which ``tests/test_gevrey.py`` pins below 1e-4.  So near the AS2 cap
+    a change that only reorders round-off can flip the flag at L0 = 10.
+    """
     check_same_grid(W, U)
     phi = radius(t, params)
     eu = gevrey_norm(U, phi, "Yd", params).value

@@ -1,14 +1,18 @@
 """Fourier-multiplier operators and singular quadratures on the periodic grid.
 
-Every operator is one multiplier on a field's half spectrum, applied by
-:func:`apply_multiplier` as irfft(m * rfft f): ik, |k|, the half-band
-mask and C = i sgn(k), each mapping real fields to real fields (a complex
-field goes through as its real and imaginary parts).  The Hilbert
-transform H = iC is the multiplier -sgn(k), zero on the mean and Nyquist
-modes.  With the transform convention fhat(k) = integral f exp(-i k a),
-boundary values of functions holomorphic in the lower half-plane and
-decaying there carry only k <= 0 modes, so they are fixed points of H;
-upper-half-plane boundary values are flipped in sign.  H1 = 0.
+Every operator is one multiplier on a field's half spectrum, and
+:func:`apply_multiplier` is the one primitive that applies them: k real
+rows, each with its own multiplier, go through one stacked ``rfft`` (unless
+their half spectra are already known) and one stacked ``irfft``.  The
+operators over it are its one-field case: ik, |k|, the half-band mask and
+C = i sgn(k), each mapping real fields to real fields (a complex field
+goes through as two rows, its real and imaginary parts).  A right-hand
+side stage stacks its own rows instead (see :mod:`vortexwavelab.waves`).
+The Hilbert transform H = iC is the multiplier -sgn(k), zero on the mean
+and Nyquist modes.  With the transform convention fhat(k) = integral
+f exp(-i k a), boundary values of functions holomorphic in the lower
+half-plane and decaying there carry only k <= 0 modes, so they are fixed
+points of H; upper-half-plane boundary values are flipped in sign.  H1 = 0.
 
 Cauchy-type kernels are periodized before use:
 
@@ -48,22 +52,45 @@ def periodic_square_kernel(w, half_length):
 # ----------------------------------------------------------------------
 # multipliers, precomputed on the GridSpec
 
-def apply_multiplier(f, multiplier):
-    """irfft(multiplier * fhat), multiplier an array over the grid's half
+def apply_multiplier(grid, multipliers, rows=None, spectra=None):
+    """Stacked multipliers: row i of the result is irfft(multipliers[i] * fhat_i).
+
+    fhat_i is ``spectra[i]`` when the half spectra are known.  Otherwise
+    the k real ``rows`` (arrays of n samples, views included) are copied
+    into one (k, n) array, which one ``rfft`` transforms and which is freed
+    before the inverse pass.  The k products go through one ``irfft``.
+    Returns (out, products): the float64 (k, n) result and the
+    (k, n/2 + 1) products, which are the rfft of ``out`` wherever the
+    multiplier is real at the Nyquist mode.
+    """
+    if spectra is None:
+        products = scipy.fft.rfft(np.stack(rows))
+        for p, m in zip(products, multipliers):
+            p *= m
+    else:
+        products = np.empty((len(spectra), grid.n_points // 2 + 1), dtype=np.complex128)
+        for p, m, f_hat in zip(products, multipliers, spectra):
+            np.multiply(m, f_hat, out=p)
+    return scipy.fft.irfft(products, grid.n_points), products
+
+
+def _apply(f, multiplier):
+    """The one-field case of :func:`apply_multiplier`, on f's cached half
     spectrum: float64 in, float64 out; complex in, complex out."""
-    out = scipy.fft.irfft(multiplier * f.fft, f.grid.n_points)
-    return Field(f.grid, out if out.ndim == 1 else out[0] + 1j * out[1])
+    spectra = np.atleast_2d(f.fft)
+    out, _ = apply_multiplier(f.grid, (multiplier,) * len(spectra), spectra=spectra)
+    return Field(f.grid, out[0] if len(out) == 1 else out[0] + 1j * out[1])
 
 
 def hilbert(f):
     """Hilbert transform H = iC (multiplier -sgn(k)).  A real field maps
     to an imaginary one, so the result is complex."""
-    return Field(f.grid, 1j * apply_multiplier(f, f.grid.i_sgn).samples)
+    return Field(f.grid, 1j * _apply(f, f.grid.i_sgn).samples)
 
 
 def lambda_op(f):
     """Half-Laplacian |d/da|, multiplier |k|."""
-    return apply_multiplier(f, f.grid.wavenumbers)
+    return _apply(f, f.grid.wavenumbers)
 
 
 def derivative(f, n=1):
@@ -72,7 +99,7 @@ def derivative(f, n=1):
         raise ValueError("derivative order must be >= 0")
     if n == 0:
         return Field(f.grid, f.samples.copy())
-    return apply_multiplier(f, f.grid.ik if n == 1 else f.grid.ik ** n)
+    return _apply(f, f.grid.ik if n == 1 else f.grid.ik ** n)
 
 
 def low_pass(f):
@@ -91,7 +118,7 @@ def low_pass(f):
     field, or a linear combination of filtered fields, is never transformed
     again.
     """
-    out = apply_multiplier(f, f.grid.half_band)
+    out = _apply(f, f.grid.half_band)
     out._fft = f.grid.half_band * f.fft
     return out
 
@@ -101,7 +128,7 @@ def analytic_projection(f):
 
     Vanishes (up to the mean) exactly on boundary values of functions
     holomorphic below the interface."""
-    return Field(f.grid, f.samples - 1j * apply_multiplier(f, f.grid.i_sgn).samples)
+    return Field(f.grid, f.samples - 1j * _apply(f, f.grid.i_sgn).samples)
 
 
 def pminus(f):
@@ -169,6 +196,18 @@ def _circulant_rows(grid, kernel, rows):
         yield i, np.roll(row0, i)
 
 
+def sq_diff_rows(f):
+    """The rows of the spectral squared-difference integral of the samples
+    f: Re f, Im f and |f|^2, each to go through the multiplier |k|."""
+    return f.real, f.imag, f.real * f.real + f.imag * f.imag
+
+
+def sq_diff_from_rows(f, lam_rows):
+    """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the |k| images of
+    the rows of :func:`sq_diff_rows`."""
+    return f.real * lam_rows[0] + f.imag * lam_rows[1] - 0.5 * lam_rows[2]
+
+
 def sq_diff_integral(f, method="spectral", out_indices=None):
     """The field a -> (1/2pi) * integral |f(a) - f(b)|^2 / (a - b)^2 db.
 
@@ -176,7 +215,8 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
 
         (1/2pi) int |f(a)-f(b)|^2/(a-b)^2 db = Re{conj(f) Lf} - L(|f|^2)/2,
 
-    with L = |d/da| (three transforms, exact for resolved fields).
+    with L = |d/da| (three rows in one stacked pass, exact for resolved
+    fields).
     method="quadrature" performs the trapezoid sum with the periodized
     1/(a-b)^2 kernel and the diagonal cell set to its limit |f'(a)|^2;
     ``out_indices`` restricts which grid points are evaluated (the full
@@ -185,10 +225,8 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     """
     grid = f.grid
     if method == "spectral":
-        lam_f = lambda_op(f)
-        absq = Field(grid, (f.samples * np.conj(f.samples)).real)
-        out = (np.conj(f.samples) * lam_f.samples).real - 0.5 * lambda_op(absq).samples
-        return Field(grid, out)
+        lam, _ = apply_multiplier(grid, (grid.wavenumbers,) * 3, rows=sq_diff_rows(f.samples))
+        return Field(grid, sq_diff_from_rows(f.samples, lam))
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)
 

@@ -20,6 +20,26 @@ From these the assembly derives, per state:
 with the periodized pole kernels of every vortex taken from one complex
 exponential over the grid (:func:`pole_kernels`).
 
+A stage (:func:`assemble` then :func:`rhs`) runs its transforms in three
+stacked passes of :func:`spectral.apply_multiplier`, ordered by what each
+needs:
+
+1. one inverse pass from the spectra of W and U, which the steppers carry:
+   CW, dW/da, |d/da| W, CU and dU/da (:func:`reconstruct`);
+2. after the pole kernels, one forward and one inverse pass over the rows
+   C Im h (for b), |d/da| of Re DtZ, Im DtZ and |DtZ|^2 (the
+   squared-difference integral of A1) and, with vortices, C of Re G1,
+   Im G1 and Im G2 (the vortex term of A1) (:func:`stage_projections`);
+3. one forward and one inverse pass that low-passes dW/dt and dU/dt
+   (:func:`rhs`).
+
+The vortex term of A1 takes two projections for any number of vortices:
+(I - H) is complex linear and zdot_j is a constant, so with
+G1 = sum_j lam_j Z_a K2_j and G2 = sum_j lam_j zdot_j Z_a K2_j,
+
+    sum_j lam_j Re{(I-H)[Z_a K2_j] (DtZ - zdot_j)}
+        = Re{DtZ (I-H) G1} - (Re G2 + C Im G2).
+
 b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
 of a function holomorphic below and decaying, i.e. annihilated by the
@@ -36,8 +56,8 @@ import numpy as np
 
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import (MIN_SPACINGS, analytic_projection, apply_multiplier, derivative,
-                       lambda_op, low_pass, pminus, sq_diff_integral)
+from .spectral import (MIN_SPACINGS, apply_multiplier, pminus, sq_diff_from_rows,
+                       sq_diff_rows)
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +98,7 @@ class DerivedFields:
 
     Z: Field
     Z_alpha: Field
+    U_alpha: Field
     F: Field
     Q: Field
     DtZ: Field
@@ -112,8 +133,10 @@ class DerivedFields:
 
 
 def reconstruct(W, U):
-    """(Z, F, Z_alpha) from the real parts W, U and their cached spectra:
-    with H = iC, Z - alpha = W + iCW, F = U + iCU, Z_a = 1 + W_a - i|D|W.
+    """(Z, F, Z_alpha, U_alpha) from the real parts W, U and their cached
+    spectra, in one inverse pass of five rows: with H = iC,
+
+        Z - alpha = W + iCW,  F = U + iCU,  Z_a = 1 + W_a - i|D|W,  U_a.
 
     The plus sign in (I + H) is forced: with the -sgn(k) multiplier it
     projects onto k <= 0 modes, exactly the boundary values of functions
@@ -124,10 +147,14 @@ def reconstruct(W, U):
         raise NonFiniteStateError("W and U must be finite")
     if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
         raise ValueError("W and U must be real fields")
-    Z = Field(grid, grid.alpha + W.samples + 1j * apply_multiplier(W, grid.i_sgn).samples)
-    F = Field(grid, U.samples + 1j * apply_multiplier(U, grid.i_sgn).samples)
-    Z_alpha = Field(grid, 1.0 + derivative(W).samples - 1j * lambda_op(W).samples)
-    return Z, F, Z_alpha
+    W_hat, U_hat = W.fft, U.fft
+    out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers, grid.i_sgn, grid.ik),
+                              spectra=(W_hat, W_hat, W_hat, U_hat, U_hat))
+    c_w, w_a, lam_w, c_u, u_a = out
+    Z = Field(grid, grid.alpha + W.samples + 1j * c_w)
+    F = Field(grid, U.samples + 1j * c_u)
+    Z_alpha = Field(grid, 1.0 + w_a - 1j * lam_w)
+    return Z, F, Z_alpha, Field(grid, u_a.copy())  # a view would keep all five rows
 
 
 def interface_distance(Z, vortices):
@@ -212,39 +239,75 @@ def vortex_velocity(Z, F, Z_alpha, vortices, j, K1j):
     return complex(total)
 
 
-def compute_DtQ(Z, DtZ, vortices, zdots, K2):
-    """DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) / (Z - z_j)^2."""
-    out = np.zeros(Z.grid.n_points, dtype=np.complex128)
+def compute_DtQ(Z_alpha, DtZ, vortices, zdots, K2):
+    """(DtQ, G1, G2) from one pass over the kernels K2_j:
+
+        DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) K2_j = (i / 2 pi)(DtZ S1 - S2),
+
+    S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j, and the sums
+    the vortex term of A1 projects, G1 = Z_a S1 and G2 = Z_a S2.
+    """
+    S1 = np.zeros(Z_alpha.grid.n_points, dtype=np.complex128)
+    S2 = np.zeros_like(S1)
     for v, zd, k2 in zip(vortices, zdots, K2):
-        out += (v.strength * 1j / TWO_PI) * (DtZ.samples - zd) * k2
-    return Field(Z.grid, out)
+        S1 += v.strength * k2
+        S2 += (v.strength * zd) * k2
+    DtQ = Field(Z_alpha.grid, (1j / TWO_PI) * (DtZ.samples * S1 - S2))
+    S1 *= Z_alpha.samples
+    S2 *= Z_alpha.samples
+    return DtQ, S1, S2
 
 
-def compute_b(U, Q, DtZ, Z_alpha):
+def stage_projections(h, DtZ, G1, G2, with_vortices):
+    """The stacked pass of a stage after the pole kernels: the (7, n) array
+    of the rows
+
+        C Im h,   |D| Re DtZ,  |D| Im DtZ,  |D| |DtZ|^2,   C Re G1,  C Im G1,  C Im G2,
+
+    one forward and one inverse transform for all of them; without
+    vortices the last three rows are left out (G1 = G2 = 0).
+    """
+    grid = DtZ.grid
+    rows = (h.imag,) + sq_diff_rows(DtZ.samples)
+    multipliers = (grid.i_sgn,) + (grid.wavenumbers,) * 3
+    if with_vortices:
+        rows += (G1.real, G1.imag, G2.imag)
+        multipliers += (grid.i_sgn,) * 3
+    return apply_multiplier(grid, multipliers, rows=rows)[0]
+
+
+def compute_b(U, h, c_im_h):
     """Transport coefficient
 
         b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
 
-    one projection of the summed holomorphic pieces h, as Re h + C Im h.
-    How well b meets its defining property is :attr:`DerivedFields.b_residual`.
+    one projection of the summed holomorphic pieces h, as Re h + C Im h,
+    with C Im h from :func:`stage_projections`.  How well b meets its
+    defining property is :attr:`DerivedFields.b_residual`.
     """
-    h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
-    c_im = apply_multiplier(Field(U.grid, h.imag), U.grid.i_sgn).samples
-    return Field(U.grid, h.real + c_im + 2.0 * U.samples)
+    return Field(U.grid, h.real + c_im_h + 2.0 * U.samples)
 
 
-def compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2):
+def compute_A1(DtZ, lam_rows, G1, G2, c_rows):
     """Taylor-sign coefficient
 
          A1 = 1 + (1/2pi) int |DtZ(a) - DtZ(b)|^2/(a-b)^2 db
-                - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }.
+                - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }
+
+    from the rows of :func:`stage_projections`: the |D| rows ``lam_rows``
+    give the squared-difference integral, and the C rows ``c_rows`` (none
+    without vortices) the vortex sum as
+    Re{DtZ (I-H) G1} - (Re G2 + C Im G2), with
+    (I-H) G1 = Re G1 + C Im G1 + i (Im G1 - C Re G1).
     """
-    grid = Z.grid
-    out = 1.0 + sq_diff_integral(DtZ).samples
-    for v, zd, k2 in zip(vortices, zdots, K2):
-        proj = analytic_projection(Field(grid, Z_alpha.samples * k2)).samples
-        out -= (v.strength / TWO_PI) * (proj * (DtZ.samples - zd)).real
-    return Field(grid, out)
+    dtz = DtZ.samples
+    out = 1.0 + sq_diff_from_rows(dtz, lam_rows)
+    if len(c_rows):
+        c_re_g1, c_im_g1, c_im_g2 = c_rows
+        vortex = (dtz.real * (G1.real + c_im_g1) - dtz.imag * (G1.imag - c_re_g1)
+                  - (G2.real + c_im_g2))
+        out -= vortex / TWO_PI
+    return Field(DtZ.grid, out)
 
 
 def refine_minimum(alpha, values):
@@ -278,7 +341,7 @@ def assemble(state):
     mean anything, NonFiniteStateError when W or U is not finite."""
     W, U, vortices = state.W, state.U, state.vortices
     grid = state.grid
-    Z, F, Z_alpha = reconstruct(W, U)
+    Z, F, Z_alpha, U_alpha = reconstruct(W, U)
     d_I = interface_distance(Z, vortices)
     if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
@@ -289,12 +352,15 @@ def assemble(state):
     DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))
     zdots = tuple(vortex_velocity(Z, F, Z_alpha, vortices, j, K1[j])
                   for j in range(len(vortices)))
-    DtQ = compute_DtQ(Z, DtZ, vortices, zdots, K2)
-    b = compute_b(U, Q, DtZ, Z_alpha)
-    A1 = compute_A1(Z, Z_alpha, DtZ, vortices, zdots, K2)
+    DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, vortices, zdots, K2)
+    del K1, K2  # two complex arrays per vortex, not kept through the stacked pass
+    h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
+    proj = stage_projections(h, DtZ, G1, G2, bool(vortices))
+    b = compute_b(U, h, proj[0])
+    A1 = compute_A1(DtZ, proj[1:4], G1, G2, proj[4:])
     A = Field(grid, A1.samples / np.abs(Z_alpha.samples) ** 2)
     G = Field(grid, -DtQ.samples.real)
-    return DerivedFields(Z=Z, Z_alpha=Z_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
+    return DerivedFields(Z=Z, Z_alpha=Z_alpha, U_alpha=U_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
                          b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I)
 
 
@@ -307,17 +373,19 @@ def rhs(state, derived=None):
     plus the vortex ODEs.  The W-equation is the real part of the
     kinematic identity d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
     dW/da and |d/da| W are read off the assembled Z_a = 1 + (I + H) dW/da,
-    as Re Z_a - 1 and -Im Z_a.  ``derived`` may be passed in when the
+    as Re Z_a - 1 and -Im Z_a, and dU/da is the assembled U_alpha.  Both
+    time derivatives are low-passed to half the grid band (de-aliasing) in
+    one stacked pass; the mask zeroes the Nyquist mode, so each filtered
+    row carries its half spectrum.  ``derived`` may be passed in when the
     caller already assembled this state.
     """
     if derived is None:
         derived = assemble(state)
+    grid = state.grid
     Z_alpha = derived.Z_alpha.samples
-    dU_a = derivative(state.U).samples
     bs = derived.b.samples
-    dU = Field(state.grid, -bs * dU_a + derived.A.samples * -Z_alpha.imag
-               + derived.G.samples)
-    dW = Field(state.grid, -bs * (Z_alpha.real - 1.0) + state.U.samples
-               + derived.Q.samples.real - bs)
-    # keep the evolved fields band-limited to half the grid band (de-aliasing)
-    return low_pass(dW), low_pass(dU), list(derived.zdots)
+    dW = -bs * (Z_alpha.real - 1.0) + state.U.samples + derived.Q.samples.real - bs
+    dU = -bs * derived.U_alpha.samples + derived.A.samples * -Z_alpha.imag + derived.G.samples
+    out, spectra = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
+    return (Field.with_spectrum(grid, out[0], spectra[0]),
+            Field.with_spectrum(grid, out[1], spectra[1]), list(derived.zdots))

@@ -167,6 +167,31 @@ def test_energy_against_extended_precision_summation(grid):
     assert got == pytest.approx(oracle, rel=1e-10)
 
 
+def test_energy_round_off_sensitivity_at_the_smallest_radius(grid):
+    # E_gevrey, which the AS2 flag reads, on states of the canonical run at
+    # t <= 0.24: 1e-14 relative noise on W and U moves it by at most 1e-4
+    # relative at L0 = 4 (3.7e-5 to 4.8e-5 measured), so a change that only
+    # reorders round-off does not read as physics there.  At L0 = 10 the
+    # same noise moves it by percents (see gevrey.energy).
+    from vortexwavelab.sim import make_initial, step_rk4
+    from vortexwavelab.taylor import PairConfig
+    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 110.18831137722873), grid)
+    params = GevreyParams(L0=4.0, delta0=5.0)
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for step in range(1, 61):
+        state = step_rk4(state, 4e-3)
+        if step not in (4, 8, 16, 32, 60):
+            continue
+        W, U = state.W.samples, state.U.samples
+        e0 = energy(Field(grid, W), Field(grid, U), state.t, params)
+        for _ in range(3):
+            noisy = [Field(grid, f * (1.0 + 1e-14 * rng.standard_normal(f.size))) for f in (W, U)]
+            worst = max(worst, abs(energy(*noisy, state.t, params) - e0) / e0)
+    assert state.t == pytest.approx(0.24)
+    assert worst <= 1e-4
+
+
 def test_energy_radius_exhaustion(grid):
     p = GevreyParams(L0=10.0, delta0=1000.0)
     with pytest.raises(RadiusExhaustedError):

@@ -54,7 +54,7 @@ def test_hilbert_squared_is_identity(grid, seed, complex_valued):
 def test_holomorphic_projection_is_idempotent(grid, seed):
     f = random_field(grid, np.random.default_rng(seed))
     def plus_half(g):                                      # (I + H)/2 = (I + iC)/2
-        return Field(grid, 0.5 * (g.samples + 1j * apply_multiplier(g, grid.i_sgn).samples))
+        return Field(grid, 0.5 * (g.samples + hilbert(g).samples))
     once = plus_half(f)
     twice = plus_half(once)
     assert np.max(np.abs(twice.samples - once.samples)) <= 1e-12 * f.sup_norm()
@@ -69,7 +69,7 @@ def test_reconstruct_keeps_the_real_parts(grid, seed, nyquist):
     sawtooth = nyquist * (-1.0) ** np.arange(grid.n_points)
     W = Field(grid, random_field(grid, rng, 0.1).samples + sawtooth)
     U = Field(grid, random_field(grid, rng, 0.1).samples - sawtooth)
-    Z, F, _ = reconstruct(W, U)
+    Z, F, _, _ = reconstruct(W, U)
     assert np.max(np.abs((Z.samples - grid.alpha).real - W.samples.real)) <= 1e-14
     assert np.max(np.abs(F.samples.real - U.samples.real)) <= 1e-14
 
@@ -111,15 +111,37 @@ def test_operators_match_the_full_spectrum(grid, seed, complex_valued):
 
 @SETTINGS
 @given(GRIDS, SEEDS)
+def test_stacked_multipliers_match_the_full_spectrum(grid, seed):
+    # three rows, one multiplier each, in one stacked call: from the samples
+    # and from their known half spectra alike
+    rng = np.random.default_rng(seed)
+    rows = np.stack([broadband_field(grid, rng, False).samples for _ in range(3)])
+    k_max = np.pi / grid.spacing
+    multipliers = (grid.i_sgn, grid.wavenumbers, grid.half_band)
+    full = (lambda k: 1j * np.sign(k), np.abs,
+            lambda k: (np.abs(k) <= 0.5 * k_max).astype(float))
+    refs = np.array([full_spectrum(grid, r, m).real for r, m in zip(rows, full)])
+    from_rows, products = apply_multiplier(grid, multipliers, rows=rows)
+    from_spectra, _ = apply_multiplier(grid, multipliers, spectra=np.fft.rfft(rows))
+    for got in (from_rows, from_spectra):
+        assert got.shape == rows.shape and got.dtype == np.float64
+        assert np.max(np.abs(got - refs)) <= 1e-12 * np.max(np.abs(refs))
+    expected = np.array(multipliers) * np.fft.rfft(rows)
+    assert np.max(np.abs(products - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@SETTINGS
+@given(GRIDS, SEEDS)
 def test_reconstruct_matches_the_full_spectrum(grid, seed):
     rng = np.random.default_rng(seed)
     W = broadband_field(grid, rng, False)
     U = broadband_field(grid, rng, False)
-    Z, F, Z_alpha = reconstruct(W, U)
+    Z, F, Z_alpha, U_alpha = reconstruct(W, U)
     cases = [
         (Z.samples - grid.alpha, W, lambda k: 1.0 - np.sign(k)),
         (F.samples, U, lambda k: 1.0 - np.sign(k)),
         (Z_alpha.samples - 1.0, W, lambda k: 1j * k * (1.0 - np.sign(k))),
+        (U_alpha.samples, U, lambda k: 1j * k),
     ]
     for got, f, multiplier in cases:
         ref = full_spectrum(grid, f.samples, multiplier)

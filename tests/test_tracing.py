@@ -42,7 +42,8 @@ def test_tracer_records_a_stage_and_uninstalls():
         tracer.uninstall()
     names = {span[1] for span in tracer.spans}
     assert {"grid.fft", "waves.assemble", "waves.reconstruct", "waves.rhs",
-            "spectral.apply_multiplier"} <= names
+            "spectral.apply_multiplier", "waves.compute_b", "waves.compute_A1",
+            "waves.compute_Q", "waves.compute_DtQ", "waves.vortex_velocity"} <= names
     assert tracer.counts["grid.fields_built"] > 0
     for (module, name), original in originals.items():
         assert getattr(sys.modules["vortexwavelab." + module], name) is original
