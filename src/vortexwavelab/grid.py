@@ -69,7 +69,7 @@ class Field:
     The half spectrum of the samples is computed lazily and cached, unless
     it was known at construction (:meth:`with_spectrum`); treat the sample
     array as immutable once the field is constructed (compute-once,
-    read-many), so sharing a Field across workers is safe.
+    read-many).
     """
 
     __slots__ = ("grid", "samples", "_fft")

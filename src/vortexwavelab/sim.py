@@ -105,18 +105,18 @@ def _advance(state, dt_t, parts, weights):
 
     W and U carry their half spectra, the same combination of the spectra
     of the state (cached by its right-hand side) and of the low-passed
-    parts, so the next stage transforms neither.
+    parts, so the next stage transforms neither; the vortex positions
+    combine as one (m,) array.
     """
-    W, U = state.W.samples, state.U.samples
+    W, U, z = state.W.samples, state.U.samples, state.positions
     W_hat, U_hat = state.W.fft, state.U.fft
-    zs = [v.position for v in state.vortices]
     for w, (dW, dU, zd) in zip(weights, parts):
         W = W + w * dW.samples
         U = U + w * dU.samples
         W_hat = W_hat + w * dW.fft
         U_hat = U_hat + w * dU.fft
-        zs = [z + w * d for z, d in zip(zs, zd)]
-    vortices = tuple(Vortex(z, v.strength) for z, v in zip(zs, state.vortices))
+        z = z + w * zd
+    vortices = tuple(map(Vortex, z.tolist(), state.strengths.tolist()))
     return WaveState(Field.with_spectrum(state.grid, W, W_hat),
                      Field.with_spectrum(state.grid, U, U_hat), vortices, state.t + dt_t)
 
@@ -137,8 +137,7 @@ def _h4_distance(s1, s2):
     for f1, f2 in ((s1.W, s2.W), (s1.U, s2.U)):
         diff = Field.with_spectrum(f1.grid, f1.samples - f2.samples, f1.fft - f2.fft)
         total += _derivative_l2sq(diff, 4).sum()
-    for v1, v2 in zip(s1.vortices, s2.vortices):
-        total += abs(v1.position - v2.position) ** 2
+    total += np.sum(np.abs(s1.positions - s2.positions) ** 2)
     return math.sqrt(total)
 
 
@@ -179,7 +178,7 @@ def symmetry_defect(state):
         s = f.samples
         defect = max(defect, float(np.max(np.abs(s + s[idx]))))
     if len(state.vortices) == 2:
-        z1, z2 = (v.position for v in state.vortices)
+        z1, z2 = state.positions
         defect = max(defect, abs(z1.real + z2.real), abs(z1.imag - z2.imag))
     return defect
 
@@ -255,10 +254,8 @@ def monitor(state, derived=None, gevrey_params=None, baseline=None):
                      and u_l2 <= AS2_CAP and u_inf <= AS2_CAP),
              "AS3": bool(as3), "AS4": bool(as4),
              "AS5": bool(phi >= params.L0 / 2.0)}
-    if len(state.vortices) == 2:
-        z1, z2 = (v.position for v in state.vortices)
-    else:
-        z1 = z2 = complex(math.nan, math.nan)
+    nan = complex(math.nan, math.nan)
+    z1, z2 = state.positions if len(state.vortices) == 2 else (nan, nan)
     return StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
                       d_I=derived.d_I, inf_A1=derived.inf_A1,
                       argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
@@ -276,19 +273,13 @@ class RunResult:
     message: str = ""
 
 
-def _check_finite(state):
-    """Raise NonFiniteStateError unless W, U and the vortex positions are finite."""
-    values = [state.W.samples, state.U.samples, [v.position for v in state.vortices]]
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise NonFiniteStateError("non-finite W, U or vortex position at t=%g" % state.t)
-
-
 def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     """March a state to t_end, recording monitors every ``stride`` steps.
 
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
     a truncated trajectory on fatal vortex proximity, CFL violation or a
-    state that is no longer finite (reason "non_finite").
+    state that is no longer finite (reason "non_finite", raised by
+    :func:`waves.assemble` for W, U and the vortex positions).
     """
     params = gevrey_params or GevreyParams()
     n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
@@ -298,7 +289,6 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         return RunResult(records, reason, state, message)
 
     try:
-        _check_finite(state)
         derived = assemble(state)
         baseline = Baseline(chord_arc0=derived.chord_arc, d_I0=derived.d_I,
                             x0=abs(state.vortices[-1].position.real) if state.vortices else 0.0)
@@ -317,7 +307,6 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
             else:
                 state, picard_iters, _ = step_picard(state, integrator.dt,
                                                      integrator, derived)
-            _check_finite(state)
             derived = assemble(state)
             last = step_index == n_steps
             hit = eta1 is not None and derived.inf_A1 <= -eta1

@@ -118,9 +118,8 @@ def low_pass(f):
     field, or a linear combination of filtered fields, is never transformed
     again.
     """
-    out = _apply(f, f.grid.half_band)
-    out._fft = f.grid.half_band * f.fft
-    return out
+    return Field.with_spectrum(f.grid, _apply(f, f.grid.half_band).samples,
+                               f.grid.half_band * f.fft)
 
 
 def analytic_projection(f):

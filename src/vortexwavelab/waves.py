@@ -15,10 +15,12 @@ From these the assembly derives, per state:
     b      transport coefficient of the material derivative D_t = d_t + b d_a,
     A1     Taylor-sign coefficient (A1 < 0 somewhere = Rayleigh-Taylor
            unstable), with A = A1 / |Z_a|^2,
-    G      the vortex forcing of U,
+    G      the vortex forcing of U.
 
-with the periodized pole kernels of every vortex taken from one complex
-exponential over the grid (:func:`pole_kernels`).
+Inside a stage the m vortices are positions z and strengths lam, two (m,)
+arrays, and every vortex term is array algebra over the (m, n) stacks of
+the periodized pole kernels, taken from one complex exponential over the
+grid (:func:`pole_kernels`).
 
 A stage (:func:`assemble` then :func:`rhs`) runs its transforms in three
 stacked passes of :func:`spectral.apply_multiplier`, ordered by what each
@@ -88,6 +90,16 @@ class WaveState:
     def grid(self):
         return self.W.grid
 
+    @property
+    def positions(self):
+        """The vortex positions z, a complex (m,) array."""
+        return np.array([v.position for v in self.vortices], dtype=np.complex128)
+
+    @property
+    def strengths(self):
+        """The vortex strengths lam, a float (m,) array."""
+        return np.array([v.strength for v in self.vortices], dtype=np.float64)
+
 
 @dataclass
 class DerivedFields:
@@ -107,7 +119,7 @@ class DerivedFields:
     A1: Field
     A: Field
     G: Field
-    zdots: tuple
+    zdots: np.ndarray
     d_I: float
 
     @cached_property
@@ -144,7 +156,7 @@ def reconstruct(W, U):
     """
     grid = check_same_grid(W, U)
     if not (np.all(np.isfinite(W.samples)) and np.all(np.isfinite(U.samples))):
-        raise NonFiniteStateError("W and U must be finite")
+        raise NonFiniteStateError("non-finite W or U")
     if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
         raise ValueError("W and U must be real fields")
     W_hat, U_hat = W.fft, U.fft
@@ -157,11 +169,9 @@ def reconstruct(W, U):
     return Z, F, Z_alpha, Field(grid, u_a.copy())  # a view would keep all five rows
 
 
-def interface_distance(Z, vortices):
-    """min over grid nodes and vortices of |Z(a) - z_j|."""
-    if not vortices:
-        return np.inf
-    return float(min(np.min(np.abs(Z.samples - v.position)) for v in vortices))
+def interface_distance(Z, z):
+    """min over grid nodes and positions z of |Z(a) - z_j|; inf for no z."""
+    return float(np.min(np.abs(Z.samples - z[:, None]), initial=np.inf))
 
 
 def chord_arc_constant(Z):
@@ -181,9 +191,10 @@ def chord_arc_constant(Z):
     return best
 
 
-def pole_kernels(Z, vortices):
-    """Per vortex, the periodized K1_j = 1/(Z - z_j) and K2_j = 1/(Z - z_j)^2,
-    from one complex exponential E = exp(2isZ), s = pi/2L, for all vortices.
+def pole_kernels(Z, z):
+    """The (m, n) stacks of the periodized K1_j = 1/(Z - z_j) and
+    K2_j = 1/(Z - z_j)^2 at the positions z, from one complex exponential
+    E = exp(2isZ), s = pi/2L, for all vortices.
 
     With e_j = E exp(-2is z_j) = exp(2is(Z - z_j)), cot = i(e + 1)/(e - 1)
     and 1/sin^2 = -4e/(e - 1)^2 give
@@ -196,62 +207,59 @@ def pole_kernels(Z, vortices):
     relative error of about eps / |2s(Z - z_j)|.
     """
     s = np.pi / (2.0 * Z.grid.half_length)
-    E = np.exp(2j * s * Z.samples)
-    K1, K2 = [], []
-    for v in vortices:
-        e = E * np.exp(-2j * s * v.position)
-        r = np.subtract(e, 1.0)
-        np.reciprocal(r, out=r)
-        r *= 1j * s                      # is/(e - 1)
-        k1 = e + 1.0
-        k1 *= r
-        e *= r
-        e *= r
-        e *= 4.0                         # 4e (is/(e - 1))^2
-        K1.append(k1)
-        K2.append(e)
-    return K1, K2
+    e = np.exp(2j * s * Z.samples) * np.exp(-2j * s * z)[:, None]
+    r = np.subtract(e, 1.0)
+    np.reciprocal(r, out=r)
+    r *= 1j * s                          # is/(e - 1)
+    K1 = e + 1.0
+    K1 *= r
+    e *= r
+    e *= r
+    e *= 4.0                             # 4e (is/(e - 1))^2
+    return K1, e
 
 
-def compute_Q(Z, vortices, K1):
+def combine(weights, stack):
+    """sum_j weights_j stack_j over the rows of an (m, n) stack.  Not
+    ``weights @ stack``: OpenBLAS runs that vector-matrix product on all
+    cores above a few thousand points, doubling the CPU of ``vwl run``."""
+    return np.sum(weights[:, None] * stack, axis=0)
+
+
+def compute_Q(Z, lam, K1):
     """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), K1 from :func:`pole_kernels`."""
-    out = np.zeros(Z.grid.n_points, dtype=np.complex128)
-    for v, k1 in zip(vortices, K1):
-        out -= (v.strength * 1j / TWO_PI) * k1
-    return Field(Z.grid, out)
+    return Field(Z.grid, combine(lam * -1j / TWO_PI, K1))
 
 
-def vortex_velocity(Z, F, Z_alpha, vortices, j, K1j):
-    """zdot_j = conj(U(z_j)) + sum_{k != j} (lam_k i / 2 pi) / conj(z_j - z_k).
+def vortex_velocity(Z, F, Z_alpha, z, lam, K1):
+    """The (m,) vortex velocities
+
+        zdot_j = conj(U(z_j)) + sum_{k != j} (lam_k i / 2 pi) / conj(z_j - z_k).
 
     U(z_j) is the Cauchy integral of :func:`spectral.cauchy_velocity`,
-    whose periodized kernel 1/(z_j - Z) is exactly -K1_j.  The
-    mutual-induction part keeps the plain 1/conj(dz) form (point
-    evaluation, no periodization): for the symmetric pair with no wave it
-    reduces to lam i / (4 pi x) exactly.
+    whose periodized kernel 1/(z_j - Z) is exactly -K1_j: one product of
+    K1 with Z_a F for all m.  The (m, m) mutual-induction matrix keeps the
+    plain 1/conj(dz) form (point evaluation, no periodization): for the
+    symmetric pair with no wave it reduces to lam i / (4 pi x) exactly.
     """
-    zj = vortices[j].position
-    u = np.sum(Z_alpha.samples * F.samples * -K1j) * Z.grid.spacing / (2.0j * np.pi)
-    total = np.conj(u)
-    for k, v in enumerate(vortices):
-        if k != j:
-            total += v.strength * 1j / (TWO_PI * np.conj(zj - v.position))
-    return complex(total)
+    u = -(K1 @ (Z_alpha.samples * F.samples)) * Z.grid.spacing / (2.0j * np.pi)
+    m = len(z)
+    mutual = np.divide(lam * 1j, TWO_PI * np.conj(z[:, None] - z),
+                       out=np.zeros((m, m), dtype=np.complex128),
+                       where=~np.eye(m, dtype=bool))
+    return np.conj(u) + mutual.sum(axis=1)
 
 
-def compute_DtQ(Z_alpha, DtZ, vortices, zdots, K2):
-    """(DtQ, G1, G2) from one pass over the kernels K2_j:
+def compute_DtQ(Z_alpha, DtZ, lam, zdots, K2):
+    """(DtQ, G1, G2) from two combinations of the kernel stack K2:
 
         DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) K2_j = (i / 2 pi)(DtZ S1 - S2),
 
     S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j, and the sums
     the vortex term of A1 projects, G1 = Z_a S1 and G2 = Z_a S2.
     """
-    S1 = np.zeros(Z_alpha.grid.n_points, dtype=np.complex128)
-    S2 = np.zeros_like(S1)
-    for v, zd, k2 in zip(vortices, zdots, K2):
-        S1 += v.strength * k2
-        S2 += (v.strength * zd) * k2
+    S1 = combine(lam, K2)
+    S2 = combine(lam * zdots, K2)
     DtQ = Field(Z_alpha.grid, (1j / TWO_PI) * (DtZ.samples * S1 - S2))
     S1 *= Z_alpha.samples
     S2 *= Z_alpha.samples
@@ -338,24 +346,26 @@ def refine_minimum(alpha, values):
 def assemble(state):
     """One derived-field pass over a state; raises VortexProximityError
     when a vortex is too close to the interface for the quadratures to
-    mean anything, NonFiniteStateError when W or U is not finite."""
-    W, U, vortices = state.W, state.U, state.vortices
+    mean anything, NonFiniteStateError when W, U or a vortex position is
+    not finite."""
+    W, U, z, lam = state.W, state.U, state.positions, state.strengths
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteStateError("non-finite vortex position at t=%g" % state.t)
     grid = state.grid
     Z, F, Z_alpha, U_alpha = reconstruct(W, U)
-    d_I = interface_distance(Z, vortices)
+    d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
             "vortex within %.3g of the interface (< %g grid spacings)"
             % (d_I, MIN_SPACINGS))
-    K1, K2 = pole_kernels(Z, vortices)
-    Q = compute_Q(Z, vortices, K1)
+    K1, K2 = pole_kernels(Z, z)
+    Q = compute_Q(Z, lam, K1)
     DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))
-    zdots = tuple(vortex_velocity(Z, F, Z_alpha, vortices, j, K1[j])
-                  for j in range(len(vortices)))
-    DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, vortices, zdots, K2)
-    del K1, K2  # two complex arrays per vortex, not kept through the stacked pass
+    zdots = vortex_velocity(Z, F, Z_alpha, z, lam, K1)
+    DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, lam, zdots, K2)
+    del K1, K2  # two (m, n) complex stacks, not kept through the stacked pass
     h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
-    proj = stage_projections(h, DtZ, G1, G2, bool(vortices))
+    proj = stage_projections(h, DtZ, G1, G2, len(z) > 0)
     b = compute_b(U, h, proj[0])
     A1 = compute_A1(DtZ, proj[1:4], G1, G2, proj[4:])
     A = Field(grid, A1.samples / np.abs(Z_alpha.samples) ** 2)
@@ -365,13 +375,14 @@ def assemble(state):
 
 
 def rhs(state, derived=None):
-    """Time derivatives (dW/dt, dU/dt, [dz_j/dt]) of the evolution
+    """Time derivatives (dW/dt, dU/dt, dz/dt) of the evolution
 
         d_t U = -b dU/da + A |d/da| W + G
         d_t W = -b dW/da + U + Re Q - b
 
-    plus the vortex ODEs.  The W-equation is the real part of the
-    kinematic identity d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
+    plus the vortex ODEs, dz/dt the (m,) array of vortex velocities.  The
+    W-equation is the real part of the kinematic identity
+    d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
     dW/da and |d/da| W are read off the assembled Z_a = 1 + (I + H) dW/da,
     as Re Z_a - 1 and -Im Z_a, and dU/da is the assembled U_alpha.  Both
     time derivatives are low-passed to half the grid band (de-aliasing) in
@@ -388,4 +399,4 @@ def rhs(state, derived=None):
     dU = -bs * derived.U_alpha.samples + derived.A.samples * -Z_alpha.imag + derived.G.samples
     out, spectra = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
     return (Field.with_spectrum(grid, out[0], spectra[0]),
-            Field.with_spectrum(grid, out[1], spectra[1]), list(derived.zdots))
+            Field.with_spectrum(grid, out[1], spectra[1]), derived.zdots)

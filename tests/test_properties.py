@@ -171,7 +171,7 @@ def test_time_reversal_image(grid, seed, x, y, lam, amplitude):
     rW, rU, rzdots = rhs(reversed_state(state))
     assert np.array_equal(rW.samples, -dW.samples)
     assert np.array_equal(rU.samples, dU.samples)
-    assert rzdots == [-z for z in zdots]
+    assert np.array_equal(rzdots, -zdots)
 
 
 @SETTINGS

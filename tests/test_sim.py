@@ -9,14 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from vortexwavelab.errors import PicardDivergedError
+from vortexwavelab.errors import NonFiniteStateError, PicardDivergedError
 from vortexwavelab.gevrey import GevreyParams, energy
 from vortexwavelab.grid import Field, GridSpec, zero_field
 from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
                                reversed_state, run_simulation, step_picard,
                                step_rk4, symmetry_defect)
 from vortexwavelab.taylor import PairConfig
-from vortexwavelab.waves import WaveState
+from vortexwavelab.waves import Vortex, WaveState, assemble
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +209,18 @@ def test_radius_exhaustion_marks_energy_nan(sim_grid):
         L0=10.0, delta0=1000.0)).as_flags["AS5"]
 
 
-def _nan_after(monkeypatch, calls):
-    """Make sim.step_rk4 return a NaN state from its ``calls``-th call on."""
+def _nan_W(state):
+    state.W.samples[3] = np.nan
+
+
+def _nan_position(state):
+    nan_vortex = Vortex(complex(np.nan, -6.0), state.vortices[0].strength)
+    state.vortices = (nan_vortex,) + state.vortices[1:]
+
+
+def _nan_after(monkeypatch, calls, poison):
+    """Make sim.step_rk4 return a state with a NaN put in by ``poison``
+    from its ``calls``-th call on."""
     import vortexwavelab.sim as sim
     real = sim.step_rk4
     seen = []
@@ -219,19 +229,27 @@ def _nan_after(monkeypatch, calls):
         seen.append(1)
         out = real(state, dt, derived)
         if len(seen) >= calls:
-            out.W.samples[3] = np.nan
+            poison(out)
         return out
     monkeypatch.setattr(sim, "step_rk4", step)
 
 
-def test_run_ends_non_finite_with_earlier_rows(sim_grid, monkeypatch):
-    _nan_after(monkeypatch, 3)
+@pytest.mark.parametrize("poison", [_nan_W, _nan_position], ids=["W", "position"])
+def test_run_ends_non_finite_with_earlier_rows(sim_grid, monkeypatch, poison):
+    _nan_after(monkeypatch, 3, poison)
     s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
     res = run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.05), stride=1)
     assert res.exit_reason == "non_finite"
     assert "non-finite" in res.message
     assert [r.t for r in res.records] == pytest.approx([0.0, 5e-3, 1e-2])
     assert all(math.isfinite(r.inf_A1) for r in res.records)
+
+
+def test_assemble_rejects_a_non_finite_position(sim_grid):
+    s = make_initial("odd_bump", 1e-3, canonical_pair(), sim_grid)
+    _nan_position(s)
+    with pytest.raises(NonFiniteStateError, match="non-finite vortex position"):
+        assemble(s)
 
 
 def test_run_ends_non_finite_on_nan_b(sim_grid, monkeypatch):
