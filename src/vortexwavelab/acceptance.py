@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import curve_fit
 
 from .gevrey import GevreyParams, gevrey_norm
@@ -159,7 +158,7 @@ def check_hilbert_calibration(cache):
     for _ in range(10):
         spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
         spec[1:33] = rng.normal(size=32) + 1j * rng.normal(size=32)
-        h = Field(grid, scipy.fft.irfft(spec, grid.n_points))
+        h = Field(grid, np.fft.irfft(spec, grid.n_points))
         for sigma in (1.0, 5.0, 10.0):
             a = gevrey_norm(h, sigma, "X").value
             b = gevrey_norm(hilbert(h), sigma, "X").value

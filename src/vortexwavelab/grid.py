@@ -14,12 +14,21 @@ periodized kernels that keep that representation exact.
 Fields keep real data real: W, U and everything the transition is read
 from (b, A1, A, G) are float64 samples, the complex traces (Z, F, Q, ...)
 complex128, transformed as their real and imaginary parts.
+
+Each grid owns one stage workspace (:meth:`GridSpec.workspace`), a buffer
+it allocates on first use and keeps, into which the stacked transform
+passes and the pole-kernel stacks of a right-hand-side stage write, so a
+stage does not allocate and fault in a fresh set of large arrays.  Views
+of it live only inside one call of :mod:`vortexwavelab.waves` or
+:mod:`vortexwavelab.spectral`: every field handed out is its own array.
 """
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError
+
+
+STACK_ROWS = 7  # rows of the largest stacked pass of a stage (waves.stage_projections)
 
 
 class GridSpec:
@@ -42,13 +51,29 @@ class GridSpec:
         self.alpha = -self.half_length + self.spacing * np.arange(n_points)
         # half spectrum (rfftfreq order), radians per unit length:
         # k_m = pi*m/half_length >= 0, which is also the multiplier |k|
-        self.wavenumbers = 2.0 * np.pi * scipy.fft.rfftfreq(n_points, d=self.spacing)
+        self.wavenumbers = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=self.spacing)
         self.k_max = float(self.wavenumbers[-1])
         # the multipliers of the spectral operators, each real to real
         self.ik = 1j * self.wavenumbers                      # d/da
         self.i_sgn = 1j * np.sign(self.wavenumbers)          # C, with H = iC
         self.i_sgn[-1] = 0.0                                 # unpaired Nyquist mode
         self.half_band = (self.wavenumbers <= 0.5 * self.k_max).astype(float)
+        self._workspace = None
+
+    def workspace(self, size=0):
+        """The grid's stage workspace, a flat complex128 buffer of at least
+        ``size`` values that also holds the largest stacked pass of a stage:
+        STACK_ROWS float64 rows of n samples followed by their STACK_ROWS
+        complex half spectra (see :func:`spectral.transform_buffers`).  It
+        is allocated on first use, not with the grid, and grows, never
+        shrinks, when a caller needs more.  Its contents belong to whoever
+        wrote them last: the next stacked pass overwrites them, so two
+        threads must not run stages on one grid object at the same time.
+        """
+        size = max(size, STACK_ROWS * (self.n_points + 1))
+        if self._workspace is None or len(self._workspace) < size:
+            self._workspace = np.empty(size, dtype=np.complex128)
+        return self._workspace
 
     def __eq__(self, other):
         return (isinstance(other, GridSpec)
@@ -96,12 +121,12 @@ class Field:
 
     @property
     def fft(self):
-        """Cached ``scipy.fft.rfft`` of the samples (rfftfreq order); for
+        """Cached ``np.fft.rfft`` of the samples (rfftfreq order); for
         complex samples the half spectra of the real part and of the
         imaginary part, stacked along the first axis."""
         if self._fft is None:
             s = self.samples
-            self._fft = scipy.fft.rfft(np.stack((s.real, s.imag)) if np.iscomplexobj(s) else s)
+            self._fft = np.fft.rfft(np.stack((s.real, s.imag)) if np.iscomplexobj(s) else s)
         return self._fft
 
     def l2_norm(self):

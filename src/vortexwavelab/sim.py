@@ -100,6 +100,16 @@ def cfl_limit(state, derived):
     return min(adv, disp)
 
 
+def _weighted_sum(base, weights, terms):
+    """base + sum_i weights[i] * terms[i], summed in that order into one
+    new array (w d + base is base + w d bit for bit)."""
+    total = np.multiply(weights[0], terms[0])
+    total += base
+    for w, d in zip(weights[1:], terms[1:]):
+        total += w * d
+    return total
+
+
 def _advance(state, dt_t, parts, weights):
     """state + sum_i weights[i] * parts[i], time advanced by dt_t.
 
@@ -108,14 +118,12 @@ def _advance(state, dt_t, parts, weights):
     parts, so the next stage transforms neither; the vortex positions
     combine as one (m,) array.
     """
-    W, U, z = state.W.samples, state.U.samples, state.positions
-    W_hat, U_hat = state.W.fft, state.U.fft
-    for w, (dW, dU, zd) in zip(weights, parts):
-        W = W + w * dW.samples
-        U = U + w * dU.samples
-        W_hat = W_hat + w * dW.fft
-        U_hat = U_hat + w * dU.fft
-        z = z + w * zd
+    dW, dU, dz = zip(*parts)
+    W = _weighted_sum(state.W.samples, weights, [f.samples for f in dW])
+    U = _weighted_sum(state.U.samples, weights, [f.samples for f in dU])
+    W_hat = _weighted_sum(state.W.fft, weights, [f.fft for f in dW])
+    U_hat = _weighted_sum(state.U.fft, weights, [f.fft for f in dU])
+    z = _weighted_sum(state.positions, weights, dz)
     vortices = tuple(map(Vortex, z.tolist(), state.strengths.tolist()))
     return WaveState(Field.with_spectrum(state.grid, W, W_hat),
                      Field.with_spectrum(state.grid, U, U_hat), vortices, state.t + dt_t)

@@ -26,10 +26,9 @@ pairs H with a vortex kernel would be polluted at the 1e-4 level.
 """
 
 import numpy as np
-import scipy.fft
 
 from .errors import NearBoundaryError
-from .grid import Field, check_same_grid
+from .grid import STACK_ROWS, Field, check_same_grid
 
 MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
 
@@ -52,26 +51,49 @@ def periodic_square_kernel(w, half_length):
 # ----------------------------------------------------------------------
 # multipliers, precomputed on the GridSpec
 
-def apply_multiplier(grid, multipliers, rows=None, spectra=None):
+def transform_buffers(grid, k):
+    """The leading k rows of the grid's workspace (:meth:`GridSpec.workspace`)
+    as a stacked pass's buffers: a float64 (k, n) array of rows and a
+    complex128 (k, n/2 + 1) array of their half spectra, at most STACK_ROWS
+    of each.  The next pass on the grid overwrites both."""
+    n, half = grid.n_points, grid.n_points // 2
+    ws = grid.workspace()
+    rows = ws[:STACK_ROWS * half].view(np.float64)[:k * n].reshape(k, n)
+    spectra = ws[STACK_ROWS * half:STACK_ROWS * half + k * (half + 1)].reshape(k, half + 1)
+    return rows, spectra
+
+
+def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
     """Stacked multipliers: row i of the result is irfft(multipliers[i] * fhat_i).
 
     fhat_i is ``spectra[i]`` when the half spectra are known.  Otherwise
     the k real ``rows`` (arrays of n samples, views included) are copied
-    into one (k, n) array, which one ``rfft`` transforms and which is freed
-    before the inverse pass.  The k products go through one ``irfft``.
-    Returns (out, products): the float64 (k, n) result and the
-    (k, n/2 + 1) products, which are the rfft of ``out`` wherever the
-    multiplier is real at the Nyquist mode.
+    into the (k, n) output array, which one ``rfft`` transforms into the
+    products and the inverse pass then overwrites.  The k products go
+    through one ``irfft``.  Returns (out, products): the float64 (k, n)
+    result and the (k, n/2 + 1) products, which are the rfft of ``out``
+    wherever the multiplier is real at the Nyquist mode.  Both are new
+    arrays, or with ``scratch`` the leading rows of the grid's workspace
+    (:func:`transform_buffers`), which the next stacked pass on the grid
+    overwrites: a caller that asks for them reads them before that and
+    keeps none.
     """
+    k = len(multipliers)
+    if scratch:
+        out, products = transform_buffers(grid, k)
+    else:
+        out = np.empty((k, grid.n_points))
+        products = np.empty((k, grid.n_points // 2 + 1), dtype=np.complex128)
     if spectra is None:
-        products = scipy.fft.rfft(np.stack(rows))
+        for o, r in zip(out, rows):
+            o[...] = r
+        np.fft.rfft(out, out=products)
         for p, m in zip(products, multipliers):
             p *= m
     else:
-        products = np.empty((len(spectra), grid.n_points // 2 + 1), dtype=np.complex128)
         for p, m, f_hat in zip(products, multipliers, spectra):
             np.multiply(m, f_hat, out=p)
-    return scipy.fft.irfft(products, grid.n_points), products
+    return np.fft.irfft(products, grid.n_points, out=out), products
 
 
 def _apply(f, multiplier):

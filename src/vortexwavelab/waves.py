@@ -35,6 +35,14 @@ needs:
 3. one forward and one inverse pass that low-passes dW/dt and dU/dt
    (:func:`rhs`).
 
+The first two passes and the pole-kernel stacks (:func:`pole_stacks`)
+write into the grid's workspace (:meth:`GridSpec.workspace`), which the
+grid allocates once, so a stage faults none of them in afresh.  Views of
+it stay inside this module: every field of :class:`DerivedFields` is its
+own array, built from the workspace rows before the next pass overwrites
+them.  The third pass writes new arrays, because the steppers combine the
+results of several stages after later stages have run.
+
 The vortex term of A1 takes two projections for any number of vortices:
 (I - H) is complex linear and zdot_j is a constant, so with
 G1 = sum_j lam_j Z_a K2_j and G2 = sum_j lam_j zdot_j Z_a K2_j,
@@ -161,12 +169,12 @@ def reconstruct(W, U):
         raise ValueError("W and U must be real fields")
     W_hat, U_hat = W.fft, U.fft
     out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers, grid.i_sgn, grid.ik),
-                              spectra=(W_hat, W_hat, W_hat, U_hat, U_hat))
+                              spectra=(W_hat, W_hat, W_hat, U_hat, U_hat), scratch=True)
     c_w, w_a, lam_w, c_u, u_a = out
     Z = Field(grid, grid.alpha + W.samples + 1j * c_w)
     F = Field(grid, U.samples + 1j * c_u)
     Z_alpha = Field(grid, 1.0 + w_a - 1j * lam_w)
-    return Z, F, Z_alpha, Field(grid, u_a.copy())  # a view would keep all five rows
+    return Z, F, Z_alpha, Field(grid, u_a.copy())  # out is the grid's workspace
 
 
 def interface_distance(Z, z):
@@ -191,6 +199,15 @@ def chord_arc_constant(Z):
     return best
 
 
+def pole_stacks(grid, m):
+    """Three (m, n) complex views of the grid's workspace
+    (:meth:`GridSpec.workspace`): the stacks K2 and K1 that
+    :func:`pole_kernels` writes, around the scratch of their combinations.
+    The next stacked pass on the grid overwrites them."""
+    n = grid.n_points
+    return grid.workspace(3 * m * n)[:3 * m * n].reshape(3, m, n)
+
+
 def pole_kernels(Z, z):
     """The (m, n) stacks of the periodized K1_j = 1/(Z - z_j) and
     K2_j = 1/(Z - z_j)^2 at the positions z, from one complex exponential
@@ -205,13 +222,17 @@ def pole_kernels(Z, z):
     overflows; a deep one gives e_j -> 0, K1_j -> -is and K2_j -> 0 with
     its relative accuracy kept.  Near the curve e_j - 1 cancels, with a
     relative error of about eps / |2s(Z - z_j)|.
+
+    Both stacks are views of the grid's workspace (:func:`pole_stacks`),
+    valid until the next stacked pass on the grid.
     """
     s = np.pi / (2.0 * Z.grid.half_length)
-    e = np.exp(2j * s * Z.samples) * np.exp(-2j * s * z)[:, None]
-    r = np.subtract(e, 1.0)
+    e, r, K1 = pole_stacks(Z.grid, len(z))
+    np.multiply(np.exp(2j * s * Z.samples), np.exp(-2j * s * z)[:, None], out=e)
+    np.subtract(e, 1.0, out=r)
     np.reciprocal(r, out=r)
     r *= 1j * s                          # is/(e - 1)
-    K1 = e + 1.0
+    np.add(e, 1.0, out=K1)
     K1 *= r
     e *= r
     e *= r
@@ -219,16 +240,17 @@ def pole_kernels(Z, z):
     return K1, e
 
 
-def combine(weights, stack):
-    """sum_j weights_j stack_j over the rows of an (m, n) stack.  Not
+def combine(weights, stack, scratch):
+    """sum_j weights_j stack_j over the rows of an (m, n) stack, with the
+    products in ``scratch``, an array of the stack's shape.  Not
     ``weights @ stack``: OpenBLAS runs that vector-matrix product on all
     cores above a few thousand points, doubling the CPU of ``vwl run``."""
-    return np.sum(weights[:, None] * stack, axis=0)
+    return np.sum(np.multiply(weights[:, None], stack, out=scratch), axis=0)
 
 
 def compute_Q(Z, lam, K1):
     """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), K1 from :func:`pole_kernels`."""
-    return Field(Z.grid, combine(lam * -1j / TWO_PI, K1))
+    return Field(Z.grid, combine(lam * -1j / TWO_PI, K1, pole_stacks(Z.grid, len(lam))[1]))
 
 
 def vortex_velocity(Z, F, Z_alpha, z, lam, K1):
@@ -258,8 +280,9 @@ def compute_DtQ(Z_alpha, DtZ, lam, zdots, K2):
     S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j, and the sums
     the vortex term of A1 projects, G1 = Z_a S1 and G2 = Z_a S2.
     """
-    S1 = combine(lam, K2)
-    S2 = combine(lam * zdots, K2)
+    scratch = pole_stacks(Z_alpha.grid, len(lam))[1]
+    S1 = combine(lam, K2, scratch)
+    S2 = combine(lam * zdots, K2, scratch)
     DtQ = Field(Z_alpha.grid, (1j / TWO_PI) * (DtZ.samples * S1 - S2))
     S1 *= Z_alpha.samples
     S2 *= Z_alpha.samples
@@ -281,7 +304,7 @@ def stage_projections(h, DtZ, G1, G2, with_vortices):
     if with_vortices:
         rows += (G1.real, G1.imag, G2.imag)
         multipliers += (grid.i_sgn,) * 3
-    return apply_multiplier(grid, multipliers, rows=rows)[0]
+    return apply_multiplier(grid, multipliers, rows=rows, scratch=True)[0]
 
 
 def compute_b(U, h, c_im_h):
@@ -363,7 +386,7 @@ def assemble(state):
     DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))
     zdots = vortex_velocity(Z, F, Z_alpha, z, lam, K1)
     DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, lam, zdots, K2)
-    del K1, K2  # two (m, n) complex stacks, not kept through the stacked pass
+    del K1, K2  # workspace views, which the stacked pass overwrites
     h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
     proj = stage_projections(h, DtZ, G1, G2, len(z) > 0)
     b = compute_b(U, h, proj[0])

@@ -1,0 +1,106 @@
+"""The stage workspace of a grid: what a stage hands out is its own memory,
+and stepping through the Python API does not fault the stage's memory back
+in on every stage.
+
+Each grid keeps one buffer for the stacked transform passes and the pole
+kernel stacks of a right-hand-side stage (`GridSpec.workspace`).  A stage
+that wrote a result into it, or returned a view of it, would have that
+result overwritten by the next stage, while `_advance` still needs the
+earlier ones; so every array a stage returns must survive later stages bit
+for bit.
+"""
+
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vortexwavelab import sim
+from vortexwavelab.grid import GridSpec
+from vortexwavelab.sim import IntegratorConfig, make_initial, step_picard, step_rk4
+from vortexwavelab.taylor import PairConfig
+from vortexwavelab.waves import assemble, rhs
+
+ROOT = Path(__file__).resolve().parents[1]
+CANONICAL_PAIR = PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5)
+DERIVED_FIELDS = ("Z", "Z_alpha", "U_alpha", "F", "Q", "DtZ", "DtQ", "b", "A1", "A", "G")
+
+
+def rhs_arrays(result):
+    dW, dU, zdots = result
+    return dW.samples, dW.fft, dU.samples, dU.fft, zdots
+
+
+def derived_arrays(derived):
+    return tuple(getattr(derived, name).samples for name in DERIVED_FIELDS) + (derived.zdots,)
+
+
+def test_stage_results_survive_later_stages(monkeypatch):
+    # every stage's rhs result (samples and carried spectra) and every array
+    # of an assembly are unchanged, bit for bit, after the remaining stages
+    # of an RK4 and a Picard step and after an assembly of another state,
+    # and none of them is memory of the grid's workspace
+    grid = GridSpec(200.0, 2 ** 10)
+    start = make_initial("odd_bump", 1e-3, CANONICAL_PAIR, grid)
+    kept = []
+
+    def recording_rhs(state, derived=None):
+        result = rhs(state, derived)
+        kept.append((rhs_arrays(result), [a.tobytes() for a in rhs_arrays(result)]))
+        return result
+    monkeypatch.setattr(sim, "rhs", recording_rhs)
+    derived = assemble(start)
+    derived_bytes = [a.tobytes() for a in derived_arrays(derived)]
+    config = IntegratorConfig(dt=4e-3, t_end=4e-3, scheme="picard", picard_tol=1e-9)
+    after_rk4 = step_rk4(start, 4e-3)
+    step_picard(start, 4e-3, config)
+    assemble(after_rk4)
+    assert len(kept) >= 4 + 3                   # RK4's four stages, Picard's k0 and sweeps
+    workspace = grid.workspace()
+    for arrays, saved in kept + [(derived_arrays(derived), derived_bytes)]:
+        for a, b in zip(arrays, saved):
+            assert a.tobytes() == b
+            assert not np.shares_memory(a, workspace)
+
+
+# Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
+# default heap policy (no mallopt), 30 steps after one warm-up step.
+# Measured on Linux/glibc 2.36 with numpy 2.4: 120-380 per step (median
+# about 200) with the stage workspace, 1,500-2,600 without it (each stage's
+# transform and pole-kernel arrays handed back to the kernel and faulted in
+# again).
+# What remains comes from the arrays a step must own (its four rhs results
+# and stage states, every assembly's DerivedFields) and from np.fft's
+# per-call buffers: glibc trims the heap top once more than about 1 MB is
+# free there, and a step frees several.
+MAX_FAULTS_PER_STEP = 600
+
+CHILD = """
+import resource
+from vortexwavelab import grid, sim, taylor
+g = grid.GridSpec(200.0, 2 ** 14)
+pair = taylor.PairConfig(1.0, -12.0, %r)
+state = sim.step_rk4(sim.make_initial("odd_bump", 1e-3, pair, g), 2e-3)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(%d):
+    state = sim.step_rk4(state, 2e-3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="minor-fault counts of Linux")
+def test_library_steps_keep_their_memory():
+    steps = 30
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD % (CANONICAL_PAIR.lam, steps)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_step = int(proc.stdout.split()[-1]) / steps
+    assert per_step <= MAX_FAULTS_PER_STEP, "%.0f minor faults per RK4 step" % per_step
