@@ -11,136 +11,105 @@ sigma is the radius of convergence.  The radius schedule phi(t) =
 L0 - delta0*t shrinks linearly; the energy of a wave state is measured
 in the Yd x X pair at the current radius.
 
-Spectral differentiation amplifies the Nyquist band by k_max^n, so for
-under-resolved fields the computed per-order terms eventually grow with
-n for no analytic reason.  The partial sum is truncated once a term
-drops below TAIL_TOL times the running sum, and a report is flagged (and
-truncated) when a term jumps by more than GROWTH_RATIO past order 5 --
-the signature of round-off amplification rather than genuine norm
-content, which grows by bounded factors only (legitimate norms can have
-mildly increasing early terms, so a plain "any increase" rule would
-misfire on them).
+Since ||d^n f||^2 is the sum over modes of P(k) k^(2n), with P the power
+spectrum, each squared norm is one dot product: sum_k P(k) w(sigma k),
+with the per-mode weight w(s) = sum_{n<=N_MAX} c_n s^(2n)/(n!)^4 and c_n
+the kind's order coefficients (1, 1 from n = 1, n^2, or n^2 plus the L2
+term).  The sum runs over the resolved band only, from the mean up to
+the band edge: the first mode above the spectral peak at which the power
+of that mode and of the next falls below BAND_FLOOR of the peak.  Modes
+above it hold transform round-off, not data, and the weights (up to 1e60
+at the Nyquist mode of the canonical run) would turn that noise into
+percents of the norm.  One mode below the floor does not end the band:
+an odd field has an imaginary spectrum, whose sign changes dip single
+modes to any depth inside the data (at t = 0.72 of the canonical run, a
+mode of U falls below the floor before a lobe that reaches 2e-20 of the
+peak).  A field whose power never falls that low is not resolved by its
+grid; its band edge is the length of the half spectrum, n/2 + 1.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import RadiusExhaustedError
 from .grid import check_same_grid
-from .spectral import derivative
 
-_KINDS = ("X", "Xd", "Y", "Yd")
-TAIL_TOL = 1e-14
-GROWTH_RATIO = 10.0
+N_MAX = 40          # highest derivative order in the weights
+BAND_FLOOR = 1e-26  # power, relative to the peak, that ends the band
+
+
+def _weight_polynomial(c):
+    """Coefficients c(n)/(n!)^4 of the weight as a polynomial in s^2,
+    highest order first, as np.polyval takes them."""
+    return np.array([c(n) / math.factorial(n) ** 4 for n in range(N_MAX, -1, -1)])
+
+
+_WEIGHTS = {"X": _weight_polynomial(lambda n: 1),
+            "Xd": _weight_polynomial(lambda n: n >= 1),
+            "Y": _weight_polynomial(lambda n: n * n + (n == 0)),
+            "Yd": _weight_polynomial(lambda n: n * n)}
 
 
 @dataclass
 class GevreyParams:
-    """Radius schedule and series-truncation controls.
-
-    L0 must be at least 4 and delta0 positive; n_max caps the summation
-    order.  spectrum_floor gates out modes whose amplitude is below that
-    fraction of the spectral peak before differentiating: they carry
-    transform round-off, not data, and k_max^n would amplify them into
-    the sum long before the growth guard can fire.
-    """
+    """Radius schedule: L0 must be at least 4 and delta0 positive."""
 
     L0: float = 10.0
     delta0: float = 1000.0
-    n_max: int = 40
-    spectrum_floor: float = 1e-13
 
     def __post_init__(self):
         if self.L0 < 4:
             raise ValueError("L0 must be >= 4, got %g" % self.L0)
         if self.delta0 <= 0:
             raise ValueError("delta0 must be positive")
-        if self.n_max < 5:
-            raise ValueError("n_max must be >= 5")
 
 
 @dataclass
 class GevreyReport:
-    """Norm value together with the per-order contributions.
-
-    value**2 equals the sum of ``terms`` by construction; truncated_at is
-    the first order NOT included in the sum; roundoff_flag marks series
-    whose tail was cut because spectral round-off took over.
-    """
+    """Norm value and the band edge, the number of half-spectrum modes
+    (from the mean) that the sum covers; n/2 + 1 marks a field that its
+    grid does not resolve."""
 
     value: float
-    terms: list = field(default_factory=list)
-    truncated_at: int = 0
-    roundoff_flag: bool = False
-
-    def to_dict(self):
-        return {"value": self.value,
-                "truncated_at": self.truncated_at,
-                "roundoff_flag": self.roundoff_flag}
+    band_edge: int
 
 
-def _derivative_l2sq(f, n_max, floor=0.0):
-    """||d^n f||_L2^2 for n = 0..n_max via the power spectrum; modes below
-    ``floor`` times the peak amplitude are dropped as round-off; the half
-    spectrum's modes 0 < k < k_max count twice, for +-k."""
+def power_spectrum(f):
+    """Half-spectrum power of a field, scaled so that its sum is
+    ||f||_L2^2: the modes 0 < k < k_max count twice, for +-k, and a
+    complex field adds the power of its real and imaginary parts."""
     grid = f.grid
     power = (np.abs(f.fft) ** 2) * (grid.spacing / grid.n_points)
     if power.ndim == 2:
-        power = power.sum(axis=0)            # real and imaginary parts
-    if floor > 0.0 and power.size:
-        power[power < power.max() * floor * floor] = 0.0
+        power = power.sum(axis=0)
     power[1:-1] *= 2.0
-    k2 = grid.wavenumbers ** 2
-    out = np.empty(n_max + 1)
-    acc = power.copy()
-    out[0] = acc.sum()
-    for n in range(1, n_max + 1):
-        acc *= k2
-        out[n] = acc.sum()
-    return out
+    return power
 
 
-def gevrey_norm(f, sigma, kind, params=None):
+def _norm(power, wavenumbers, sigma, kind):
+    """The kind's Gevrey norm of a half-spectrum power at radius sigma."""
+    peak = int(np.argmax(power))
+    below = power[peak:] <= BAND_FLOOR * power[peak]
+    ends = np.flatnonzero(below[:-1] & below[1:])
+    edge = peak + int(ends[0]) if ends.size else power.size
+    weight = np.polyval(_WEIGHTS[kind], (sigma * wavenumbers[:edge]) ** 2)
+    return GevreyReport(value=float(np.sqrt(np.sum(power[:edge] * weight))),
+                        band_edge=edge)
+
+
+def gevrey_norm(f, sigma, kind):
     """Gevrey-2 norm of a field; returns a :class:`GevreyReport`.
 
     kind is one of "X", "Xd", "Y", "Yd" (dots = homogeneous variants).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive, got %g" % sigma)
-    params = params or GevreyParams()
-    if kind not in _KINDS:
-        raise ValueError("kind must be one of %s" % (_KINDS,))
-
-    d2 = _derivative_l2sq(f, params.n_max, floor=params.spectrum_floor)
-    log_sigma = np.log(sigma)
-    terms = []
-    total = 0.0
-    flagged = False
-    n_start = 0 if kind in ("X", "Y") else 1
-    truncated_at = params.n_max + 1
-    prev = None
-    for n in range(n_start, params.n_max + 1):
-        log_w = 2.0 * n * log_sigma - 4.0 * gammaln(n + 1.0)
-        t = float(np.exp(log_w) * d2[n])
-        if kind in ("Y", "Yd"):
-            t *= n * n
-            if kind == "Y" and n == 0:
-                t = float(d2[0])  # the plain L2 term
-        if prev is not None and n > 5 and t > GROWTH_RATIO * prev and t > 0:
-            flagged = True
-            truncated_at = n
-            break
-        terms.append(t)
-        total += t
-        if t <= TAIL_TOL * total and n > n_start:
-            truncated_at = n + 1
-            break
-        prev = t
-    return GevreyReport(value=float(np.sqrt(total)), terms=terms,
-                        truncated_at=min(truncated_at, params.n_max + 1),
-                        roundoff_flag=flagged)
+    if kind not in _WEIGHTS:
+        raise ValueError("kind must be one of %s" % (tuple(_WEIGHTS),))
+    return _norm(power_spectrum(f), f.grid.wavenumbers, sigma, kind)
 
 
 def radius(t, params):
@@ -158,21 +127,21 @@ def radius(t, params):
 def energy(W, U, t, params):
     """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius phi(t).
 
-    The weights sigma^(2n) make E sensitive to round-off in the high
-    modes: on states of the canonical transition run at t <= 0.24, 1e-14
-    relative noise on W and U moves E by up to 4.9e-2 relative at L0 = 10
-    (7.5e-2 with more noise draws), but by at most about 5e-5 at L0 = 4,
-    which ``tests/test_gevrey.py`` pins below 1e-4.  So near the AS2 cap
-    a change that only reorders round-off can flip the flag at L0 = 10.
+    The power of dW/da is k^2 times that of W.  Summed over the resolved
+    band only, E does not see the round-off in the modes above it: on
+    states of the canonical transition run at t <= 0.24, 1e-14 relative
+    noise on W and U moves E by at most 1.1e-13 relative at L0 = 10 and
+    5e-15 at L0 = 4, which ``tests/test_gevrey.py`` pins below 1e-10.
     """
-    check_same_grid(W, U)
+    grid = check_same_grid(W, U)
     phi = radius(t, params)
-    eu = gevrey_norm(U, phi, "Yd", params).value
-    ew = gevrey_norm(derivative(W), phi, "X", params).value
+    k = grid.wavenumbers
+    eu = _norm(power_spectrum(U), k, phi, "Yd").value
+    ew = _norm(power_spectrum(W) * k * k, k, phi, "X").value
     return 0.5 * (eu * eu + ew * ew)
 
 
-def embedding_bound(f, sigma, n, params=None):
+def embedding_bound(f, sigma, n):
     """Certified sup-norm bound for the n-th derivative:
 
         ||d^n f||_inf <= ( ((n+1)!)^2/sigma^(n+1) + (n!)^2/sigma^n ) ||f||_X_sigma
@@ -182,7 +151,7 @@ def embedding_bound(f, sigma, n, params=None):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    xnorm = gevrey_norm(f, sigma, "X", params).value
+    xnorm = gevrey_norm(f, sigma, "X").value
     c1 = np.exp(2.0 * gammaln(n + 2.0) - (n + 1.0) * np.log(sigma))
     c0 = np.exp(2.0 * gammaln(n + 1.0) - n * np.log(sigma))
     return float((c1 + c0) * xnorm)

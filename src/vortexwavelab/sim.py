@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteStateError, PicardDivergedError, VortexProximityError
-from .gevrey import GevreyParams, _derivative_l2sq, energy
+from .gevrey import GevreyParams, energy, power_spectrum
 from .grid import Field, field_from_function, zero_field
 from .spectral import low_pass
 from .waves import Vortex, WaveState, assemble, rhs
@@ -50,6 +50,8 @@ class IntegratorConfig:
             raise ValueError("scheme must be 'rk4' or 'picard'")
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
+        if self.picard_max_iter < 1 or self.picard_tol <= 0:
+            raise ValueError("picard_max_iter must be >= 1 and picard_tol positive")
 
 
 @dataclass
@@ -140,11 +142,13 @@ def step_rk4(state, dt, derived=None):
 
 
 def _h4_distance(s1, s2):
-    """Discrete H4 x H4 distance of (W, U) plus the vortex separation."""
+    """Discrete H4 x H4 distance of (W, U) plus the vortex separation: the
+    power of each difference weighted by 1 + k^2 + k^4 + k^6 + k^8."""
+    weight = np.polyval(np.ones(5), s1.grid.wavenumbers ** 2)
     total = 0.0
     for f1, f2 in ((s1.W, s2.W), (s1.U, s2.U)):
         diff = Field.with_spectrum(f1.grid, f1.samples - f2.samples, f1.fft - f2.fft)
-        total += _derivative_l2sq(diff, 4).sum()
+        total += np.sum(power_spectrum(diff) * weight)
     total += np.sum(np.abs(s1.positions - s2.positions) ** 2)
     return math.sqrt(total)
 

@@ -26,6 +26,16 @@ def test_criterion(name, fn, cache):
     assert passed, "%s failed: %s" % (name, detail)
 
 
+def test_canonical_as2_holds_until_t_0_192(cache):
+    # README: on the canonical run AS2 holds through t = 0.184 and first
+    # goes false at t = 0.192, when 2 E_gevrey passes its cap of 1
+    rows = cache.transition().records
+    first = next(i for i, r in enumerate(rows) if not r.as_flags["AS2"])
+    assert rows[first - 1].t == pytest.approx(0.184)
+    assert rows[first].t == pytest.approx(0.192)
+    assert 2.0 * rows[first - 1].E_gevrey <= 1.0 < 2.0 * rows[first].E_gevrey
+
+
 def test_check_times_ignore_wall_clock_steps(monkeypatch):
     # a wall clock stepping an hour per read (say, NTP correcting it) moves
     # neither C01's 1 s cap nor the seconds run_all reports

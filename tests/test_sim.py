@@ -47,6 +47,16 @@ def test_make_initial_variants(sim_grid):
         make_initial("odd_bump", -1.0, canonical_pair(), sim_grid)
 
 
+@pytest.mark.parametrize("kwargs", [dict(scheme="euler"), dict(dt=0.0), dict(t_end=-1.0),
+                                    dict(picard_max_iter=0), dict(picard_tol=0.0),
+                                    dict(picard_tol=-1e-9)])
+def test_integrator_config_validation(kwargs):
+    # a bad value fails where the config is built, with a named error,
+    # not later inside a step (picard_max_iter = 0 ran no sweep at all)
+    with pytest.raises(ValueError):
+        IntegratorConfig(**{"dt": 0.01, "t_end": 1.0, **kwargs})
+
+
 def test_make_initial_gevrey_scales_with_amplitude(sim_grid):
     p = GevreyParams(L0=10.0, delta0=1.0)
     e1 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 1e-3, None, sim_grid)), 0.0, p)
