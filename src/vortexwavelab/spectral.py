@@ -7,7 +7,9 @@ their half spectra are already known) and one stacked ``irfft``.  The
 operators over it are its one-field case: ik, |k|, the half-band mask and
 C = i sgn(k), each mapping real fields to real fields (a complex field
 goes through as two rows, its real and imaginary parts).  A right-hand
-side stage stacks its own rows instead (see :mod:`vortexwavelab.waves`).
+side stage stacks its own rows instead (see :mod:`vortexwavelab.waves`),
+and so do the singular quadratures: their trapezoid sums over a
+periodized kernel are circular convolutions, one pass each.
 The Hilbert transform H = iC is the multiplier -sgn(k), zero on the mean
 and Nyquist modes.  With the transform convention fhat(k) = integral
 f exp(-i k a), boundary values of functions holomorphic in the lower
@@ -202,19 +204,20 @@ def curve_derivative(Z):
 # ----------------------------------------------------------------------
 # singular quadratures
 
-def _circulant_rows(grid, kernel, rows):
-    """(i, K_i) for i in ``rows``, K_i[j] = kernel(alpha_i - alpha_j) off
-    the diagonal and 0 on it.  The periodized kernel depends on i - j mod n
-    only, so it is evaluated once, for row 0, and rolled by i.  It is
-    evaluated at the separation of least modulus: near +-2L its argument
-    would lose the relative accuracy of the near-diagonal cells."""
+def _circulant(grid, kernel, rows):
+    """(K r, S) for the real ``rows`` r: (K r)_i = sum_{j != i} K_ij r_j with
+    K_ij = kernel(alpha_i - alpha_j), a (k, n) view of the grid's workspace
+    (the next stacked pass overwrites it), and the row sum S = sum_{j != i} K_ij.
+    K depends on i - j mod n only, so K r is one :func:`apply_multiplier` pass
+    whose multiplier is the rfft of one kernel row, 0 on the diagonal and taken
+    at the separation of least modulus (near +-2L the argument would lose the
+    relative accuracy of the near-diagonal cells)."""
     n = grid.n_points
-    offsets = np.arange(1, n)
-    row0 = np.zeros(n, dtype=np.complex128)
-    row0[1:] = kernel(-grid.spacing * np.where(offsets <= n // 2, offsets, offsets - n),
-                      grid.half_length)
-    for i in rows:
-        yield i, np.roll(row0, i)
+    row = np.zeros(n)
+    row[1:] = kernel(grid.spacing * np.fft.fftfreq(n, 1.0 / n)[1:], grid.half_length).real
+    multiplier = np.fft.rfft(row)
+    out, _ = apply_multiplier(grid, (multiplier,) * len(rows), rows=rows, scratch=True)
+    return out, multiplier[0].real
 
 
 def sq_diff_rows(f):
@@ -224,8 +227,8 @@ def sq_diff_rows(f):
 
 
 def sq_diff_from_rows(f, lam_rows):
-    """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the |k| images of
-    the rows of :func:`sq_diff_rows`."""
+    """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the images of the rows
+    of :func:`sq_diff_rows` under a multiplier L (|k| on the spectral path)."""
     return f.real * lam_rows[0] + f.imag * lam_rows[1] - 0.5 * lam_rows[2]
 
 
@@ -239,10 +242,11 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     with L = |d/da| (three rows in one stacked pass, exact for resolved
     fields).
     method="quadrature" performs the trapezoid sum with the periodized
-    1/(a-b)^2 kernel and the diagonal cell set to its limit |f'(a)|^2;
-    ``out_indices`` restricts which grid points are evaluated (the full
-    quadrature is O(n^2)).  The two paths agree to aliasing level and are
-    cross-checked in the test suite.  The result is nonnegative.
+    1/(a-b)^2 kernel and the diagonal cell set to its limit |f'(a)|^2, as
+    S|f|^2 - 2 Re{conj(f) Kf} + K|f|^2 (:func:`_circulant`) over the same three
+    rows; ``out_indices``, if given, is returned with the field, whose points
+    it selects.  The two paths agree to aliasing level and are cross-checked
+    in the test suite.  The result is nonnegative.
     """
     grid = f.grid
     if method == "spectral":
@@ -251,17 +255,13 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)
 
-    idx = np.arange(grid.n_points) if out_indices is None else np.asarray(out_indices)
     fp = derivative(f).samples
-    out = np.zeros(grid.n_points)
-    h = grid.spacing
-    for i, kern in _circulant_rows(grid, periodic_square_kernel, idx):
-        diff2 = np.abs(f.samples[i] - f.samples) ** 2
-        total = np.sum(diff2 * kern.real) + np.abs(fp[i]) ** 2  # diagonal limit
-        out[i] = total * h / (2.0 * np.pi)
-    if out_indices is not None:
-        return Field(grid, out), idx
-    return Field(grid, out)
+    rows = sq_diff_rows(f.samples)
+    k_rows, k_sum = _circulant(grid, periodic_square_kernel, rows)
+    # sum_{j != i} |f_i - f_j|^2 K_ij plus the diagonal limit |f'_i|^2
+    total = k_sum * rows[2] - 2.0 * sq_diff_from_rows(f.samples, k_rows) + np.abs(fp) ** 2
+    out = Field(grid, total * (grid.spacing / (2.0 * np.pi)))
+    return out if out_indices is None else (out, np.asarray(out_indices))
 
 
 def pv_commutator(f, g):
@@ -269,29 +269,27 @@ def pv_commutator(f, g):
     (1/pi i) * integral (f(a) - f(b)) / (a - b) * g(b) db,
     periodized kernel, diagonal cell f'(a) g(a) / (pi i).
 
-    Agrees with f*Hg - H(fg) to quadrature accuracy; O(n^2), intended for
-    verification rather than the per-step assembly.
+    Over j != i the sum is f Kg - K(fg) (:func:`_circulant`, four rows in
+    one pass).  Agrees with f*Hg - H(fg) to quadrature accuracy; intended
+    for verification rather than the per-step assembly.
     """
     grid = check_same_grid(f, g)
-    h = grid.spacing
     fp = derivative(f).samples
-    out = np.empty(grid.n_points, dtype=np.complex128)
-    for i, kern in _circulant_rows(grid, periodic_cauchy_kernel, range(grid.n_points)):
-        total = np.sum((f.samples[i] - f.samples) * kern * g.samples)
-        total += fp[i] * g.samples[i]  # diagonal limit of the difference quotient
-        out[i] = total * h / (1j * np.pi)
-    return Field(grid, out)
+    fg = f.samples * g.samples
+    k_rows, _ = _circulant(grid, periodic_cauchy_kernel,
+                           (g.samples.real, g.samples.imag, fg.real, fg.imag))
+    total = f.samples * (k_rows[0] + 1j * k_rows[1]) - (k_rows[2] + 1j * k_rows[3]) \
+        + fp * g.samples
+    return Field(grid, total * (grid.spacing / (1j * np.pi)))
 
 
 def hilbert_quadrature(f):
-    """H f by principal-value trapezoid (difference form removes the
-    singularity); verification-grade O(n^2) companion to :func:`hilbert`."""
+    """H f by principal-value trapezoid in the difference form
+    sum_{j != i} (f_j - f_i) K_ij = Kf - Sf (:func:`_circulant`), which removes
+    the singularity; verification-grade companion to :func:`hilbert`."""
     grid = f.grid
-    h = grid.spacing
     fp = derivative(f).samples
-    out = np.empty(grid.n_points, dtype=np.complex128)
-    for i, kern in _circulant_rows(grid, periodic_cauchy_kernel, range(grid.n_points)):
-        total = np.sum((f.samples - f.samples[i]) * kern)
-        total += -fp[i]  # limit of (f(b)-f(a)) * kernel(a-b) as b -> a
-        out[i] = total * h / (1j * np.pi)
-    return Field(grid, out)
+    k_rows, k_sum = _circulant(grid, periodic_cauchy_kernel, (f.samples.real, f.samples.imag))
+    # Kf - Sf, and the diagonal cell: the limit -f'(a) of (f(b)-f(a)) * kernel(a-b)
+    total = k_rows[0] + 1j * k_rows[1] - k_sum * f.samples - fp
+    return Field(grid, total * (grid.spacing / (1j * np.pi)))

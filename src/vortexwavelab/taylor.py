@@ -51,6 +51,9 @@ class PairConfig:
     lam: float
 
     def __post_init__(self):
+        for name in ("x", "y", "lam"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite" % name)
         if np.any(self.x <= 0):
             raise ValueError("x must be positive")
         if np.any(self.y >= 0):
@@ -75,8 +78,8 @@ def g_profile(k):
 
 
 def f_reduced(gamma, k):
-    """Reduced stability profile f(gamma, k) = 1 - gamma*g(k)."""
-    if gamma < 0:
+    """Reduced stability profile f(gamma, k) = 1 - gamma*g(k), broadcast."""
+    if np.any(np.asarray(gamma) < 0):
         raise ValueError("gamma must be nonnegative")
     return 1.0 - gamma * g_profile(k)
 

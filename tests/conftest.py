@@ -13,7 +13,7 @@ def grid():
 
 @pytest.fixture(scope="session")
 def small_grid():
-    """Cheap grid for O(n^2) quadrature cross-checks."""
+    """Cheap grid for the quadrature cross-checks."""
     return GridSpec(200.0, 2 ** 10)
 
 

@@ -15,7 +15,8 @@ from vortexwavelab.grid import Field, GridSpec, constant_field, field_from_funct
 from vortexwavelab.spectral import (cauchy_velocity, commutator_hilbert,
                                     derivative, hilbert, hilbert_quadrature,
                                     lambda_op, low_pass, periodic_cauchy_kernel,
-                                    pv_commutator, sq_diff_integral)
+                                    periodic_square_kernel, pv_commutator,
+                                    sq_diff_integral)
 
 from conftest import band_limited, mean_zero, per_pole
 
@@ -238,6 +239,40 @@ def test_sq_diff_quadrature_path_matches_spectral(small_grid):
     quad_f = sq_diff_integral(f, method="quadrature").samples.real
     assert np.max(np.abs(spec - quad_f)) <= 1e-10
     assert np.min(spec) >= -1e-13          # nonnegative pointwise
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_quadratures_match_a_pairwise_double_loop(complex_input):
+    # each quadrature against its definition summed cell by cell over (i, j),
+    # the diagonal cell included: a reference that does not go through the
+    # convolution theorem
+    grid = GridSpec(4.0, 32)
+    rng = np.random.default_rng(11)
+
+    def field():
+        f = band_limited(grid, rng, modes=6)
+        if complex_input:
+            f = Field(grid, f.samples + 1j * band_limited(grid, rng, modes=6).samples)
+        return f
+    f, g = field(), field()
+    a, fs, gs, fp = grid.alpha, f.samples, g.samples, derivative(f).samples
+    n, h, L = grid.n_points, grid.spacing, grid.half_length
+    sq, pv, hq = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                sq[i] += abs(fp[i]) ** 2
+                pv[i] += fp[i] * gs[i]
+                hq[i] -= fp[i]
+                continue
+            k1 = periodic_cauchy_kernel(a[i] - a[j], L)
+            sq[i] += abs(fs[i] - fs[j]) ** 2 * periodic_square_kernel(a[i] - a[j], L).real
+            pv[i] += (fs[i] - fs[j]) * k1 * gs[j]
+            hq[i] += (fs[j] - fs[i]) * k1
+    for got, ref in ((sq_diff_integral(f, method="quadrature"), sq * h / (2 * np.pi)),
+                     (pv_commutator(f, g), pv * h / (1j * np.pi)),
+                     (hilbert_quadrature(f), hq * h / (1j * np.pi))):
+        assert np.max(np.abs(got.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,14 @@ def test_pair_config_validation():
         PairConfig(-1.0, -2.0, 1.0)
     with pytest.raises(ValueError):
         PairConfig(1.0, 2.0, 1.0)
+    # a non-finite field is named, before eigvals or make_initial sees it
+    for bad in ("x", "y", "lam"):
+        for value in (math.nan, math.inf, -math.inf):
+            fields = {"x": 1.0, "y": -1.0, "lam": 1.0, bad: value}
+            with pytest.raises(ValueError, match="%s must be finite" % bad):
+                inf_a1_flat(PairConfig(**fields))
+    with pytest.raises(ValueError, match="x must be finite"):
+        PairConfig(np.array([1.0, math.nan]), -1.0, 1.0)
 
 
 def test_g_profile_extrema_exact():
@@ -39,6 +47,12 @@ def test_f_reduced_trichotomy():
     assert f_reduced(4.1, 1.0) < 0
     with pytest.raises(ValueError):
         f_reduced(-1.0, 0.0)
+    # gamma broadcasts like k
+    gammas = np.array([1.0, 4.0, 5.0])
+    assert np.array_equal(f_reduced(gammas, 1.0), 1.0 - gammas / 4.0)
+    assert f_reduced(gammas[:, None], k[None, :3]).shape == (3, 3)
+    with pytest.raises(ValueError):
+        f_reduced(np.array([1.0, -5.0]), 1.0)
 
 
 def test_a1_flat_pair_headline_value():

@@ -183,7 +183,7 @@ def test_b_residual_bound_generic(grid):
 
 def test_b0_matches_pv_quadrature(small_grid):
     # dual path for the wave part of b: multiplier-form commutator against
-    # the O(n^2) principal-value quadrature
+    # the principal-value trapezoid quadrature
     rng = np.random.default_rng(32)
     U = band_limited(small_grid, rng, modes=16, scale=0.05)
     W = band_limited(small_grid, rng, modes=16, scale=0.05)

@@ -23,6 +23,7 @@ import pytest
 from vortexwavelab import sim
 from vortexwavelab.grid import GridSpec
 from vortexwavelab.sim import IntegratorConfig, make_initial, step_picard, step_rk4
+from vortexwavelab.spectral import hilbert_quadrature, pv_commutator, sq_diff_integral
 from vortexwavelab.taylor import PairConfig
 from vortexwavelab.waves import assemble, rhs
 
@@ -66,6 +67,25 @@ def test_stage_results_survive_later_stages(monkeypatch):
         for a, b in zip(arrays, saved):
             assert a.tobytes() == b
             assert not np.shares_memory(a, workspace)
+
+
+def test_quadratures_and_stages_keep_each_others_results():
+    # the quadratures' circulant pass writes into the same workspace as a
+    # stage: a quadrature result survives a later assembly and rhs, and an
+    # assembly made before the quadratures survives them, bit for bit
+    grid = GridSpec(200.0, 2 ** 10)
+    start = make_initial("odd_bump", 1e-3, CANONICAL_PAIR, grid)
+    derived = assemble(start)
+    derived_bytes = [a.tobytes() for a in derived_arrays(derived)]
+    results = [sq_diff_integral(derived.F, method="quadrature"),
+               pv_commutator(start.W, derived.F), hilbert_quadrature(derived.Z_alpha)]
+    saved = [r.samples.tobytes() for r in results]
+    assert [a.tobytes() for a in derived_arrays(derived)] == derived_bytes
+    rhs(start, assemble(start))
+    workspace = grid.workspace()
+    for r, b in zip(results, saved):
+        assert r.samples.tobytes() == b
+        assert not np.shares_memory(r.samples, workspace)
 
 
 # Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
