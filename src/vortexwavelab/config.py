@@ -160,10 +160,9 @@ def build_run_inputs(cfg):
     integrator = IntegratorConfig(dt=cfg.get("time.dt"),
                                   t_end=cfg.get("time.t_end"),
                                   scheme=cfg.get("time.scheme"))
-    L0, delta0, t_end = cfg.get("gevrey.L0"), cfg.get("gevrey.delta0"), integrator.t_end
-    if delta0 is None:  # phi reaches L0/2, the edge of AS5, at t_end
-        delta0 = L0 / (2.0 * t_end) if t_end > 0 else 1.0
-    gevrey = GevreyParams(L0=L0, delta0=delta0)
+    L0, delta0 = cfg.get("gevrey.L0"), cfg.get("gevrey.delta0")
+    gevrey = (GevreyParams.halving_at(integrator.t_end, L0) if delta0 is None
+              else GevreyParams(L0, delta0))
     eta1 = cfg.get("monitor.eta1")
     return grid, state, integrator, gevrey, eta1, cfg.get("output.stride")
 

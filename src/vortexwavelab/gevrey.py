@@ -55,16 +55,29 @@ _WEIGHTS = {"X": _weight_polynomial(lambda n: 1),
 
 @dataclass
 class GevreyParams:
-    """Radius schedule: L0 must be at least 4 and delta0 positive."""
+    """Radius schedule phi(t) = L0 - delta0*t: L0 must be at least 4 and
+    delta0 positive, both finite."""
 
-    L0: float = 10.0
-    delta0: float = 1000.0
+    L0: float
+    delta0: float
 
     def __post_init__(self):
+        for name in ("L0", "delta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.L0 < 4:
             raise ValueError("L0 must be >= 4, got %g" % self.L0)
         if self.delta0 <= 0:
             raise ValueError("delta0 must be positive")
+
+    @classmethod
+    def halving_at(cls, t_end, L0=10.0):
+        """The schedule whose radius reaches L0/2, the edge of AS5, at
+        t_end (delta0 = 1 for t_end = 0)."""
+        return cls(L0, L0 / (2.0 * t_end) if t_end > 0 else 1.0)
+
+    def phi(self, t):
+        return self.L0 - self.delta0 * t
 
 
 @dataclass
@@ -113,11 +126,11 @@ def gevrey_norm(f, sigma, kind):
 
 
 def radius(t, params):
-    """phi(t) = L0 - delta0*t.  Raises once the radius is exhausted;
-    callers who need phi >= L0/2 must keep t <= L0/(2*delta0)."""
+    """The schedule's radius phi(t), for t >= 0.  Raises once the radius
+    is exhausted; callers who need phi >= L0/2 must keep t <= L0/(2*delta0)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    phi = params.L0 - params.delta0 * t
+    phi = params.phi(t)
     if phi <= 0:
         raise RadiusExhaustedError("radius exhausted at t=%g (L0=%g, delta0=%g)"
                                    % (t, params.L0, params.delta0))

@@ -22,7 +22,7 @@ gravity wave is 1/sqrt(A k_max)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,20 +48,13 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in ("rk4", "picard"):
             raise ValueError("scheme must be 'rk4' or 'picard'")
+        for name in ("dt", "t_end", "picard_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
         if self.picard_max_iter < 1 or self.picard_tol <= 0:
             raise ValueError("picard_max_iter must be >= 1 and picard_tol positive")
-
-
-@dataclass
-class Baseline:
-    """Initial-state quantities the runtime assumption checks compare
-    against."""
-
-    chord_arc0: float
-    d_I0: float
-    x0: float
 
 
 def make_initial(kind, amplitude, pair, grid):
@@ -218,10 +211,6 @@ class StepRecord:
     picard_iters: object  # int, or None for rk4
     as_flags: dict
 
-    COLUMNS = ("t", "x1", "y1", "x2", "y2", "d_I", "inf_A1", "argmin_alpha",
-               "E_gevrey", "phi", "chord_arc", "U_L2", "U_inf",
-               "b_residual", "symmetry_defect", "picard_iters")
-
     def csv_row(self):
         vals = []
         for name in self.COLUMNS:
@@ -233,48 +222,49 @@ class StepRecord:
         return ",".join(vals)
 
 
-def monitor(state, derived=None, gevrey_params=None, baseline=None):
+StepRecord.COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "as_flags")
+
+
+def monitor(state, gevrey_params, derived=None, first=None):
     """The trajectory row of one state, with ``picard_iters`` None.
 
-    The assumption flags are advisory (vortex-interface proximity is
-    checked separately and is fatal): AS1 all quantities finite; AS2 the
-    homogeneous energy pair, ||U||_L2 and ||U||_inf within AS2_CAP; AS3
-    chord-arc at least half its initial value; AS4 vortex-interface
-    distance at least half of d_I(0)^(9/10) and half-separation at least
-    half its initial value; AS5 radius phi(t) still at least L0/2.
+    ``first`` is the run's t = 0 row; a state monitored without one is
+    its own first row.  The assumption flags are advisory
+    (vortex-interface proximity is checked separately and is fatal): AS1
+    all quantities finite; AS2 the homogeneous energy pair, ||U||_L2 and
+    ||U||_inf within AS2_CAP; AS3 chord-arc at least half of the first
+    row's; AS4 vortex-interface distance at least half of the first
+    row's d_I^(9/10) and half-separation |x2| at least half of the first
+    row's; AS5 radius phi(t) still at least L0/2.  AS2 and AS5 allow
+    1e-12 of round-off (AS5 relative to L0), so that a run whose
+    schedule reaches L0/2 at t_end keeps AS5 on its last row.
     """
     derived = derived if derived is not None else assemble(state)
-    params = gevrey_params or GevreyParams()
-    phi = params.L0 - params.delta0 * state.t
-    if phi > 0:
-        E = energy(state.W, state.U, state.t, params)
-    else:
-        E = math.nan
-    u_l2 = state.U.l2_norm()
-    u_inf = state.U.sup_norm()
+    phi = gevrey_params.phi(state.t)
+    E = energy(state.W, state.U, state.t, gevrey_params) if phi > 0 else math.nan
+    nan = complex(math.nan, math.nan)
+    z1, z2 = state.positions if len(state.vortices) == 2 else (nan, nan)
+    row = StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
+                     d_I=derived.d_I, inf_A1=derived.inf_A1,
+                     argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
+                     chord_arc=derived.chord_arc, U_L2=state.U.l2_norm(),
+                     U_inf=state.U.sup_norm(), b_residual=derived.b_residual,
+                     symmetry_defect=symmetry_defect(state), picard_iters=None,
+                     as_flags={})
+    first = row if first is None else first
     finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
         and all(np.isfinite([derived.d_I if state.vortices else 0.0,
                              derived.inf_A1, derived.b_residual]))
-    as3 = as4 = True
-    if baseline is not None:
-        as3 = derived.chord_arc >= 0.5 * baseline.chord_arc0
-        as4 = derived.d_I >= 0.5 * baseline.d_I0 ** 0.9 if state.vortices else True
-        if len(state.vortices) == 2:
-            as4 = as4 and abs(state.vortices[1].position.real) >= 0.5 * baseline.x0
-    flags = {"AS1": bool(finite),
-             "AS2": (not math.isnan(E) and 2.0 * E <= AS2_CAP + 1e-12
-                     and u_l2 <= AS2_CAP and u_inf <= AS2_CAP),
-             "AS3": bool(as3), "AS4": bool(as4),
-             "AS5": bool(phi >= params.L0 / 2.0)}
-    nan = complex(math.nan, math.nan)
-    z1, z2 = state.positions if len(state.vortices) == 2 else (nan, nan)
-    return StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
-                      d_I=derived.d_I, inf_A1=derived.inf_A1,
-                      argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
-                      chord_arc=derived.chord_arc, U_L2=u_l2, U_inf=u_inf,
-                      b_residual=derived.b_residual,
-                      symmetry_defect=symmetry_defect(state), picard_iters=None,
-                      as_flags=flags)
+    as4 = derived.d_I >= 0.5 * first.d_I ** 0.9 if state.vortices else True
+    if len(state.vortices) == 2:
+        as4 = as4 and abs(row.x2) >= 0.5 * abs(first.x2)
+    row.as_flags.update(
+        AS1=bool(finite),
+        AS2=(not math.isnan(E) and 2.0 * E <= AS2_CAP + 1e-12
+             and row.U_L2 <= AS2_CAP and row.U_inf <= AS2_CAP),
+        AS3=bool(row.chord_arc >= 0.5 * first.chord_arc), AS4=bool(as4),
+        AS5=bool(phi + 1e-12 * gevrey_params.L0 >= gevrey_params.L0 / 2.0))
+    return row
 
 
 @dataclass
@@ -293,7 +283,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     state that is no longer finite (reason "non_finite", raised by
     :func:`waves.assemble` for W, U and the vortex positions).
     """
-    params = gevrey_params or GevreyParams()
+    params = gevrey_params or GevreyParams.halving_at(integrator.t_end)
     n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
     records = []
 
@@ -302,9 +292,8 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
 
     try:
         derived = assemble(state)
-        baseline = Baseline(chord_arc0=derived.chord_arc, d_I0=derived.d_I,
-                            x0=abs(state.vortices[-1].position.real) if state.vortices else 0.0)
-        records.append(monitor(state, derived, params, baseline))
+        first = monitor(state, params, derived)
+        records.append(first)
         for step_index in range(1, n_steps + 1):
             if state.vortices and derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:
                 return stop("vortex_proximity", "d_I=%g below %g spacings"
@@ -323,7 +312,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
             last = step_index == n_steps
             hit = eta1 is not None and derived.inf_A1 <= -eta1
             if step_index % stride == 0 or last or hit:
-                record = monitor(state, derived, params, baseline)
+                record = monitor(state, params, derived, first)
                 record.picard_iters = picard_iters
                 records.append(record)
             if hit:

@@ -9,7 +9,7 @@ from vortexwavelab.cli import main
 from vortexwavelab.config import (ScenarioConfig, build_run_inputs, run_scenario, sweep_rows,
                                   write_trajectory)
 from vortexwavelab.errors import ConfigError
-from vortexwavelab.sim import StepRecord
+from vortexwavelab.sim import IntegratorConfig, StepRecord, run_simulation
 
 MINI_RUN = """
 # coarse, short, strength zero: nothing moves
@@ -199,6 +199,19 @@ def test_derived_delta0_keeps_the_radius_to_t_end():
     delta0 = build_run_inputs(at_rest)[3].delta0
     assert math.isfinite(delta0) and delta0 > 0
     assert run_scenario(at_rest).exit_reason == "completed"
+
+
+def test_run_simulation_defaults_to_the_config_schedule():
+    # run_simulation without gevrey_params and a config without
+    # gevrey.delta0 share one schedule: phi reaches L0/2 at t_end
+    cfg = ScenarioConfig.parse(TRANSITION_MINI.replace("gevrey.delta0 = 5\n", "")
+                               .replace("time.t_end = 0.5", "time.t_end = 0.04"))
+    _, state, integrator, _, _, _ = build_run_inputs(cfg)
+    lib = run_simulation(state, IntegratorConfig(integrator.dt, integrator.t_end))
+    rows = run_scenario(cfg).records
+    assert len(rows) == 21
+    assert [r.phi for r in lib.records] == [r.phi for r in rows]
+    assert all(math.isfinite(r.E_gevrey) for r in lib.records)
 
 
 def test_run_scenario_picard_records_iterations():

@@ -18,9 +18,14 @@ from conftest import band_limited, mean_zero, per_pole
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GevreyParams(L0=2.0)
+        GevreyParams(L0=2.0, delta0=1.0)
     with pytest.raises(ValueError):
-        GevreyParams(delta0=0.0)
+        GevreyParams(L0=10.0, delta0=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="L0 must be finite"):
+            GevreyParams(L0=bad, delta0=1.0)
+        with pytest.raises(ValueError, match="delta0 must be finite"):
+            GevreyParams(L0=10.0, delta0=bad)
     assert [f.name for f in dataclasses.fields(GevreyParams)] == ["L0", "delta0"]
 
 
@@ -132,6 +137,9 @@ def test_radius_schedule():
         radius(0.011, p)
     with pytest.raises(ValueError):
         radius(-1.0, p)
+    half = GevreyParams.halving_at(0.6, L0=8.0)
+    assert half.phi(0.0) == 8.0 and half.phi(0.6) == pytest.approx(4.0, rel=1e-15)
+    assert GevreyParams.halving_at(0.0).L0 == 10.0
 
 
 def test_energy_zero_and_w_only(grid):

@@ -49,11 +49,14 @@ def test_make_initial_variants(sim_grid):
 
 @pytest.mark.parametrize("kwargs", [dict(scheme="euler"), dict(dt=0.0), dict(t_end=-1.0),
                                     dict(picard_max_iter=0), dict(picard_tol=0.0),
-                                    dict(picard_tol=-1e-9)])
+                                    dict(picard_tol=-1e-9), dict(dt=math.nan),
+                                    dict(t_end=math.nan), dict(t_end=math.inf),
+                                    dict(dt=math.inf), dict(picard_tol=math.nan)])
 def test_integrator_config_validation(kwargs):
-    # a bad value fails where the config is built, with a named error,
-    # not later inside a step (picard_max_iter = 0 ran no sweep at all)
-    with pytest.raises(ValueError):
+    # a bad value fails where the config is built, with an error that
+    # names it, not later inside a step (picard_max_iter = 0 ran no sweep
+    # at all; a NaN t_end failed converting the step count to int)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         IntegratorConfig(**{"dt": 0.01, "t_end": 1.0, **kwargs})
 
 
@@ -217,6 +220,30 @@ def test_radius_exhaustion_marks_energy_nan(sim_grid):
     assert math.isnan(res.records[-1].E_gevrey)
     assert not monitor(res.final_state, gevrey_params=GevreyParams(
         L0=10.0, delta0=1000.0)).as_flags["AS5"]
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.004, 0.12), (0.004, 0.6), (0.01, 0.03)])
+def test_default_schedule_keeps_as5_to_t_end(sim_grid, dt, t_end):
+    # without gevrey_params the radius reaches L0/2 at t_end; t adds up
+    # past t_end by round-off (0.6000000000000004), which AS5's slack
+    # absorbs, and E stays finite on every row
+    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=-2 * math.pi * 6.75 ** 1.5,
+                                                      y=-12.0), sim_grid)
+    res = run_simulation(s, IntegratorConfig(dt=dt, t_end=t_end), stride=10)
+    assert res.exit_reason == "completed"
+    assert res.records[-1].t == pytest.approx(t_end)
+    assert res.records[-1].phi == pytest.approx(5.0)
+    assert all(r.as_flags["AS5"] and math.isfinite(r.E_gevrey) for r in res.records)
+
+
+def test_as5_slack_is_round_off_only(sim_grid):
+    p = GevreyParams(L0=10.0, delta0=1.0)
+
+    def as5(t):
+        return monitor(WaveState(zero_field(sim_grid), zero_field(sim_grid), (), t),
+                       p).as_flags["AS5"]
+    assert as5(5.0 + 4e-15)                # phi a few ulps below L0/2
+    assert not as5(5.0 + 1e-9 * p.L0)      # phi 1e-9 L0 below L0/2
 
 
 def _nan_W(state):
