@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .gevrey import GevreyParams, gevrey_norm
 from .grid import Field, GridSpec, field_from_function
@@ -203,6 +202,8 @@ def check_deep_pair_limit(cache):
 
 
 def check_linear_dispersion(cache):
+    from scipy.optimize import curve_fit  # scipy is a verification dependency only
+
     t_start = time.perf_counter()
     grid = GridSpec(200.0, 2 ** 12)
     state = make_initial("odd_bump", 1e-6, None, grid)

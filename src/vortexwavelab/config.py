@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .gevrey import GevreyParams
+from .gevrey import DEFAULT_L0, GevreyParams
 from .grid import GridSpec
 from .sim import IntegratorConfig, StepRecord, make_initial, run_simulation
 from .taylor import PairConfig, inf_a1_flat_rows
@@ -52,7 +52,7 @@ _KEYS = {
     "wave.kind": (str, "zero_wave", lambda v: v in ("zero_wave", "odd_bump"),
                   "zero_wave or odd_bump"),
     "wave.amplitude": (float, 0.0, lambda v: v >= 0, "nonnegative"),
-    "gevrey.L0": (float, 10.0, lambda v: v >= 4, "at least 4"),
+    "gevrey.L0": (float, DEFAULT_L0, lambda v: v >= 4, "at least 4"),
     "gevrey.delta0": (float, None, lambda v: v > 0, "positive"),
     "time.dt": (float, REQUIRED, lambda v: v > 0, "positive"),
     "time.t_end": (float, REQUIRED, lambda v: v >= 0, "nonnegative"),

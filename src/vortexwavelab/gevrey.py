@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import RadiusExhaustedError
 from .grid import check_same_grid
 
 N_MAX = 40          # highest derivative order in the weights
+DEFAULT_L0 = 10.0   # initial radius of the library's and the CLI's default schedule
 BAND_FLOOR = 1e-26  # power, relative to the peak, that ends the band
 
 
@@ -71,7 +71,7 @@ class GevreyParams:
             raise ValueError("delta0 must be positive")
 
     @classmethod
-    def halving_at(cls, t_end, L0=10.0):
+    def halving_at(cls, t_end, L0=DEFAULT_L0):
         """The schedule whose radius reaches L0/2, the edge of AS5, at
         t_end (delta0 = 1 for t_end = 0)."""
         return cls(L0, L0 / (2.0 * t_end) if t_end > 0 else 1.0)
@@ -165,6 +165,6 @@ def embedding_bound(f, sigma, n):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     xnorm = gevrey_norm(f, sigma, "X").value
-    c1 = np.exp(2.0 * gammaln(n + 2.0) - (n + 1.0) * np.log(sigma))
-    c0 = np.exp(2.0 * gammaln(n + 1.0) - n * np.log(sigma))
+    c1 = np.exp(2.0 * math.lgamma(n + 2.0) - (n + 1.0) * math.log(sigma))
+    c0 = np.exp(2.0 * math.lgamma(n + 1.0) - n * math.log(sigma))
     return float((c1 + c0) * xnorm)

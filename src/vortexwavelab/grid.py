@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GridMismatchError
 
 
-STACK_ROWS = 7  # rows of the largest stacked pass of a stage (waves.stage_projections)
+STACK_ROWS = 6  # rows of a stage's largest stacked pass, the inverse pass of waves.reconstruct
 
 
 class GridSpec:
@@ -64,7 +64,8 @@ class GridSpec:
         """The grid's stage workspace, a flat complex128 buffer of at least
         ``size`` values that also holds the largest stacked pass of a stage:
         STACK_ROWS float64 rows of n samples followed by their STACK_ROWS
-        complex half spectra (see :func:`spectral.transform_buffers`).  It
+        complex half spectra (see :func:`spectral.transform_buffers`), that
+        is 6 (n + 1) complex values (1.6 MB at n = 2^14).  It
         is allocated on first use, not with the grid, and grows, never
         shrinks, when a caller needs more.  Its contents belong to whoever
         wrote them last: the next stacked pass overwrites them, so two

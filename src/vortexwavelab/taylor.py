@@ -37,7 +37,6 @@ or negative root still gives a real a, which can only lose the comparison.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass
@@ -206,6 +205,8 @@ def residue_pair_integral(w1, w2):
 def residue_pair_integral_quad(w1, w2):
     """Adaptive-quadrature companion of :func:`residue_pair_integral`,
     integrating over the whole real line."""
+    from scipy.integrate import quad  # scipy is a verification dependency only
+
     if np.imag(w1) >= 0 or np.imag(w2) >= 0:
         raise ValueError("both points must lie strictly below the real line")
     w2c = np.conj(w2)

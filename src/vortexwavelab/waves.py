@@ -22,16 +22,17 @@ arrays, and every vortex term is array algebra over the (m, n) stacks of
 the periodized pole kernels, taken from one complex exponential over the
 grid (:func:`pole_kernels`).
 
-A stage (:func:`assemble` then :func:`rhs`) runs its transforms in three
-stacked passes of :func:`spectral.apply_multiplier`, ordered by what each
-needs:
+A stage (:func:`assemble` then :func:`rhs`) runs 16 real transforms (14
+without vortices) in three stacked passes of
+:func:`spectral.apply_multiplier`, ordered by what each needs:
 
-1. one inverse pass from the spectra of W and U, which the steppers carry:
-   CW, dW/da, |d/da| W, CU and dU/da (:func:`reconstruct`);
+1. one inverse pass of six rows from the spectra of W and U, which the
+   steppers carry: CW, dW/da, |d/da| W, CU, dU/da and |d/da| U
+   (:func:`reconstruct`);
 2. after the pole kernels, one forward and one inverse pass over the rows
-   C Im h (for b), |d/da| of Re DtZ, Im DtZ and |DtZ|^2 (the
-   squared-difference integral of A1) and, with vortices, C of Re G1,
-   Im G1 and Im G2 (the vortex term of A1) (:func:`stage_projections`);
+   C Im h (for b), |d/da| |DtZ|^2 (for A1) and, with vortices, C Im G2
+   (the vortex term of A1): three rows, two without vortices
+   (:func:`stage_projections`);
 3. one forward and one inverse pass that low-passes dW/dt and dU/dt
    (:func:`rhs`).
 
@@ -43,12 +44,22 @@ own array, built from the workspace rows before the next pass overwrites
 them.  The third pass writes new arrays, because the steppers combine the
 results of several stages after later stages have run.
 
-The vortex term of A1 takes two projections for any number of vortices:
-(I - H) is complex linear and zdot_j is a constant, so with
-G1 = sum_j lam_j Z_a K2_j and G2 = sum_j lam_j zdot_j Z_a K2_j,
+A1 takes one projection besides |D||DtZ|^2, with |D| = |d/da|.  In its
+definition (:func:`compute_A1`) the squared-difference integral is
+Re{conj(DtZ) |D| DtZ} - |D||DtZ|^2 / 2, and the vortex sum, as (I - H) is
+complex linear and zdot_j a constant, is with G1 = sum_j lam_j Z_a K2_j
+and G2 = sum_j lam_j zdot_j Z_a K2_j
 
     sum_j lam_j Re{(I-H)[Z_a K2_j] (DtZ - zdot_j)}
         = Re{DtZ (I-H) G1} - (Re G2 + C Im G2).
+
+Differentiating the periodized kernel gives d/da K1_j(Z) = -Z_a K2_j, so
+Q_a = (i/2pi) G1 and |D|Q = -C Q_a = -(i/2pi) C G1; and |D|F = i F_a with
+F_a = U_a - i|D|U.  With DtZ = conj(F + Q) the C G1 terms of the two parts
+cancel, which leaves
+
+    A1 = 1 - Im(DtZ F_a) - |D||DtZ|^2 / 2
+           - (1/2pi) [Re(DtZ G1) - Re G2 - C Im G2].
 
 b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
@@ -66,8 +77,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import (MIN_SPACINGS, apply_multiplier, pminus, sq_diff_from_rows,
-                       sq_diff_rows)
+from .spectral import MIN_SPACINGS, apply_multiplier, pminus
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,7 +128,7 @@ class DerivedFields:
 
     Z: Field
     Z_alpha: Field
-    U_alpha: Field
+    F_alpha: Field
     F: Field
     Q: Field
     DtZ: Field
@@ -153,10 +163,11 @@ class DerivedFields:
 
 
 def reconstruct(W, U):
-    """(Z, F, Z_alpha, U_alpha) from the real parts W, U and their cached
-    spectra, in one inverse pass of five rows: with H = iC,
+    """(Z, F, Z_alpha, F_alpha) from the real parts W, U and their cached
+    spectra, in one inverse pass of six rows: with H = iC and
+    C d/da = -|d/da| = -|D|,
 
-        Z - alpha = W + iCW,  F = U + iCU,  Z_a = 1 + W_a - i|D|W,  U_a.
+        Z - alpha = W + iCW,  F = U + iCU,  Z_a = 1 + W_a - i|D|W,  F_a = U_a - i|D|U.
 
     The plus sign in (I + H) is forced: with the -sgn(k) multiplier it
     projects onto k <= 0 modes, exactly the boundary values of functions
@@ -167,14 +178,24 @@ def reconstruct(W, U):
         raise NonFiniteStateError("non-finite W or U")
     if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
         raise ValueError("W and U must be real fields")
-    W_hat, U_hat = W.fft, U.fft
-    out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers, grid.i_sgn, grid.ik),
-                              spectra=(W_hat, W_hat, W_hat, U_hat, U_hat), scratch=True)
-    c_w, w_a, lam_w, c_u, u_a = out
-    Z = Field(grid, grid.alpha + W.samples + 1j * c_w)
-    F = Field(grid, U.samples + 1j * c_u)
-    Z_alpha = Field(grid, 1.0 + w_a - 1j * lam_w)
-    return Z, F, Z_alpha, Field(grid, u_a.copy())  # out is the grid's workspace
+    out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers) * 2,
+                              spectra=(W.fft,) * 3 + (U.fft,) * 3, scratch=True)
+    c_w, w_a, lam_w, c_u, u_a, lam_u = out  # the grid's workspace
+    Z = Field(grid, _complex(grid.alpha + W.samples, c_w))
+    F = Field(grid, _complex(U.samples, c_u))
+    Z_alpha = Field(grid, _complex(1.0 + w_a, -lam_w))
+    F_alpha = Field(grid, _complex(u_a, -lam_u))
+    return Z, F, Z_alpha, F_alpha
+
+
+def _complex(re, im):
+    """The new complex array re + i im, written part by part: at n = 2^14 it
+    takes less than half the time of ``re + 1j * im``, which makes two
+    complex temporaries."""
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def interface_distance(Z, z):
@@ -289,21 +310,22 @@ def compute_DtQ(Z_alpha, DtZ, lam, zdots, K2):
     return DtQ, S1, S2
 
 
-def stage_projections(h, DtZ, G1, G2, with_vortices):
-    """The stacked pass of a stage after the pole kernels: the (7, n) array
+def stage_projections(h, DtZ, G2, with_vortices):
+    """The stacked pass of a stage after the pole kernels: the (3, n) array
     of the rows
 
-        C Im h,   |D| Re DtZ,  |D| Im DtZ,  |D| |DtZ|^2,   C Re G1,  C Im G1,  C Im G2,
+        C Im h,   |D| |DtZ|^2,   C Im G2,
 
     one forward and one inverse transform for all of them; without
-    vortices the last three rows are left out (G1 = G2 = 0).
+    vortices the last row is left out (G2 = 0).
     """
     grid = DtZ.grid
-    rows = (h.imag,) + sq_diff_rows(DtZ.samples)
-    multipliers = (grid.i_sgn,) + (grid.wavenumbers,) * 3
+    dtz = DtZ.samples
+    rows = (h.imag, dtz.real * dtz.real + dtz.imag * dtz.imag)
+    multipliers = (grid.i_sgn, grid.wavenumbers)
     if with_vortices:
-        rows += (G1.real, G1.imag, G2.imag)
-        multipliers += (grid.i_sgn,) * 3
+        rows += (G2.imag,)
+        multipliers += (grid.i_sgn,)
     return apply_multiplier(grid, multipliers, rows=rows, scratch=True)[0]
 
 
@@ -319,25 +341,24 @@ def compute_b(U, h, c_im_h):
     return Field(U.grid, h.real + c_im_h + 2.0 * U.samples)
 
 
-def compute_A1(DtZ, lam_rows, G1, G2, c_rows):
+def compute_A1(DtZ, F_alpha, G1, G2, rows):
     """Taylor-sign coefficient
 
          A1 = 1 + (1/2pi) int |DtZ(a) - DtZ(b)|^2/(a-b)^2 db
                 - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }
 
-    from the rows of :func:`stage_projections`: the |D| rows ``lam_rows``
-    give the squared-difference integral, and the C rows ``c_rows`` (none
-    without vortices) the vortex sum as
-    Re{DtZ (I-H) G1} - (Re G2 + C Im G2), with
-    (I-H) G1 = Re G1 + C Im G1 + i (Im G1 - C Re G1).
+    as the projection-free form of the module docstring,
+
+         A1 = 1 - Im(DtZ F_a) - |D||DtZ|^2 / 2
+                - (1/2pi) [Re(DtZ G1) - Re G2 - C Im G2],
+
+    from the rows of :func:`stage_projections` after C Im h: ``rows`` is
+    |D||DtZ|^2 and, with vortices, C Im G2.
     """
-    dtz = DtZ.samples
-    out = 1.0 + sq_diff_from_rows(dtz, lam_rows)
-    if len(c_rows):
-        c_re_g1, c_im_g1, c_im_g2 = c_rows
-        vortex = (dtz.real * (G1.real + c_im_g1) - dtz.imag * (G1.imag - c_re_g1)
-                  - (G2.real + c_im_g2))
-        out -= vortex / TWO_PI
+    dtz, f_a = DtZ.samples, F_alpha.samples
+    out = 1.0 - (dtz.real * f_a.imag + dtz.imag * f_a.real) - 0.5 * rows[0]
+    if len(rows) > 1:
+        out -= (dtz.real * G1.real - dtz.imag * G1.imag - G2.real - rows[1]) / TWO_PI
     return Field(DtZ.grid, out)
 
 
@@ -375,7 +396,7 @@ def assemble(state):
     if not np.all(np.isfinite(z)):
         raise NonFiniteStateError("non-finite vortex position at t=%g" % state.t)
     grid = state.grid
-    Z, F, Z_alpha, U_alpha = reconstruct(W, U)
+    Z, F, Z_alpha, F_alpha = reconstruct(W, U)
     d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
@@ -383,17 +404,17 @@ def assemble(state):
             % (d_I, MIN_SPACINGS))
     K1, K2 = pole_kernels(Z, z)
     Q = compute_Q(Z, lam, K1)
-    DtZ = Field(grid, np.conj(F.samples) + np.conj(Q.samples))
+    DtZ = Field(grid, np.conj(F.samples + Q.samples))
     zdots = vortex_velocity(Z, F, Z_alpha, z, lam, K1)
     DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, lam, zdots, K2)
     del K1, K2  # workspace views, which the stacked pass overwrites
     h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
-    proj = stage_projections(h, DtZ, G1, G2, len(z) > 0)
+    proj = stage_projections(h, DtZ, G2, len(z) > 0)
     b = compute_b(U, h, proj[0])
-    A1 = compute_A1(DtZ, proj[1:4], G1, G2, proj[4:])
+    A1 = compute_A1(DtZ, F_alpha, G1, G2, proj[1:])
     A = Field(grid, A1.samples / np.abs(Z_alpha.samples) ** 2)
     G = Field(grid, -DtQ.samples.real)
-    return DerivedFields(Z=Z, Z_alpha=Z_alpha, U_alpha=U_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
+    return DerivedFields(Z=Z, Z_alpha=Z_alpha, F_alpha=F_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
                          b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I)
 
 
@@ -407,9 +428,9 @@ def rhs(state, derived=None):
     W-equation is the real part of the kinematic identity
     d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
     dW/da and |d/da| W are read off the assembled Z_a = 1 + (I + H) dW/da,
-    as Re Z_a - 1 and -Im Z_a, and dU/da is the assembled U_alpha.  Both
-    time derivatives are low-passed to half the grid band (de-aliasing) in
-    one stacked pass; the mask zeroes the Nyquist mode, so each filtered
+    as Re Z_a - 1 and -Im Z_a, and dU/da as Re F_a.  Both time
+    derivatives are low-passed to half the grid band (de-aliasing) in one
+    stacked pass; the mask zeroes the Nyquist mode, so each filtered
     row carries its half spectrum.  ``derived`` may be passed in when the
     caller already assembled this state.
     """
@@ -419,7 +440,8 @@ def rhs(state, derived=None):
     Z_alpha = derived.Z_alpha.samples
     bs = derived.b.samples
     dW = -bs * (Z_alpha.real - 1.0) + state.U.samples + derived.Q.samples.real - bs
-    dU = -bs * derived.U_alpha.samples + derived.A.samples * -Z_alpha.imag + derived.G.samples
+    dU = (-bs * derived.F_alpha.samples.real + derived.A.samples * -Z_alpha.imag
+          + derived.G.samples)
     out, spectra = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
     return (Field.with_spectrum(grid, out[0], spectra[0]),
             Field.with_spectrum(grid, out[1], spectra[1]), derived.zdots)

@@ -1,6 +1,10 @@
 """Scenario-config parsing, trajectory files, sweeps, and the CLI contract."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,17 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
     assert len(lines) == 3                      # header + the two finite records
 
 
+def test_library_and_cli_share_the_default_radius():
+    # a config without gevrey keys gets the schedule that run_simulation
+    # takes without gevrey_params, from the one DEFAULT_L0
+    from vortexwavelab.gevrey import DEFAULT_L0, GevreyParams
+    cfg = ScenarioConfig.parse(MINI_RUN)
+    assert not any(key.startswith("gevrey.") for key in cfg.values)
+    library = GevreyParams.halving_at(cfg.get("time.t_end"))
+    assert build_run_inputs(cfg)[3] == library
+    assert cfg.get("gevrey.L0") == library.L0 == DEFAULT_L0
+
+
 def test_derived_delta0_keeps_the_radius_to_t_end():
     cfg = ScenarioConfig.parse(MINI_RUN)        # no gevrey.delta0
     assert "gevrey.delta0" not in cfg.serialize()
@@ -310,3 +325,32 @@ def test_verify_plumbing_and_mutation(monkeypatch, capsys):
     res = acceptance.run_all(acceptance.RunCache(), names=["C04"])[0]
     assert not res.passed
     assert "Hilbert" in res.name
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # every import of scipy now raises ImportError
+import vortexwavelab, vortexwavelab.cli
+from vortexwavelab.cli import main
+sweep, cfg = sys.argv[1:]
+assert main(["sweep", "--gamma-min", "3.9", "--gamma-max", "4.1", "--steps", "5",
+             "--x", "1e-3", "--y", "-10", "--out", sweep]) == 0
+assert main(["run", cfg]) == 0
+"""
+
+
+def test_run_and_sweep_load_no_scipy(tmp_path):
+    # scipy serves only the acceptance checks and the tests: with it blocked,
+    # the package, its CLI, a sweep and a 2^10-point run with a pair still work
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TRANSITION_MINI.replace("grid.n = 4096", "grid.n = 1024")
+                   .replace("time.t_end = 0.5", "time.t_end = 0.02")
+                   + "wave.kind = odd_bump\nwave.amplitude = 1e-3\n"
+                   + "output.path = %s\n" % (tmp_path / "run.csv"))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "sweep.csv"), str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "run.csv").read_text().splitlines()) == 12   # header + 11 rows

@@ -136,12 +136,12 @@ def test_reconstruct_matches_the_full_spectrum(grid, seed):
     rng = np.random.default_rng(seed)
     W = broadband_field(grid, rng, False)
     U = broadband_field(grid, rng, False)
-    Z, F, Z_alpha, U_alpha = reconstruct(W, U)
+    Z, F, Z_alpha, F_alpha = reconstruct(W, U)
     cases = [
         (Z.samples - grid.alpha, W, lambda k: 1.0 - np.sign(k)),
         (F.samples, U, lambda k: 1.0 - np.sign(k)),
         (Z_alpha.samples - 1.0, W, lambda k: 1j * k * (1.0 - np.sign(k))),
-        (U_alpha.samples, U, lambda k: 1j * k),
+        (F_alpha.samples, U, lambda k: 1j * k * (1.0 - np.sign(k))),
     ]
     for got, f, multiplier in cases:
         ref = full_spectrum(grid, f.samples, multiplier)

@@ -11,7 +11,7 @@ from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
 from vortexwavelab.spectral import (MIN_SPACINGS, analytic_projection, cauchy_velocity,
                                     commutator_hilbert, derivative, hilbert, lambda_op, low_pass,
                                     periodic_cauchy_kernel, periodic_square_kernel,
-                                    pv_commutator)
+                                    pv_commutator, sq_diff_integral)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
 from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant,
                                  compute_Q, interface_distance, pole_kernels,
@@ -293,20 +293,23 @@ def test_rhs_preserves_oddness(grid):
 def test_stage_budget(monkeypatch):
     # one RHS stage (assemble + rhs) on a state the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
-    # 23 real transforms in 5 transform calls.  A call on k rows counts k
+    # 16 real transforms in 5 transform calls.  A call on k rows counts k
     # real transforms (a complex field is two rows, its real and imaginary
-    # parts).  The stage makes three stacked passes: 5 inverse rows from
+    # parts).  The stage makes three stacked passes: 6 inverse rows from
     # the spectra of W and U, which _advance carries, so neither is
-    # transformed again; 7 rows forward and back after the pole kernels;
-    # 2 rows forward and back to low-pass dW/dt and dU/dt.  The transforms
-    # are counted at np.fft, the one backend of the package.
+    # transformed again; 3 rows forward and back after the pole kernels;
+    # 2 rows forward and back to low-pass dW/dt and dU/dt.  Without
+    # vortices the middle pass drops its C Im G2 row: 14 transforms.  The
+    # transforms are counted at np.fft, the one backend of the package.
     import sys
 
     from vortexwavelab import spectral, waves
     from vortexwavelab.sim import _advance, make_initial
-    start = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
-                         GridSpec(200.0, 2 ** 10))
-    state = _advance(start, 4e-3, [rhs(start)], [4e-3])
+    grid = GridSpec(200.0, 2 ** 10)
+    starts = (make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
+                           grid),
+              make_initial("odd_bump", 1e-3, None, grid))
+    states = [_advance(start, 4e-3, [rhs(start)], [4e-3]) for start in starts]
     counts = dict.fromkeys(("transforms", "transform_calls", "periodic_cauchy_kernel",
                             "periodic_square_kernel", "pole_kernels"), 0)
     for name in ("rfft", "irfft"):
@@ -326,11 +329,13 @@ def test_stage_budget(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    rhs(state, assemble(state))
-    assert counts["pole_kernels"] == 1
-    assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
-    assert counts["transforms"] == 23
-    assert counts["transform_calls"] == 5
+    for state, transforms in zip(states, (16, 14)):
+        counts.update(dict.fromkeys(counts, 0))
+        rhs(state, assemble(state))
+        assert counts["pole_kernels"] == 1
+        assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
+        assert counts["transforms"] == transforms
+        assert counts["transform_calls"] == 5
 
 
 def per_operator_stage(state):
@@ -393,6 +398,50 @@ def test_stacked_stage_matches_the_per_operator_formulas(vortices):
     for name, value in ref.items():
         scale = np.max(np.abs(value)) if value.size else 0.0
         assert np.max(np.abs(got[name] - value), initial=0.0) <= 1e-13 * scale, name
+
+
+IDENTITY_VORTICES = {
+    "no_vortex": (),
+    "pair_1.5_deep": pair_vortices(1.0, -1.5, 6.0),
+    "pair_3_deep": pair_vortices(2.0, -3.0, 20.0),
+    "one_vortex": (Vortex(0.5 - 2.0j, 9.0),),
+    "three_vortices": (Vortex(-1.0 - 1.5j, 5.0), Vortex(0.7 - 2.2j, -7.0),
+                       Vortex(2.5 - 3.0j, 3.0)),  # grows the grid's workspace
+}
+
+
+def identity_case(name):
+    """An assembled state at n = 2^12 under a 1e-2 odd bump, and
+    G1 = sum_j lam_j Z_a K2_j from the tan-based kernel."""
+    grid = GridSpec(200.0, 2 ** 12)
+    vortices = IDENTITY_VORTICES[name]
+    d = assemble(odd_bump_state(grid, 1e-2, vortices))
+    K2 = [periodic_square_kernel(d.Z.samples - v.position, grid.half_length) for v in vortices]
+    G1 = sum((v.strength * d.Z_alpha.samples * k2 for v, k2 in zip(vortices, K2)),
+             np.zeros(grid.n_points, dtype=np.complex128))
+    return grid, vortices, d, K2, G1
+
+
+@pytest.mark.parametrize("name", [n for n in IDENTITY_VORTICES if n != "no_vortex"])
+def test_q_alpha_is_i_over_two_pi_g1(name):
+    # d/da K1_j(Z) = -Z_a K2_j, so the spectral derivative of Q is (i/2pi) G1
+    _, _, d, _, G1 = identity_case(name)
+    expected = (1j / TWO_PI) * G1
+    assert np.max(np.abs(derivative(d.Q).samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_VORTICES))
+def test_a1_matches_the_projection_form(name):
+    # the assembled A1, with no C G1 projection, against its definition:
+    # 1 + the squared-difference integral of DtZ minus the per-vortex sum
+    # (lam_j/2pi) Re{(I-H)[Z_a K2_j] (DtZ - zdot_j)}
+    grid, vortices, d, K2, _ = identity_case(name)
+    dtz = d.DtZ.samples
+    A1 = 1.0 + sq_diff_integral(d.DtZ).samples
+    for v, zd, k2 in zip(vortices, d.zdots, K2):
+        proj = analytic_projection(Field(grid, d.Z_alpha.samples * k2)).samples
+        A1 -= (v.strength / TWO_PI) * (proj * (dtz - zd)).real
+    assert np.max(np.abs(d.A1.samples - A1)) <= 1e-12 * np.max(np.abs(A1))
 
 
 def test_steppers_carry_the_spectra_of_w_and_u():

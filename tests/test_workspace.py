@@ -29,7 +29,7 @@ from vortexwavelab.waves import assemble, rhs
 
 ROOT = Path(__file__).resolve().parents[1]
 CANONICAL_PAIR = PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5)
-DERIVED_FIELDS = ("Z", "Z_alpha", "U_alpha", "F", "Q", "DtZ", "DtQ", "b", "A1", "A", "G")
+DERIVED_FIELDS = ("Z", "Z_alpha", "F_alpha", "F", "Q", "DtZ", "DtQ", "b", "A1", "A", "G")
 
 
 def rhs_arrays(result):
@@ -90,10 +90,11 @@ def test_quadratures_and_stages_keep_each_others_results():
 
 # Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
 # default heap policy (no mallopt), 30 steps after one warm-up step.
-# Measured on Linux/glibc 2.36 with numpy 2.4: 120-380 per step (median
-# about 200) with the stage workspace, 1,500-2,600 without it (each stage's
-# transform and pole-kernel arrays handed back to the kernel and faulted in
-# again).
+# Measured on Linux/glibc 2.36 with numpy 2.4: 120-300 per step with the
+# stage workspace (127 in each of eight runs of the 16-transform stage; the
+# heap layout moves it, 265-281 with two more temporaries per stage), and
+# 1,500-2,600 without it (each stage's transform and pole-kernel arrays
+# handed back to the kernel and faulted in again).
 # What remains comes from the arrays a step must own (its four rhs results
 # and stage states, every assembly's DerivedFields) and from np.fft's
 # per-call buffers: glibc trims the heap top once more than about 1 MB is
