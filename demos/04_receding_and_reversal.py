@@ -33,18 +33,18 @@ for r in res.records:
 print("\n== time reversal ==")
 state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, LAM), grid)
 dt, steps = 0.004, 25
-path = [state.vortices[0].position.imag]
+path = [state.positions[0].imag]
 s = state
 for _ in range(steps):
     s = step_rk4(s, dt)
-    path.append(s.vortices[0].position.imag)
+    path.append(s.positions[0].imag)
 back = reversed_state(s)
 errs = []
 for i in range(steps):
     back = step_rk4(back, dt)
-    errs.append(abs(back.vortices[0].position.imag - path[steps - 1 - i]))
+    errs.append(abs(back.positions[0].imag - path[steps - 1 - i]))
 print("forward %d steps to y = %.6f, reversed back to y = %.12f"
-      % (steps, path[-1], back.vortices[0].position.imag))
+      % (steps, path[-1], back.positions[0].imag))
 print("max retrace error over the window: %.2e" % max(errs))
 print("wave field retrace error: %.2e"
       % np.max(np.abs(back.W.samples - state.W.samples)))

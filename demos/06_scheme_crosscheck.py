@@ -39,7 +39,7 @@ for n in range(steps):
 
 gap_w = math.sqrt(grid.spacing * np.sum(np.abs(s_rk.W.samples - s_pi.W.samples) ** 2))
 gap_u = math.sqrt(grid.spacing * np.sum(np.abs(s_rk.U.samples - s_pi.U.samples) ** 2))
-gap_z = abs(s_rk.vortices[0].position - s_pi.vortices[0].position)
+gap_z = abs(s_rk.positions[0] - s_pi.positions[0])
 print("\nafter %d steps of the transition scenario at dt = %g:" % (steps, dt))
 print("  |W_rk4 - W_picard|_L2 = %.3e" % gap_w)
 print("  |U_rk4 - U_picard|_L2 = %.3e" % gap_u)

@@ -12,9 +12,9 @@ and double as oracles for the discrete operators.
 
 from .grid import GridSpec, Field, field_from_function, zero_field
 from .gevrey import GevreyParams, GevreyReport, gevrey_norm, radius, energy, embedding_bound
-from .taylor import (PairConfig, StabilityProfile, a1_flat_pair, g_profile,
-                     f_reduced, inf_a1_flat, inf_a1_flat_rows, crossing_depth,
-                     residue_pair_integral, interaction_sum)
+from .taylor import (PairConfig, a1_flat_pair, g_profile, f_reduced, inf_a1_flat,
+                     inf_a1_flat_rows, crossing_depth, residue_pair_integral,
+                     interaction_sum)
 from .waves import Vortex, WaveState, DerivedFields, assemble, rhs
 from .sim import (IntegratorConfig, StepRecord, make_initial, monitor,
                   run_simulation, step_picard, step_rk4)
@@ -24,7 +24,7 @@ __all__ = [
     "GridSpec", "Field", "field_from_function", "zero_field",
     "GevreyParams", "GevreyReport", "gevrey_norm", "radius", "energy",
     "embedding_bound",
-    "PairConfig", "StabilityProfile", "a1_flat_pair", "g_profile",
+    "PairConfig", "a1_flat_pair", "g_profile",
     "f_reduced", "inf_a1_flat", "inf_a1_flat_rows", "crossing_depth",
     "residue_pair_integral", "interaction_sum",
     "Vortex", "WaveState", "DerivedFields", "assemble", "rhs",

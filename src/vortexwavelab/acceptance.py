@@ -311,16 +311,16 @@ def check_symmetry_structure(cache):
 def check_time_reversal(cache):
     state = _canonical_state(cache.default_grid())
     dt, steps = CANONICAL_DT, 20
-    y_path = [state.vortices[0].position.imag]
+    y_path = [state.positions[0].imag]
     s = state
     for _ in range(steps):
         s = step_rk4(s, dt)
-        y_path.append(s.vortices[0].position.imag)
+        y_path.append(s.positions[0].imag)
     back = reversed_state(s)
     errs = []
     for i in range(steps):
         back = step_rk4(back, dt)
-        errs.append(abs(back.vortices[0].position.imag - y_path[steps - 1 - i]))
+        errs.append(abs(back.positions[0].imag - y_path[steps - 1 - i]))
     worst = max(errs)
     return worst <= 1e-4, ("max |y_return - y_forward| over the window = %.2e "
                            "(cap 1e-4)" % worst)

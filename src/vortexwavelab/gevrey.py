@@ -90,12 +90,12 @@ class GevreyReport:
     band_edge: int
 
 
-def power_spectrum(f):
-    """Half-spectrum power of a field, scaled so that its sum is
-    ||f||_L2^2: the modes 0 < k < k_max count twice, for +-k, and a
-    complex field adds the power of its real and imaginary parts."""
-    grid = f.grid
-    power = (np.abs(f.fft) ** 2) * (grid.spacing / grid.n_points)
+def power_spectrum(grid, f_hat):
+    """Power of a half spectrum f_hat on the grid (``Field.fft``), scaled so
+    that its sum is ||f||_L2^2: the modes 0 < k < k_max count twice, for
+    +-k, and the (2, n/2 + 1) spectrum of a complex field adds the power of
+    its real and imaginary parts."""
+    power = (np.abs(f_hat) ** 2) * (grid.spacing / grid.n_points)
     if power.ndim == 2:
         power = power.sum(axis=0)
     power[1:-1] *= 2.0
@@ -122,7 +122,7 @@ def gevrey_norm(f, sigma, kind):
         raise ValueError("sigma must be positive, got %g" % sigma)
     if kind not in _WEIGHTS:
         raise ValueError("kind must be one of %s" % (tuple(_WEIGHTS),))
-    return _norm(power_spectrum(f), f.grid.wavenumbers, sigma, kind)
+    return _norm(power_spectrum(f.grid, f.fft), f.grid.wavenumbers, sigma, kind)
 
 
 def radius(t, params):
@@ -149,8 +149,8 @@ def energy(W, U, t, params):
     grid = check_same_grid(W, U)
     phi = radius(t, params)
     k = grid.wavenumbers
-    eu = _norm(power_spectrum(U), k, phi, "Yd").value
-    ew = _norm(power_spectrum(W) * k * k, k, phi, "X").value
+    eu = _norm(power_spectrum(grid, U.fft), k, phi, "Yd").value
+    ew = _norm(power_spectrum(grid, W.fft) * k * k, k, phi, "X").value
     return 0.5 * (eu * eu + ew * ew)
 
 

@@ -20,7 +20,12 @@ it allocates on first use and keeps, into which the stacked transform
 passes and the pole-kernel stacks of a right-hand-side stage write, so a
 stage does not allocate and fault in a fresh set of large arrays.  Views
 of it live only inside one call of :mod:`vortexwavelab.waves` or
-:mod:`vortexwavelab.spectral`: every field handed out is its own array.
+:mod:`vortexwavelab.spectral`: every array or field handed out is its own.
+
+A stage works on the plain sample arrays and half spectra (see
+:mod:`vortexwavelab.waves`); a :class:`Field` wraps them at the API, for
+the state a step returns, the monitor and the operators of
+:mod:`vortexwavelab.spectral`.
 """
 
 import numpy as np

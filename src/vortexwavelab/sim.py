@@ -22,6 +22,7 @@ gravity wave is 1/sqrt(A k_max)).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -105,44 +106,41 @@ def _weighted_sum(base, weights, terms):
     return total
 
 
-def _advance(state, dt_t, parts, weights):
-    """state + sum_i weights[i] * parts[i], time advanced by dt_t.
+def _advance(y, parts, weights):
+    """y + sum_i weights[i] * parts[i], entry by entry of the stage layout
+    (w, u, w_hat, u_hat, z) of :func:`waves.rhs`: W and U carry their half
+    spectra, the same combination of the spectra of the state and of the
+    low-passed parts, so the next stage transforms neither."""
+    return tuple(_weighted_sum(base, weights, terms) for base, *terms in zip(y, *parts))
 
-    W and U carry their half spectra, the same combination of the spectra
-    of the state (cached by its right-hand side) and of the low-passed
-    parts, so the next stage transforms neither; the vortex positions
-    combine as one (m,) array.
-    """
-    dW, dU, dz = zip(*parts)
-    W = _weighted_sum(state.W.samples, weights, [f.samples for f in dW])
-    U = _weighted_sum(state.U.samples, weights, [f.samples for f in dU])
-    W_hat = _weighted_sum(state.W.fft, weights, [f.fft for f in dW])
-    U_hat = _weighted_sum(state.U.fft, weights, [f.fft for f in dU])
-    z = _weighted_sum(state.positions, weights, dz)
-    vortices = tuple(map(Vortex, z.tolist(), state.strengths.tolist()))
-    return WaveState(Field.with_spectrum(state.grid, W, W_hat),
-                     Field.with_spectrum(state.grid, U, U_hat), vortices, state.t + dt_t)
+
+def _state(grid, y, lam, t):
+    """The WaveState of the stage layout y, strengths lam, at time t."""
+    w, u, w_hat, u_hat, z = y
+    return WaveState(Field.with_spectrum(grid, w, w_hat), Field.with_spectrum(grid, u, u_hat),
+                     t=t, positions=z, strengths=lam)
 
 
 def step_rk4(state, dt, derived=None):
-    """Classical fourth-order Runge-Kutta step."""
-    k1 = rhs(state, derived)
-    k2 = rhs(_advance(state, dt / 2, [k1], [dt / 2]))
-    k3 = rhs(_advance(state, dt / 2, [k2], [dt / 2]))
-    k4 = rhs(_advance(state, dt, [k3], [dt]))
-    return _advance(state, dt, [k1, k2, k3, k4],
-                    [dt / 6, dt / 3, dt / 3, dt / 6])
+    """Classical fourth-order Runge-Kutta step; ``derived``, the state's
+    :class:`waves.DerivedFields` if the caller has it, spares the first
+    stage its derivation."""
+    grid, y, lam = state.grid, state.arrays, state.strengths
+    k1 = rhs(grid, y, lam, None if derived is None else derived.record)
+    k2 = rhs(grid, _advance(y, [k1], [dt / 2]), lam)
+    k3 = rhs(grid, _advance(y, [k2], [dt / 2]), lam)
+    k4 = rhs(grid, _advance(y, [k3], [dt]), lam)
+    return _state(grid, _advance(y, [k1, k2, k3, k4], [dt / 6, dt / 3, dt / 3, dt / 6]),
+                  lam, state.t + dt)
 
 
-def _h4_distance(s1, s2):
-    """Discrete H4 x H4 distance of (W, U) plus the vortex separation: the
-    power of each difference weighted by 1 + k^2 + k^4 + k^6 + k^8."""
-    weight = np.polyval(np.ones(5), s1.grid.wavenumbers ** 2)
-    total = 0.0
-    for f1, f2 in ((s1.W, s2.W), (s1.U, s2.U)):
-        diff = Field.with_spectrum(f1.grid, f1.samples - f2.samples, f1.fft - f2.fft)
-        total += np.sum(power_spectrum(diff) * weight)
-    total += np.sum(np.abs(s1.positions - s2.positions) ** 2)
+def _h4_distance(grid, y1, y2):
+    """Discrete H4 x H4 distance of (W, U) plus the vortex separation of two
+    stage layouts: the power of each difference weighted by
+    1 + k^2 + k^4 + k^6 + k^8."""
+    weight = np.polyval(np.ones(5), grid.wavenumbers ** 2)
+    total = sum(np.sum(power_spectrum(grid, y1[i] - y2[i]) * weight) for i in (2, 3))
+    total += np.sum(np.abs(y1[4] - y2[4]) ** 2)
     return math.sqrt(total)
 
 
@@ -156,17 +154,18 @@ def step_picard(state, dt, config, derived=None):
     residual_history); raises PicardDivergedError when the H4 change has
     not fallen below picard_tol within picard_max_iter sweeps.
     """
-    k0 = rhs(state, derived)
-    candidate = _advance(state, dt, [k0], [dt])  # Euler predictor
+    grid, y, lam = state.grid, state.arrays, state.strengths
+    k0 = rhs(grid, y, lam, None if derived is None else derived.record)
+    candidate = _advance(y, [k0], [dt])  # Euler predictor
     history = []
     for iteration in range(1, config.picard_max_iter + 1):
-        k1 = rhs(candidate)
-        new = _advance(state, dt, [k0, k1], [dt / 2, dt / 2])
-        delta = _h4_distance(new, candidate)
+        k1 = rhs(grid, candidate, lam)
+        new = _advance(y, [k0, k1], [dt / 2, dt / 2])
+        delta = _h4_distance(grid, new, candidate)
         history.append(delta)
         candidate = new
         if delta < config.picard_tol:
-            return candidate, iteration, history
+            return _state(grid, candidate, lam, state.t + dt), iteration, history
     raise PicardDivergedError(
         "no contraction to %g after %d sweeps (last residual %.2e): dt too "
         "large, or the tolerance sits below the discrete H4 round-off floor"
@@ -182,7 +181,7 @@ def symmetry_defect(state):
     for f in (state.W, state.U):
         s = f.samples
         defect = max(defect, float(np.max(np.abs(s + s[idx]))))
-    if len(state.vortices) == 2:
+    if len(state.positions) == 2:
         z1, z2 = state.positions
         defect = max(defect, abs(z1.real + z2.real), abs(z1.imag - z2.imag))
     return defect
@@ -243,7 +242,8 @@ def monitor(state, gevrey_params, derived=None, first=None):
     phi = gevrey_params.phi(state.t)
     E = energy(state.W, state.U, state.t, gevrey_params) if phi > 0 else math.nan
     nan = complex(math.nan, math.nan)
-    z1, z2 = state.positions if len(state.vortices) == 2 else (nan, nan)
+    m = len(state.positions)
+    z1, z2 = state.positions if m == 2 else (nan, nan)
     row = StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
                      d_I=derived.d_I, inf_A1=derived.inf_A1,
                      argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
@@ -253,10 +253,10 @@ def monitor(state, gevrey_params, derived=None, first=None):
                      as_flags={})
     first = row if first is None else first
     finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
-        and all(np.isfinite([derived.d_I if state.vortices else 0.0,
+        and all(np.isfinite([derived.d_I if m else 0.0,
                              derived.inf_A1, derived.b_residual]))
-    as4 = derived.d_I >= 0.5 * first.d_I ** 0.9 if state.vortices else True
-    if len(state.vortices) == 2:
+    as4 = derived.d_I >= 0.5 * first.d_I ** 0.9 if m else True
+    if m == 2:
         as4 = as4 and abs(row.x2) >= 0.5 * abs(first.x2)
     row.as_flags.update(
         AS1=bool(finite),
@@ -281,8 +281,14 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
     a truncated trajectory on fatal vortex proximity, CFL violation or a
     state that is no longer finite (reason "non_finite", raised by
-    :func:`waves.assemble` for W, U and the vortex positions).
+    :func:`waves.assemble` for W, U and the vortex positions).  Raises
+    ValueError unless ``stride`` is an int >= 1 and ``eta1`` None or
+    finite and >= 0.
     """
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError("stride must be an int >= 1, got %r" % (stride,))
+    if eta1 is not None and not (math.isfinite(eta1) and eta1 >= 0):
+        raise ValueError("eta1 must be finite and >= 0, got %r" % (eta1,))
     params = gevrey_params or GevreyParams.halving_at(integrator.t_end)
     n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
     records = []
@@ -295,7 +301,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         first = monitor(state, params, derived)
         records.append(first)
         for step_index in range(1, n_steps + 1):
-            if state.vortices and derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:
+            if derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:  # inf for no vortex
                 return stop("vortex_proximity", "d_I=%g below %g spacings"
                             % (derived.d_I, FATAL_PROXIMITY_SPACINGS))
             limit = CFL_SAFETY * cfl_limit(state, derived)
@@ -330,6 +336,5 @@ def reversed_state(state):
 
     Running the image forward retraces the original trajectory backwards.
     """
-    vortices = tuple(Vortex(v.position, -v.strength) for v in state.vortices)
     U = Field.with_spectrum(state.grid, -state.U.samples, -state.U.fft)
-    return WaveState(state.W, U, vortices, 0.0)
+    return WaveState(state.W, U, t=0.0, positions=state.positions, strengths=-state.strengths)

@@ -59,16 +59,6 @@ class PairConfig:
             raise ValueError("y must be negative (below the interface)")
 
 
-@dataclass
-class StabilityProfile:
-    """Reduced-profile summary of one pair configuration."""
-
-    gamma: float
-    inf_value: float
-    argmin_alpha: float
-    crossing_depth: float
-
-
 def g_profile(k):
     """g(k) = (3k^4 + 2k^2 - 1)/(k^2 + 1)^4; max 1/4 at k = +-1, min -1 at 0."""
     k = np.asarray(k, dtype=float)
@@ -180,15 +170,6 @@ def crossing_depth(lam):
     if lam == 0.0:
         raise ValueError("crossing depth undefined for zero strength")
     return float((lam * lam / (4.0 * np.pi ** 2)) ** (1.0 / 3.0))
-
-
-def stability_profile(cfg):
-    """Bundle gamma, the exact minimum, and the crossing depth for cfg."""
-    gamma = cfg.lam ** 2 / (np.pi ** 2 * abs(cfg.y) ** 3)
-    inf_value, argmin = inf_a1_flat(cfg)
-    return StabilityProfile(gamma=gamma, inf_value=inf_value,
-                            argmin_alpha=argmin,
-                            crossing_depth=crossing_depth(cfg.lam) if cfg.lam else np.nan)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Assembly of the derived quantities of the wave + point-vortex system.
 
-State is (W, U, vortices, t): W and U are the real parts of the interface
-displacement Z - alpha and of the velocity trace F; both extend to
-boundary values of functions holomorphic below the interface, so
+State is (W, U, z, lam, t): W and U are the real parts of the interface
+displacement Z - alpha and of the velocity trace F, z and lam the (m,)
+arrays of vortex positions and strengths.  W and U extend to boundary
+values of functions holomorphic below the interface, so
 
     Z = alpha + (I + H) W,        F = (I + H) U.
 
@@ -17,13 +18,18 @@ From these the assembly derives, per state:
            unstable), with A = A1 / |Z_a|^2,
     G      the vortex forcing of U.
 
-Inside a stage the m vortices are positions z and strengths lam, two (m,)
-arrays, and every vortex term is array algebra over the (m, n) stacks of
-the periodized pole kernels, taken from one complex exponential over the
-grid (:func:`pole_kernels`).
+A stage runs on plain arrays.  :func:`rhs` maps the stage layout
+y = (w, u, w_hat, u_hat, z), the samples and half spectra of W and U and
+the positions, with the strengths lam to its time derivative in the same
+layout, through the :class:`Derived` record of :func:`derive`; every
+helper below takes and returns arrays.  :class:`WaveState` and
+:class:`DerivedFields` (the record as Fields, built by :func:`assemble`)
+exist for the monitor and the API.  Every vortex term is array algebra
+over the (m, n) stacks of the periodized pole kernels, taken from one
+complex exponential over the grid (:func:`pole_kernels`).
 
-A stage (:func:`assemble` then :func:`rhs`) runs 16 real transforms (14
-without vortices) in three stacked passes of
+A stage (:func:`derive` then the low-pass of :func:`rhs`) runs 16 real
+transforms (14 without vortices) in three stacked passes of
 :func:`spectral.apply_multiplier`, ordered by what each needs:
 
 1. one inverse pass of six rows from the spectra of W and U, which the
@@ -39,10 +45,10 @@ without vortices) in three stacked passes of
 The first two passes and the pole-kernel stacks (:func:`pole_stacks`)
 write into the grid's workspace (:meth:`GridSpec.workspace`), which the
 grid allocates once, so a stage faults none of them in afresh.  Views of
-it stay inside this module: every field of :class:`DerivedFields` is its
-own array, built from the workspace rows before the next pass overwrites
-them.  The third pass writes new arrays, because the steppers combine the
-results of several stages after later stages have run.
+it stay inside this module: every array of :class:`Derived` is its own,
+built from the workspace rows before the next pass overwrites them.  The
+third pass writes new arrays, because the steppers combine the results
+of several stages after later stages have run.
 
 A1 takes one projection besides |D||DtZ|^2, with |D| = |d/da|.  In its
 definition (:func:`compute_A1`) the squared-difference integral is
@@ -67,9 +73,11 @@ of a function holomorphic below and decaying, i.e. annihilated by the
 projection (I - H)/2 up to its mean.  b_residual measures exactly that
 (formula-convention independent, which is the point); it, chord_arc and
 the refined minimum of A1 (inf_A1, argmin_alpha) are computed on first
-read, so right-hand-side stages never pay for them.
+read of a :class:`DerivedFields`, so right-hand-side stages never pay
+for them.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,60 +93,58 @@ TWO_PI = 2.0 * np.pi
 @dataclass(frozen=True)
 class Vortex:
     """Point vortex: complex position (strictly below the interface) and
-    signed strength."""
+    signed strength; the input form of a :class:`WaveState`'s vortices."""
 
     position: complex
     strength: float
 
 
-@dataclass
 class WaveState:
-    """Full dynamical state (W, U, vortices, t)."""
+    """Full dynamical state: the real fields W and U, the vortex positions
+    (complex) and strengths (float) as (m,) arrays, and the time t.
 
-    W: Field
-    U: Field
-    vortices: tuple
-    t: float = 0.0
+    The vortices come as a sequence of :class:`Vortex`, or as the arrays
+    ``positions`` and ``strengths``, which the state keeps as they are.
+    """
 
-    def __post_init__(self):
-        check_same_grid(self.W, self.U)
-        self.vortices = tuple(self.vortices)
+    def __init__(self, W, U, vortices=(), t=0.0, *, positions=None, strengths=None):
+        check_same_grid(W, U)
+        if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
+            raise ValueError("W and U must be real fields")
+        if positions is None:
+            positions = np.array([v.position for v in vortices], dtype=np.complex128)
+            strengths = np.array([v.strength for v in vortices], dtype=np.float64)
+        self.W, self.U, self.t = W, U, t
+        self.positions, self.strengths = positions, strengths
 
     @property
     def grid(self):
         return self.W.grid
 
     @property
-    def positions(self):
-        """The vortex positions z, a complex (m,) array."""
-        return np.array([v.position for v in self.vortices], dtype=np.complex128)
-
-    @property
-    def strengths(self):
-        """The vortex strengths lam, a float (m,) array."""
-        return np.array([v.strength for v in self.vortices], dtype=np.float64)
+    def arrays(self):
+        """The stage layout (w, u, w_hat, u_hat, z) of :func:`rhs`."""
+        return self.W.samples, self.U.samples, self.W.fft, self.U.fft, self.positions
 
 
-@dataclass
+# The derived arrays of one state, as a stage computes them (:func:`derive`):
+# complex Z to DtQ, float b to G, the (m,) vortex velocities and the
+# vortex-interface distance.
+Derived = namedtuple("Derived", "Z Z_alpha F_alpha F Q DtZ DtQ b A1 A G zdots d_I")
+
+
 class DerivedFields:
-    """Everything computable from one state, assembled in a single pass
-    and read-only afterwards.  The diagnostics ``b_residual``,
-    ``chord_arc``, ``inf_A1`` and ``argmin_alpha`` are computed on first
-    read."""
+    """A :class:`Derived` record for the monitor and the API: Z to G as
+    Fields over its arrays, ``zdots`` and ``d_I`` as they are, and the
+    record itself, ``record``, which :func:`rhs` accepts.  Read-only;
+    the diagnostics ``b_residual``, ``chord_arc``, ``inf_A1`` and
+    ``argmin_alpha`` are computed on first read."""
 
-    Z: Field
-    Z_alpha: Field
-    F_alpha: Field
-    F: Field
-    Q: Field
-    DtZ: Field
-    DtQ: Field
-    b: Field
-    A1: Field
-    A: Field
-    G: Field
-    zdots: np.ndarray
-    d_I: float
+    def __init__(self, grid, record):
+        self.record = record
+        for name in Derived._fields[:-2]:
+            setattr(self, name, Field(grid, getattr(record, name)))
+        self.zdots, self.d_I = record.zdots, record.d_I
 
     @cached_property
     def b_residual(self):
@@ -162,8 +168,8 @@ class DerivedFields:
     inf_A1 = property(lambda self: self._A1_minimum[1])
 
 
-def reconstruct(W, U):
-    """(Z, F, Z_alpha, F_alpha) from the real parts W, U and their cached
+def reconstruct(grid, w, u, w_hat, u_hat):
+    """(Z, F, Z_alpha, F_alpha) from the real parts w, u and their half
     spectra, in one inverse pass of six rows: with H = iC and
     C d/da = -|d/da| = -|D|,
 
@@ -173,19 +179,13 @@ def reconstruct(W, U):
     projects onto k <= 0 modes, exactly the boundary values of functions
     holomorphic below the interface, so (I - H)(Z - alpha) vanishes.
     """
-    grid = check_same_grid(W, U)
-    if not (np.all(np.isfinite(W.samples)) and np.all(np.isfinite(U.samples))):
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(u))):
         raise NonFiniteStateError("non-finite W or U")
-    if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
-        raise ValueError("W and U must be real fields")
     out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers) * 2,
-                              spectra=(W.fft,) * 3 + (U.fft,) * 3, scratch=True)
+                              spectra=(w_hat,) * 3 + (u_hat,) * 3, scratch=True)
     c_w, w_a, lam_w, c_u, u_a, lam_u = out  # the grid's workspace
-    Z = Field(grid, _complex(grid.alpha + W.samples, c_w))
-    F = Field(grid, _complex(U.samples, c_u))
-    Z_alpha = Field(grid, _complex(1.0 + w_a, -lam_w))
-    F_alpha = Field(grid, _complex(u_a, -lam_u))
-    return Z, F, Z_alpha, F_alpha
+    return (_complex(grid.alpha + w, c_w), _complex(u, c_u),
+            _complex(1.0 + w_a, -lam_w), _complex(u_a, -lam_u))
 
 
 def _complex(re, im):
@@ -199,12 +199,12 @@ def _complex(re, im):
 
 
 def interface_distance(Z, z):
-    """min over grid nodes and positions z of |Z(a) - z_j|; inf for no z."""
-    return float(np.min(np.abs(Z.samples - z[:, None]), initial=np.inf))
+    """min over the samples Z and the positions z of |Z(a) - z_j|; inf for no z."""
+    return float(np.min(np.abs(Z - z[:, None]), initial=np.inf))
 
 
 def chord_arc_constant(Z):
-    """min over sampled pairs of |Z(a) - Z(b)| / |a - b|.
+    """min over sampled pairs of |Z(a) - Z(b)| / |a - b|, Z a Field.
 
     Pairs are taken at every separation s*h with s a power of two (all
     offsets at each separation), which resolves self-approach at any
@@ -229,7 +229,7 @@ def pole_stacks(grid, m):
     return grid.workspace(3 * m * n)[:3 * m * n].reshape(3, m, n)
 
 
-def pole_kernels(Z, z):
+def pole_kernels(grid, Z, z):
     """The (m, n) stacks of the periodized K1_j = 1/(Z - z_j) and
     K2_j = 1/(Z - z_j)^2 at the positions z, from one complex exponential
     E = exp(2isZ), s = pi/2L, for all vortices.
@@ -247,9 +247,9 @@ def pole_kernels(Z, z):
     Both stacks are views of the grid's workspace (:func:`pole_stacks`),
     valid until the next stacked pass on the grid.
     """
-    s = np.pi / (2.0 * Z.grid.half_length)
-    e, r, K1 = pole_stacks(Z.grid, len(z))
-    np.multiply(np.exp(2j * s * Z.samples), np.exp(-2j * s * z)[:, None], out=e)
+    s = np.pi / (2.0 * grid.half_length)
+    e, r, K1 = pole_stacks(grid, len(z))
+    np.multiply(np.exp(2j * s * Z), np.exp(-2j * s * z)[:, None], out=e)
     np.subtract(e, 1.0, out=r)
     np.reciprocal(r, out=r)
     r *= 1j * s                          # is/(e - 1)
@@ -269,12 +269,12 @@ def combine(weights, stack, scratch):
     return np.sum(np.multiply(weights[:, None], stack, out=scratch), axis=0)
 
 
-def compute_Q(Z, lam, K1):
+def compute_Q(grid, lam, K1):
     """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), K1 from :func:`pole_kernels`."""
-    return Field(Z.grid, combine(lam * -1j / TWO_PI, K1, pole_stacks(Z.grid, len(lam))[1]))
+    return combine(lam * -1j / TWO_PI, K1, pole_stacks(grid, len(lam))[1])
 
 
-def vortex_velocity(Z, F, Z_alpha, z, lam, K1):
+def vortex_velocity(grid, F, Z_alpha, z, lam, K1):
     """The (m,) vortex velocities
 
         zdot_j = conj(U(z_j)) + sum_{k != j} (lam_k i / 2 pi) / conj(z_j - z_k).
@@ -285,7 +285,7 @@ def vortex_velocity(Z, F, Z_alpha, z, lam, K1):
     plain 1/conj(dz) form (point evaluation, no periodization): for the
     symmetric pair with no wave it reduces to lam i / (4 pi x) exactly.
     """
-    u = -(K1 @ (Z_alpha.samples * F.samples)) * Z.grid.spacing / (2.0j * np.pi)
+    u = -(K1 @ (Z_alpha * F)) * grid.spacing / (2.0j * np.pi)
     m = len(z)
     mutual = np.divide(lam * 1j, TWO_PI * np.conj(z[:, None] - z),
                        out=np.zeros((m, m), dtype=np.complex128),
@@ -293,7 +293,7 @@ def vortex_velocity(Z, F, Z_alpha, z, lam, K1):
     return np.conj(u) + mutual.sum(axis=1)
 
 
-def compute_DtQ(Z_alpha, DtZ, lam, zdots, K2):
+def compute_DtQ(grid, Z_alpha, DtZ, lam, zdots, K2):
     """(DtQ, G1, G2) from two combinations of the kernel stack K2:
 
         DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) K2_j = (i / 2 pi)(DtZ S1 - S2),
@@ -301,16 +301,16 @@ def compute_DtQ(Z_alpha, DtZ, lam, zdots, K2):
     S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j, and the sums
     the vortex term of A1 projects, G1 = Z_a S1 and G2 = Z_a S2.
     """
-    scratch = pole_stacks(Z_alpha.grid, len(lam))[1]
+    scratch = pole_stacks(grid, len(lam))[1]
     S1 = combine(lam, K2, scratch)
     S2 = combine(lam * zdots, K2, scratch)
-    DtQ = Field(Z_alpha.grid, (1j / TWO_PI) * (DtZ.samples * S1 - S2))
-    S1 *= Z_alpha.samples
-    S2 *= Z_alpha.samples
+    DtQ = (1j / TWO_PI) * (DtZ * S1 - S2)
+    S1 *= Z_alpha
+    S2 *= Z_alpha
     return DtQ, S1, S2
 
 
-def stage_projections(h, DtZ, G2, with_vortices):
+def stage_projections(grid, h, DtZ, G2, with_vortices):
     """The stacked pass of a stage after the pole kernels: the (3, n) array
     of the rows
 
@@ -319,9 +319,7 @@ def stage_projections(h, DtZ, G2, with_vortices):
     one forward and one inverse transform for all of them; without
     vortices the last row is left out (G2 = 0).
     """
-    grid = DtZ.grid
-    dtz = DtZ.samples
-    rows = (h.imag, dtz.real * dtz.real + dtz.imag * dtz.imag)
+    rows = (h.imag, DtZ.real * DtZ.real + DtZ.imag * DtZ.imag)
     multipliers = (grid.i_sgn, grid.wavenumbers)
     if with_vortices:
         rows += (G2.imag,)
@@ -329,7 +327,7 @@ def stage_projections(h, DtZ, G2, with_vortices):
     return apply_multiplier(grid, multipliers, rows=rows, scratch=True)[0]
 
 
-def compute_b(U, h, c_im_h):
+def compute_b(u, h, c_im_h):
     """Transport coefficient
 
         b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
@@ -338,7 +336,7 @@ def compute_b(U, h, c_im_h):
     with C Im h from :func:`stage_projections`.  How well b meets its
     defining property is :attr:`DerivedFields.b_residual`.
     """
-    return Field(U.grid, h.real + c_im_h + 2.0 * U.samples)
+    return h.real + c_im_h + 2.0 * u
 
 
 def compute_A1(DtZ, F_alpha, G1, G2, rows):
@@ -355,11 +353,10 @@ def compute_A1(DtZ, F_alpha, G1, G2, rows):
     from the rows of :func:`stage_projections` after C Im h: ``rows`` is
     |D||DtZ|^2 and, with vortices, C Im G2.
     """
-    dtz, f_a = DtZ.samples, F_alpha.samples
-    out = 1.0 - (dtz.real * f_a.imag + dtz.imag * f_a.real) - 0.5 * rows[0]
+    out = 1.0 - (DtZ.real * F_alpha.imag + DtZ.imag * F_alpha.real) - 0.5 * rows[0]
     if len(rows) > 1:
-        out -= (dtz.real * G1.real - dtz.imag * G1.imag - G2.real - rows[1]) / TWO_PI
-    return Field(DtZ.grid, out)
+        out -= (DtZ.real * G1.real - DtZ.imag * G1.imag - G2.real - rows[1]) / TWO_PI
+    return out
 
 
 def refine_minimum(alpha, values):
@@ -387,61 +384,60 @@ def refine_minimum(alpha, values):
     return sign * float(a_star), float(f_star)
 
 
-def assemble(state):
-    """One derived-field pass over a state; raises VortexProximityError
-    when a vortex is too close to the interface for the quadratures to
-    mean anything, NonFiniteStateError when W, U or a vortex position is
-    not finite."""
-    W, U, z, lam = state.W, state.U, state.positions, state.strengths
+def derive(grid, w, u, w_hat, u_hat, z, lam):
+    """The :class:`Derived` record of the state y = (w, u, w_hat, u_hat, z)
+    with strengths lam; raises VortexProximityError when a vortex is too
+    close to the interface for the quadratures to mean anything,
+    NonFiniteStateError when w, u or a position is not finite."""
     if not np.all(np.isfinite(z)):
-        raise NonFiniteStateError("non-finite vortex position at t=%g" % state.t)
-    grid = state.grid
-    Z, F, Z_alpha, F_alpha = reconstruct(W, U)
+        raise NonFiniteStateError("non-finite vortex position")
+    Z, F, Z_alpha, F_alpha = reconstruct(grid, w, u, w_hat, u_hat)
     d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
             "vortex within %.3g of the interface (< %g grid spacings)"
             % (d_I, MIN_SPACINGS))
-    K1, K2 = pole_kernels(Z, z)
-    Q = compute_Q(Z, lam, K1)
-    DtZ = Field(grid, np.conj(F.samples + Q.samples))
-    zdots = vortex_velocity(Z, F, Z_alpha, z, lam, K1)
-    DtQ, G1, G2 = compute_DtQ(Z_alpha, DtZ, lam, zdots, K2)
+    K1, K2 = pole_kernels(grid, Z, z)
+    Q = compute_Q(grid, lam, K1)
+    DtZ = np.conj(F + Q)
+    zdots = vortex_velocity(grid, F, Z_alpha, z, lam, K1)
+    DtQ, G1, G2 = compute_DtQ(grid, Z_alpha, DtZ, lam, zdots, K2)
     del K1, K2  # workspace views, which the stacked pass overwrites
-    h = DtZ.samples * (1.0 / Z_alpha.samples - 1.0) + np.conj(Q.samples)
-    proj = stage_projections(h, DtZ, G2, len(z) > 0)
-    b = compute_b(U, h, proj[0])
+    h = DtZ * (1.0 / Z_alpha - 1.0) + np.conj(Q)
+    proj = stage_projections(grid, h, DtZ, G2, len(z) > 0)
+    b = compute_b(u, h, proj[0])
     A1 = compute_A1(DtZ, F_alpha, G1, G2, proj[1:])
-    A = Field(grid, A1.samples / np.abs(Z_alpha.samples) ** 2)
-    G = Field(grid, -DtQ.samples.real)
-    return DerivedFields(Z=Z, Z_alpha=Z_alpha, F_alpha=F_alpha, F=F, Q=Q, DtZ=DtZ, DtQ=DtQ,
-                         b=b, A1=A1, A=A, G=G, zdots=zdots, d_I=d_I)
+    return Derived(Z, Z_alpha, F_alpha, F, Q, DtZ, DtQ, b, A1,
+                   A1 / np.abs(Z_alpha) ** 2, -DtQ.real, zdots, d_I)
 
 
-def rhs(state, derived=None):
-    """Time derivatives (dW/dt, dU/dt, dz/dt) of the evolution
+def assemble(state):
+    """The :class:`DerivedFields` of a state, for the monitor and the API
+    (the errors of :func:`derive`)."""
+    return DerivedFields(state.grid, derive(state.grid, *state.arrays, state.strengths))
+
+
+def rhs(grid, y, lam, record=None):
+    """Time derivative of the stage layout y = (w, u, w_hat, u_hat, z)
+    with strengths lam, in the same layout (dW/dt, dU/dt, their half
+    spectra, dz/dt), from the evolution
 
         d_t U = -b dU/da + A |d/da| W + G
         d_t W = -b dW/da + U + Re Q - b
 
-    plus the vortex ODEs, dz/dt the (m,) array of vortex velocities.  The
+    and the vortex ODEs, dz/dt the (m,) vortex velocities.  The
     W-equation is the real part of the kinematic identity
     d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
-    dW/da and |d/da| W are read off the assembled Z_a = 1 + (I + H) dW/da,
-    as Re Z_a - 1 and -Im Z_a, and dU/da as Re F_a.  Both time
-    derivatives are low-passed to half the grid band (de-aliasing) in one
-    stacked pass; the mask zeroes the Nyquist mode, so each filtered
-    row carries its half spectrum.  ``derived`` may be passed in when the
-    caller already assembled this state.
+    dW/da and |d/da| W are read off Z_a = 1 + (I + H) dW/da, as
+    Re Z_a - 1 and -Im Z_a, and dU/da as Re F_a.  Both time derivatives
+    are low-passed to half the grid band (de-aliasing) in one stacked
+    pass; the mask zeroes the Nyquist mode, so each filtered row carries
+    its half spectrum.  ``record`` is the state's :class:`Derived` record
+    when the caller already has it (:attr:`DerivedFields.record`).
     """
-    if derived is None:
-        derived = assemble(state)
-    grid = state.grid
-    Z_alpha = derived.Z_alpha.samples
-    bs = derived.b.samples
-    dW = -bs * (Z_alpha.real - 1.0) + state.U.samples + derived.Q.samples.real - bs
-    dU = (-bs * derived.F_alpha.samples.real + derived.A.samples * -Z_alpha.imag
-          + derived.G.samples)
-    out, spectra = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
-    return (Field.with_spectrum(grid, out[0], spectra[0]),
-            Field.with_spectrum(grid, out[1], spectra[1]), derived.zdots)
+    d = derive(grid, *y, lam) if record is None else record
+    bs = d.b
+    dW = -bs * (d.Z_alpha.real - 1.0) + y[1] + d.Q.real - bs
+    dU = -bs * d.F_alpha.real + d.A * -d.Z_alpha.imag + d.G
+    (dw, du), (dw_hat, du_hat) = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
+    return dw, du, dw_hat, du_hat, d.zdots

@@ -47,6 +47,7 @@ def test_shipped_config_is_the_canonical_run(monkeypatch):
     [((c08_state, c08_integrator), kwargs)] = calls
     assert c08_integrator == integrator
     assert kwargs == dict(gevrey_params=gevrey, eta1=eta1, stride=stride)
-    assert c08_state.vortices == state.vortices
+    assert np.array_equal(c08_state.positions, state.positions)
+    assert np.array_equal(c08_state.strengths, state.strengths)
     assert np.array_equal(c08_state.W.samples, state.W.samples)
     assert np.array_equal(c08_state.U.samples, state.U.samples)

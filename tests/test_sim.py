@@ -16,7 +16,7 @@ from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
                                reversed_state, run_simulation, step_picard,
                                step_rk4, symmetry_defect)
 from vortexwavelab.taylor import PairConfig
-from vortexwavelab.waves import Vortex, WaveState, assemble
+from vortexwavelab.waves import WaveState, assemble
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,7 @@ def test_make_initial_variants(sim_grid):
     s0 = make_initial("zero_wave", 0.0, canonical_pair(), sim_grid)
     s1 = make_initial("odd_bump", 0.0, canonical_pair(), sim_grid)
     assert np.array_equal(s0.W.samples, s1.W.samples)
-    assert s0.vortices[0].strength == 4 * math.pi
-    assert s0.vortices[1].strength == -4 * math.pi
+    assert s0.strengths.tolist() == [4 * math.pi, -4 * math.pi]
     s2 = make_initial("odd_bump", 1e-3, canonical_pair(), sim_grid)
     assert symmetry_defect(s2) <= 1e-14
     from types import SimpleNamespace
@@ -82,7 +81,7 @@ def test_pair_rises_one_step(sim_grid):
     s = make_initial("zero_wave", 0.0, canonical_pair(), sim_grid)
     dt = 0.01
     s1 = step_rk4(s, dt)
-    dy = s1.vortices[0].position.imag + 6.0
+    dy = s1.positions[0].imag + 6.0
     assert dy == pytest.approx(dt, abs=5e-4)         # zdot = i + O(dt * dU)
 
 
@@ -101,7 +100,7 @@ def test_rk4_self_convergence_order(sim_grid):
         got = march(dt, n)
         errs.append(math.sqrt(sim_grid.spacing * np.sum(
             np.abs(got.U.samples - ref.U.samples) ** 2)
-            + abs(got.vortices[0].position - ref.vortices[0].position) ** 2))
+            + abs(got.positions[0] - ref.positions[0]) ** 2))
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.8
 
@@ -119,6 +118,47 @@ def test_picard_contracts_and_matches_rk4(sim_grid):
         s_rk = step_rk4(s_rk, 5e-3)
     gap = math.sqrt(sim_grid.spacing * np.sum(np.abs(s_rk.W.samples - s_pi.W.samples) ** 2))
     assert gap <= 1e-7
+
+
+def test_steps_build_one_state(sim_grid, monkeypatch):
+    # a step runs its stages on plain arrays and wraps only its result: one
+    # WaveState over two Fields (W and U), no DerivedFields, with a start
+    # assembly passed in or not and whatever the number of Picard sweeps
+    from collections import Counter
+
+    from vortexwavelab.waves import DerivedFields
+    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
+    derived = assemble(s)
+    built = Counter()
+    for cls in (Field, WaveState, DerivedFields):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    one_state = {"Field": 2, "WaveState": 1}
+    for d in (None, derived):
+        built.clear()
+        step_rk4(s, 5e-3, d)
+        assert built == one_state
+    sweeps = set()
+    for tol in (1e-4, 1e-12):
+        cfg = IntegratorConfig(dt=5e-3, t_end=1.0, scheme="picard", picard_tol=tol)
+        built.clear()
+        sweeps.add(step_picard(s, 5e-3, cfg, derived)[1])
+        assert built == one_state
+    assert len(sweeps) == 2
+
+
+@pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-1), dict(stride=1.5),
+                                    dict(eta1=-1.0), dict(eta1=math.nan),
+                                    dict(eta1=math.inf)])
+def test_run_rejects_bad_stride_and_eta1(sim_grid, kwargs):
+    # named before the first step: stride 0 divided by zero after it,
+    # -1 recorded every step, 1.5 only the last; eta1 = -1 stopped at once
+    # as taylor_negative, and a NaN eta1 never stopped the run
+    s = make_initial("odd_bump", 1e-3, canonical_pair(), sim_grid)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.02), **kwargs)
 
 
 def test_picard_diverges_with_huge_step(sim_grid):
@@ -142,9 +182,9 @@ def test_vertical_velocity_sign_follows_strength(sim_grid):
     for lam in (10.0, -10.0):
         s = make_initial("odd_bump", 1e-4, canonical_pair(lam=lam), sim_grid)
         for _ in range(4):
-            prev_y = s.vortices[0].position.imag
+            prev_y = s.positions[0].imag
             s = step_rk4(s, 5e-3)
-            dy = s.vortices[0].position.imag - prev_y
+            dy = s.positions[0].imag - prev_y
             assert math.copysign(1.0, dy) == math.copysign(1.0, lam)
 
 
@@ -197,7 +237,7 @@ def test_reversed_state_involution(sim_grid):
     s = make_initial("odd_bump", 1e-3, canonical_pair(lam=7.0), sim_grid)
     rr = reversed_state(reversed_state(s))
     assert np.array_equal(rr.U.samples, s.U.samples)
-    assert rr.vortices[0].strength == s.vortices[0].strength
+    assert np.array_equal(rr.strengths, s.strengths)
 
 
 def test_short_time_reversal(sim_grid):
@@ -208,7 +248,7 @@ def test_short_time_reversal(sim_grid):
     back = reversed_state(fwd)
     for _ in range(8):
         back = step_rk4(back, 5e-3)
-    assert abs(back.vortices[0].position.imag - (-6.0)) <= 1e-10
+    assert abs(back.positions[0].imag - (-6.0)) <= 1e-10
     assert np.max(np.abs(back.W.samples - s.W.samples)) <= 1e-10
 
 
@@ -251,8 +291,7 @@ def _nan_W(state):
 
 
 def _nan_position(state):
-    nan_vortex = Vortex(complex(np.nan, -6.0), state.vortices[0].strength)
-    state.vortices = (nan_vortex,) + state.vortices[1:]
+    state.positions[0] = complex(np.nan, -6.0)
 
 
 def _nan_after(monkeypatch, calls, poison):

@@ -10,7 +10,7 @@ import pytest
 from vortexwavelab.taylor import (PairConfig, a1_flat_pair, crossing_depth,
                                   f_reduced, g_profile, inf_a1_flat, inf_a1_flat_rows,
                                   interaction_sum, residue_pair_integral,
-                                  residue_pair_integral_quad, stability_profile)
+                                  residue_pair_integral_quad)
 
 
 def test_pair_config_validation():
@@ -116,6 +116,9 @@ def test_inf_a1_flat_basic():
     val, argmin = inf_a1_flat(PairConfig(1e-3, y, lam))
     assert val == pytest.approx(-1.0, abs=1e-2)
     assert abs(abs(argmin) - abs(y)) <= 0.2
+    # at the threshold gamma = 4 (x = 1, y = -10) the minimum sits near 0
+    val, _ = inf_a1_flat(PairConfig(1.0, -10.0, 2 * math.pi * 10 ** 1.5))
+    assert val == pytest.approx(0.0, abs=2e-2)
     # deep pair at fixed strength approaches 1
     val, _ = inf_a1_flat(PairConfig(1.0, -50.0, 10.0))
     assert abs(val - 1.0) <= 50.0 / 50.0
@@ -203,13 +206,6 @@ def test_crossing_depth():
     assert crossing_depth(2 * math.pi) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(ValueError):
         crossing_depth(0.0)
-
-
-def test_stability_profile_bundle():
-    prof = stability_profile(PairConfig(1.0, -10.0, 2 * math.pi * 10 ** 1.5))
-    assert prof.gamma == pytest.approx(4.0, rel=1e-13)
-    assert prof.crossing_depth == pytest.approx(10.0, rel=1e-13)
-    assert prof.inf_value == pytest.approx(0.0, abs=2e-2)
 
 
 def test_residue_pair_integral_values():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import vortexwavelab
 import vortexwavelab.cli
-from vortexwavelab import waves
+from vortexwavelab import sim, waves
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.sim import make_initial
 from vortexwavelab.taylor import PairConfig
@@ -37,13 +37,20 @@ def test_tracer_records_a_stage_and_uninstalls():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        waves.rhs(state, waves.assemble(state))
+        waves.assemble(state)
+        sim.step_rk4(state, 1e-3)
     finally:
         tracer.uninstall()
     names = {span[1] for span in tracer.spans}
-    assert {"grid.fft", "waves.assemble", "waves.reconstruct", "waves.rhs",
-            "spectral.apply_multiplier", "waves.compute_b", "waves.compute_A1",
-            "waves.compute_Q", "waves.compute_DtQ", "waves.vortex_velocity"} <= names
+    stage = {"waves.reconstruct", "spectral.apply_multiplier", "waves.compute_b",
+             "waves.compute_A1", "waves.compute_Q", "waves.compute_DtQ",
+             "waves.vortex_velocity"}
+    assert {"grid.fft", "waves.assemble", "waves.rhs", "sim.step_rk4"} | stage <= names
+    # the stage runs inside each of the four rhs calls of the step, and
+    # inside the assembly
+    _, under = tracer.summarize()
+    for name in stage - {"spectral.apply_multiplier"}:
+        assert (under["waves.assemble", name], under["waves.rhs", name]) == (1, 4), name
     assert tracer.counts["grid.fields_built"] > 0
     for (module, name), original in originals.items():
         assert getattr(sys.modules["vortexwavelab." + module], name) is original

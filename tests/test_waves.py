@@ -36,14 +36,30 @@ def odd_bump_state(grid, amp, vortices=()):
     return WaveState(W, Field(grid, W.samples.copy()), vortices)
 
 
+def reconstructed(W, U):
+    """(Z, F, Z_alpha, F_alpha) of the Fields W and U."""
+    return reconstruct(W.grid, W.samples, U.samples, W.fft, U.fft)
+
+
+def state_rhs(state, derived=None):
+    """(dW/dt, dU/dt, dz/dt) at a state, given its DerivedFields or not."""
+    dw, du, _, _, zdots = rhs(state.grid, state.arrays, state.strengths,
+                              None if derived is None else derived.record)
+    return dw, du, zdots
+
+
+def sup(a):
+    return np.max(np.abs(a))
+
+
 # ----------------------------------------------------------------------
 # reconstruction
 
 def test_reconstruct_trivial(grid):
-    Z, F, Z_alpha, _ = reconstruct(zero_field(grid), zero_field(grid))
-    assert np.max(np.abs(Z.samples - grid.alpha)) == 0.0
-    assert F.sup_norm() == 0.0
-    assert np.max(np.abs(Z_alpha.samples - 1.0)) == 0.0
+    Z, F, Z_alpha, _ = reconstructed(zero_field(grid), zero_field(grid))
+    assert sup(Z - grid.alpha) == 0.0
+    assert sup(F) == 0.0
+    assert sup(Z_alpha - 1.0) == 0.0
 
 
 def test_reconstruct_pole_eigenrelation(grid):
@@ -51,34 +67,36 @@ def test_reconstruct_pole_eigenrelation(grid):
     # boundary value 1/(a - i) (periodized, mean removed)
     p = per_pole(grid, 1j)
     W = Field(grid, p.samples.real)
-    Z, _, _, _ = reconstruct(W, zero_field(grid))
+    Z, _, _, _ = reconstructed(W, zero_field(grid))
     expected = p.samples - p.mean()
-    assert np.max(np.abs(Z.samples - grid.alpha - expected)) <= 1e-12
+    assert sup(Z - grid.alpha - expected) <= 1e-12
 
 
 def test_reconstruct_holomorphic_projection(grid):
     rng = np.random.default_rng(31)
     W = band_limited(grid, rng)
     U = band_limited(grid, rng)
-    Z, F, _, _ = reconstruct(W, U)
-    zm = Field(grid, Z.samples - grid.alpha)
-    for f, src in ((zm, W), (F, U)):
+    Z, F, _, _ = reconstructed(W, U)
+    for f, src in ((Field(grid, Z - grid.alpha), W), (Field(grid, F), U)):
         proj = analytic_projection(f)
         resid = Field(grid, proj.samples - np.mean(proj.samples)).l2_norm()
         assert resid <= 1e-10 * (1.0 + src.l2_norm())
 
 
-def test_reconstruct_rejects_complex_input(grid):
+def test_wave_state_rejects_complex_input(grid):
+    # the stage works on the real samples of W and U, which the state checks
     bad = Field(grid, 1j * np.ones(grid.n_points))
-    with pytest.raises(ValueError):
-        reconstruct(bad, zero_field(grid))
+    with pytest.raises(ValueError, match="real"):
+        WaveState(bad, zero_field(grid))
+    with pytest.raises(ValueError, match="real"):
+        WaveState(zero_field(grid), bad)
 
 
 def test_reconstruct_names_non_finite_input(grid):
     W = np.zeros(grid.n_points)
     W[7] = np.nan
     with pytest.raises(NonFiniteStateError, match="finite"):
-        reconstruct(Field(grid, W), zero_field(grid))
+        reconstructed(Field(grid, W), zero_field(grid))
 
 
 # ----------------------------------------------------------------------
@@ -89,42 +107,42 @@ def test_pole_kernels_match_direct_evaluation(grid):
     # kernels: round-off away from the curve; at the nearest approach the
     # quadratures resolve, e_j - 1 cancels (error about eps/|2s(Z - z_j)|);
     # a vortex ten half-periods deep has e_j near 0 and K2 near 0
-    Z = Field(grid, grid.alpha + 0.1 * np.sin(grid.alpha / 7.0) + 0j)
+    Z = grid.alpha + 0.1 * np.sin(grid.alpha / 7.0) + 0j
     i = int(np.argmin(np.abs(grid.alpha - 3.5 * np.pi)))   # a crest of the curve
-    near = Z.samples[i] - 1j * MIN_SPACINGS * grid.spacing
+    near = Z[i] - 1j * MIN_SPACINGS * grid.spacing
     cases = ((Vortex(-1 - 4j, 3.0), 1e-14), (Vortex(2 - 6j, -1.0), 1e-14),
              (Vortex(near, 1.0), 1e-12), (Vortex(0.5 - 10j * grid.half_length, 2.0), 1e-14))
     vortices = tuple(v for v, _ in cases)
     z = np.array([v.position for v in vortices])
     assert interface_distance(Z, z) >= (MIN_SPACINGS - 1e-3) * grid.spacing
-    K1, K2 = pole_kernels(Z, z)
+    K1, K2 = pole_kernels(grid, Z, z)
     assert K1.shape == K2.shape == (len(cases), grid.n_points)
     for (v, tol), k1, k2 in zip(cases, K1, K2):
-        for k, ref in ((k1, periodic_cauchy_kernel(Z.samples - v.position, grid.half_length)),
-                       (k2, periodic_square_kernel(Z.samples - v.position, grid.half_length))):
+        for k, ref in ((k1, periodic_cauchy_kernel(Z - v.position, grid.half_length)),
+                       (k2, periodic_square_kernel(Z - v.position, grid.half_length))):
             assert np.max(np.abs(k - ref) / np.abs(ref)) <= tol
 
 
 def test_compute_q_no_vortices(grid):
-    Z = Field(grid, grid.alpha.astype(complex))
-    assert compute_Q(Z, np.empty(0), pole_kernels(Z, np.empty(0, complex))[0]).sup_norm() == 0.0
+    Z = grid.alpha.astype(complex)
+    assert sup(compute_Q(grid, np.empty(0), pole_kernels(grid, Z, np.empty(0, complex))[0])) == 0.0
 
 
 def test_compute_q_pair_value_and_symmetry(grid):
-    Z = Field(grid, grid.alpha.astype(complex))
-    K1, _ = pole_kernels(Z, np.array([-1 - 2j, 1 - 2j]))
-    Q = compute_Q(Z, np.array([math.pi, -math.pi]), K1)
+    Z = grid.alpha.astype(complex)
+    K1, _ = pole_kernels(grid, Z, np.array([-1 - 2j, 1 - 2j]))
+    Q = compute_Q(grid, np.array([math.pi, -math.pi]), K1)
     i0 = grid.n_points // 2          # alpha = 0
     # line value: -(pi i/2pi) [1/(1+2i) - 1/(-1+2i)] = -0.2i, periodization O(1/L^2)
-    assert abs(Q.samples[i0] + 0.2j) <= 1e-4
+    assert abs(Q[i0] + 0.2j) <= 1e-4
     # exact against the periodized arithmetic
     expected = -(math.pi * 1j / TWO_PI) * (
         periodic_cauchy_kernel(0 - (-1 - 2j), grid.half_length)
         - periodic_cauchy_kernel(0 - (1 - 2j), grid.half_length))
-    assert abs(Q.samples[i0] - expected) <= 1e-14
+    assert abs(Q[i0] - expected) <= 1e-14
     rev = (-np.arange(grid.n_points)) % grid.n_points
-    assert np.max(np.abs(Q.samples.real + Q.samples.real[rev])) <= 1e-13
-    assert np.max(np.abs(Q.samples.imag - Q.samples.imag[rev])) <= 1e-13
+    assert sup(Q.real + Q.real[rev]) <= 1e-13
+    assert sup(Q.imag - Q.imag[rev]) <= 1e-13
 
 
 def test_dtq_single_vortex_symbolic(grid):
@@ -187,9 +205,9 @@ def test_b0_matches_pv_quadrature(small_grid):
     rng = np.random.default_rng(32)
     U = band_limited(small_grid, rng, modes=16, scale=0.05)
     W = band_limited(small_grid, rng, modes=16, scale=0.05)
-    Z, F, Z_alpha, _ = reconstruct(W, U)
-    g = Field(small_grid, 1.0 / Z_alpha.samples - 1.0)
-    conj_F = Field(small_grid, np.conj(F.samples))
+    Z, F, Z_alpha, _ = reconstructed(W, U)
+    g = Field(small_grid, 1.0 / Z_alpha - 1.0)
+    conj_F = Field(small_grid, np.conj(F))
     via_mult = commutator_hilbert(conj_F, g)
     via_pv = pv_commutator(conj_F, g)
     assert np.max(np.abs(via_mult.samples - via_pv.samples)) <= 1e-8
@@ -256,42 +274,41 @@ def test_g_r_no_vortices(grid):
     d = assemble(state)
     assert d.DtQ.sup_norm() == 0.0
     assert d.G.sup_norm() == 0.0
-    dW, _, _ = rhs(state, d)
-    assert dW.sup_norm() == 0.0
+    dW, _, _ = state_rhs(state, d)
+    assert sup(dW) == 0.0
 
 
 def test_r_equals_re_q_for_flat_pair(grid):
     # flat interface at rest: the W-forcing Re Q - b reduces to Re Q
     state = flat_pair_state(grid, 1.0, -6.0, 10.0)
     d = assemble(state)
-    dW, _, _ = rhs(state, d)
-    assert np.max(np.abs(dW.samples.real - low_pass(d.Q).samples.real)) <= 1e-12
+    dW, _, _ = state_rhs(state, d)
+    assert sup(dW - low_pass(d.Q).samples.real) <= 1e-12
 
 
 def test_rhs_equilibrium_and_pair_forcing(grid):
-    dW, dU, zd = rhs(WaveState(zero_field(grid), zero_field(grid), ()))
-    assert dW.sup_norm() == 0.0 and dU.sup_norm() == 0.0 and zd.shape == (0,)
+    dW, dU, zd = state_rhs(WaveState(zero_field(grid), zero_field(grid), ()))
+    assert sup(dW) == 0.0 and sup(dU) == 0.0 and zd.shape == (0,)
     state = flat_pair_state(grid, 1.0, -6.0, 4 * math.pi)
     d = assemble(state)
-    dW, dU, zd = rhs(state, d)
+    dW, dU, zd = state_rhs(state, d)
     assert zd[0] == pytest.approx(1j, abs=1e-12)
-    assert dU.sup_norm() > 0.0           # the pair forces the wave
-    assert np.max(np.abs(dU.samples.real - low_pass(d.G).samples.real)) <= 1e-12
+    assert sup(dU) > 0.0                 # the pair forces the wave
+    assert sup(dU - low_pass(d.G).samples.real) <= 1e-12
 
 
 def test_rhs_preserves_oddness(grid):
     state = odd_bump_state(grid, 1e-2, pair_vortices(1.0, -6.0, 10.0))
-    dW, dU, zd = rhs(state)
+    dW, dU, zd = state_rhs(state)
     rev = (-np.arange(grid.n_points)) % grid.n_points
-    for f in (dW, dU):
-        s = f.samples.real
-        assert np.max(np.abs(s + s[rev])) <= 1e-8 * max(1.0, np.max(np.abs(s)))
+    for s in (dW, dU):
+        assert sup(s + s[rev]) <= 1e-8 * max(1.0, sup(s))
     assert zd[0].real == pytest.approx(-zd[1].real, abs=1e-12)
     assert zd[0].imag == pytest.approx(zd[1].imag, abs=1e-12)
 
 
 def test_stage_budget(monkeypatch):
-    # one RHS stage (assemble + rhs) on a state the steppers produce: one
+    # one RHS stage (rhs) on a stage layout the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
     # 16 real transforms in 5 transform calls.  A call on k rows counts k
     # real transforms (a complex field is two rows, its real and imaginary
@@ -309,7 +326,7 @@ def test_stage_budget(monkeypatch):
     starts = (make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
                            grid),
               make_initial("odd_bump", 1e-3, None, grid))
-    states = [_advance(start, 4e-3, [rhs(start)], [4e-3]) for start in starts]
+    stages = [_advance(s.arrays, [rhs(grid, s.arrays, s.strengths)], [4e-3]) for s in starts]
     counts = dict.fromkeys(("transforms", "transform_calls", "periodic_cauchy_kernel",
                             "periodic_square_kernel", "pole_kernels"), 0)
     for name in ("rfft", "irfft"):
@@ -329,9 +346,9 @@ def test_stage_budget(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    for state, transforms in zip(states, (16, 14)):
+    for start, y, transforms in zip(starts, stages, (16, 14)):
         counts.update(dict.fromkeys(counts, 0))
-        rhs(state, assemble(state))
+        rhs(grid, y, start.strengths)
         assert counts["pole_kernels"] == 1
         assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
         assert counts["transforms"] == transforms
@@ -345,20 +362,20 @@ def per_operator_stage(state):
     kernels are the stage's own (tested against the tan-based ones above):
     b is small against its parts, so the kernels' round-off would show."""
     grid = state.grid
-    W, U, vortices = state.W, state.U, state.vortices
+    W, U, vortices = state.W, state.U, list(zip(state.positions, state.strengths))
     Z = Field(grid, grid.alpha + W.samples + hilbert(W).samples)
     F = U.samples + hilbert(U).samples
     Z_a = 1.0 + derivative(W).samples - 1j * lambda_op(W).samples
-    K1, K2 = pole_kernels(Z, state.positions)
+    K1, K2 = pole_kernels(grid, Z.samples, state.positions)
     Q = np.zeros(grid.n_points, dtype=np.complex128)
-    for v, k1 in zip(vortices, K1):
-        Q -= (v.strength * 1j / TWO_PI) * k1
+    for (_, lam), k1 in zip(vortices, K1):
+        Q -= (lam * 1j / TWO_PI) * k1
     zdots = []
-    for j, v in enumerate(vortices):
-        zd = np.conj(cauchy_velocity(Z, Field(grid, F), v.position))
-        for k, w in enumerate(vortices):
+    for j, (z, _) in enumerate(vortices):
+        zd = np.conj(cauchy_velocity(Z, Field(grid, F), z))
+        for k, (z_k, lam_k) in enumerate(vortices):
             if k != j:
-                zd += w.strength * 1j / (TWO_PI * np.conj(v.position - w.position))
+                zd += lam_k * 1j / (TWO_PI * np.conj(z - z_k))
         zdots.append(zd)
     DtZ = np.conj(F) + np.conj(Q)
     h = Field(grid, DtZ * (1.0 / Z_a - 1.0) + np.conj(Q))
@@ -367,10 +384,10 @@ def per_operator_stage(state):
     lam_absq = lambda_op(Field(grid, np.abs(DtZ) ** 2)).samples
     A1 = 1.0 + (np.conj(DtZ) * lam_dtz).real - 0.5 * lam_absq
     DtQ = np.zeros(grid.n_points, dtype=np.complex128)
-    for v, zd, k2 in zip(vortices, zdots, K2):
+    for (_, lam), zd, k2 in zip(vortices, zdots, K2):
         proj = analytic_projection(Field(grid, Z_a * k2)).samples
-        A1 -= (v.strength / TWO_PI) * (proj * (DtZ - zd)).real
-        DtQ += (v.strength * 1j / TWO_PI) * (DtZ - zd) * k2
+        A1 -= (lam / TWO_PI) * (proj * (DtZ - zd)).real
+        DtQ += (lam * 1j / TWO_PI) * (DtZ - zd) * k2
     A = A1 / np.abs(Z_a) ** 2
     G = -DtQ.real
     dW = low_pass(Field(grid, -b * (Z_a.real - 1.0) + U.samples + Q.real - b)).samples
@@ -391,9 +408,9 @@ def test_stacked_stage_matches_the_per_operator_formulas(vortices):
     state = WaveState(band_limited(grid, rng, modes=48, scale=0.05),
                       band_limited(grid, rng, modes=48, scale=0.05), vortices)
     d = assemble(state)
-    dW, dU, zdots = rhs(state, d)
+    dW, dU, zdots = state_rhs(state, d)
     got = {"b": d.b.samples, "A1": d.A1.samples, "A": d.A.samples, "G": d.G.samples,
-           "dW": dW.samples, "dU": dU.samples, "zdots": zdots}
+           "dW": dW, "dU": dU, "zdots": zdots}
     ref = per_operator_stage(state)
     for name, value in ref.items():
         scale = np.max(np.abs(value)) if value.size else 0.0
@@ -467,9 +484,9 @@ def test_real_fields_stay_float64(grid):
     state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
                          grid)
     d = assemble(state)
-    dW, dU, _ = rhs(state, d)
-    for f in (state.W, state.U, d.b, d.A1, d.A, d.G, dW, dU):
-        assert f.samples.dtype == np.float64
+    dW, dU, _ = state_rhs(state, d)
+    for a in [f.samples for f in (state.W, state.U, d.b, d.A1, d.A, d.G)] + [dW, dU]:
+        assert a.dtype == np.float64
     for op in (derivative, lambda_op, low_pass):
         assert op(state.W).samples.dtype == np.float64
     assert hilbert(state.W).samples.dtype == np.complex128
@@ -482,7 +499,7 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
     monkeypatch.setattr(waves, "chord_arc_constant",
                         lambda Z: calls.append(1) or original(Z))
     d = assemble(flat_pair_state(grid, 1.0, -6.0, 10.0))
-    rhs(flat_pair_state(grid, 1.0, -6.0, 10.0), d)
+    state_rhs(flat_pair_state(grid, 1.0, -6.0, 10.0), d)
     assert calls == [] and "b_residual" not in vars(d) and "_A1_minimum" not in vars(d)
     assert d.chord_arc == d.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert calls == [1]
@@ -505,7 +522,7 @@ def test_interface_distance_and_proximity(grid):
 def test_chord_arc_flat(grid):
     Z = Field(grid, grid.alpha.astype(complex))
     assert chord_arc_constant(Z) == pytest.approx(1.0, rel=1e-14)
-    assert interface_distance(Z, np.empty(0, complex)) == np.inf
+    assert interface_distance(Z.samples, np.empty(0, complex)) == np.inf
 
 
 def test_kinematic_identity():
@@ -523,9 +540,9 @@ def test_kinematic_identity():
     dt = 1e-3
     sp = step_rk4(state, dt)
     sm = step_rk4(state, -dt)
-    Zp, _, _, _ = reconstruct(sp.W, sp.U)
-    Zm, _, _, _ = reconstruct(sm.W, sm.U)
-    dZdt = (Zp.samples - Zm.samples) / (2 * dt)
+    Zp, _, _, _ = reconstructed(sp.W, sp.U)
+    Zm, _, _, _ = reconstructed(sm.W, sm.U)
+    dZdt = (Zp - Zm) / (2 * dt)
     d = assemble(state)
     velocity = (np.conj(d.F.samples) + np.conj(d.Q.samples)
                 - d.b.samples.real * d.Z_alpha.samples)

@@ -29,30 +29,28 @@ from vortexwavelab.waves import assemble, rhs
 
 ROOT = Path(__file__).resolve().parents[1]
 CANONICAL_PAIR = PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5)
-DERIVED_FIELDS = ("Z", "Z_alpha", "F_alpha", "F", "Q", "DtZ", "DtQ", "b", "A1", "A", "G")
-
-
-def rhs_arrays(result):
-    dW, dU, zdots = result
-    return dW.samples, dW.fft, dU.samples, dU.fft, zdots
 
 
 def derived_arrays(derived):
-    return tuple(getattr(derived, name).samples for name in DERIVED_FIELDS) + (derived.zdots,)
+    """The arrays of an assembly's record (all but d_I); its Fields are over them."""
+    record = derived.record
+    assert all(getattr(derived, name).samples is a for name, a in zip(record._fields[:-2], record))
+    return record[:-1]
 
 
 def test_stage_results_survive_later_stages(monkeypatch):
-    # every stage's rhs result (samples and carried spectra) and every array
-    # of an assembly are unchanged, bit for bit, after the remaining stages
-    # of an RK4 and a Picard step and after an assembly of another state,
-    # and none of them is memory of the grid's workspace
+    # every stage's rhs result (the stage layout of dW/dt, dU/dt, their half
+    # spectra and dz/dt) and every array of an assembly's record are
+    # unchanged, bit for bit, after the remaining stages of an RK4 and a
+    # Picard step and after an assembly of another state, and none of them
+    # is memory of the grid's workspace
     grid = GridSpec(200.0, 2 ** 10)
     start = make_initial("odd_bump", 1e-3, CANONICAL_PAIR, grid)
     kept = []
 
-    def recording_rhs(state, derived=None):
-        result = rhs(state, derived)
-        kept.append((rhs_arrays(result), [a.tobytes() for a in rhs_arrays(result)]))
+    def recording_rhs(grid, y, lam, record=None):
+        result = rhs(grid, y, lam, record)
+        kept.append((result, [a.tobytes() for a in result]))
         return result
     monkeypatch.setattr(sim, "rhs", recording_rhs)
     derived = assemble(start)
@@ -81,7 +79,7 @@ def test_quadratures_and_stages_keep_each_others_results():
                pv_commutator(start.W, derived.F), hilbert_quadrature(derived.Z_alpha)]
     saved = [r.samples.tobytes() for r in results]
     assert [a.tobytes() for a in derived_arrays(derived)] == derived_bytes
-    rhs(start, assemble(start))
+    rhs(grid, start.arrays, start.strengths, assemble(start).record)
     workspace = grid.workspace()
     for r, b in zip(results, saved):
         assert r.samples.tobytes() == b
@@ -91,12 +89,14 @@ def test_quadratures_and_stages_keep_each_others_results():
 # Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
 # default heap policy (no mallopt), 30 steps after one warm-up step.
 # Measured on Linux/glibc 2.36 with numpy 2.4: 120-300 per step with the
-# stage workspace (127 in each of eight runs of the 16-transform stage; the
-# heap layout moves it, 265-281 with two more temporaries per stage), and
-# 1,500-2,600 without it (each stage's transform and pole-kernel arrays
-# handed back to the kernel and faulted in again).
+# stage workspace (215 in each of eight runs of the stage on plain arrays,
+# 132 on the same host for the stage that wrapped every state in Fields
+# before it; the heap layout moves it, 265-281 with two more temporaries
+# per stage, 913 when RK4 sums its stages as they come), and 1,500-2,600
+# without it (each stage's transform and pole-kernel arrays handed back to
+# the kernel and faulted in again).
 # What remains comes from the arrays a step must own (its four rhs results
-# and stage states, every assembly's DerivedFields) and from np.fft's
+# and stage layouts, every stage's derived arrays) and from np.fft's
 # per-call buffers: glibc trims the heap top once more than about 1 MB is
 # free there, and a step frees several.
 MAX_FAULTS_PER_STEP = 600
