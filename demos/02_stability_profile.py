@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from vortexwavelab.acceptance import CANONICAL_LAMBDA
 from vortexwavelab.config import sweep_rows
 from vortexwavelab.taylor import (PairConfig, a1_flat_pair, crossing_depth,
                                   g_profile, inf_a1_flat_rows)
@@ -32,11 +33,11 @@ for gamma, x, y, lam, inf_v, argmin in sweep_rows(3.0, 5.0, 9, 1e-3, -10.0):
           f"  argmin near |a| = {abs(argmin):.2f}")
 
 print("\ncrossing depths: lam -> (lam^2/4pi^2)^(1/3)")
-for lam in (2 * math.pi, 4 * math.pi, 2 * math.pi * 6.75 ** 1.5):
+for lam in (2 * math.pi, 4 * math.pi, CANONICAL_LAMBDA):
     print(f"  lam = {lam:8.3f}: |y_c| = {crossing_depth(lam):.4f}")
 
 print("\nfinite-separation correction at x = 1 (exact minimum vs reduced):")
-lam = 2 * math.pi * 6.75 ** 1.5
+lam = CANONICAL_LAMBDA
 depths = np.array([-12.0, -9.0, -6.75, -6.0])
 for y, inf_v in zip(depths, inf_a1_flat_rows(1.0, depths, lam)[0]):
     gamma = lam ** 2 / (math.pi ** 2 * abs(y) ** 3)

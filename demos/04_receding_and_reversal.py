@@ -12,26 +12,24 @@ import math
 
 import numpy as np
 
-from vortexwavelab.grid import GridSpec
-from vortexwavelab.sim import (IntegratorConfig, make_initial, reversed_state,
-                               run_simulation, step_rk4)
-from vortexwavelab.taylor import PairConfig
+from vortexwavelab.acceptance import CANONICAL_LAMBDA, canonical_scenario
+from vortexwavelab.config import build_run_inputs, run_scenario
+from vortexwavelab.sim import reversed_state, step_rk4
 
-LAM = 2 * math.pi * 6.75 ** 1.5
-grid = GridSpec(200.0, 2 ** 13)
+N = 2 ** 13
 
 print("== receding pair (lam < 0) ==")
-pair = PairConfig(1.0, -12.0, -LAM)
-state = make_initial("odd_bump", 1e-3, pair, grid)
-res = run_simulation(state, IntegratorConfig(dt=0.004, t_end=0.6), stride=10)
+res = run_scenario(canonical_scenario({"grid.n": N, "vortex.lambda": -CANONICAL_LAMBDA,
+                                       "time.t_end": 0.6, "output.stride": 10,
+                                       "monitor.eta1": None}))
 print("   t      y(t)      d_I     d_I bound   inf A1")
 d0 = res.records[0].d_I
 for r in res.records:
-    bound = d0 + abs(LAM) * r.t / (8 * math.pi)
+    bound = d0 + CANONICAL_LAMBDA * r.t / (8 * math.pi)
     print("%6.3f  %8.3f  %8.3f  %9.3f  %+.4f" % (r.t, r.y1, r.d_I, bound, r.inf_A1))
 
 print("\n== time reversal ==")
-state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, LAM), grid)
+state = build_run_inputs(canonical_scenario({"grid.n": N}))[1]
 dt, steps = 0.004, 25
 path = [state.positions[0].imag]
 s = state

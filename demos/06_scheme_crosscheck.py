@@ -13,13 +13,11 @@ import math
 
 import numpy as np
 
-from vortexwavelab.grid import GridSpec
-from vortexwavelab.sim import IntegratorConfig, make_initial, step_picard, step_rk4
-from vortexwavelab.taylor import PairConfig
+from vortexwavelab.acceptance import canonical_scenario
+from vortexwavelab.config import build_run_inputs
+from vortexwavelab.sim import IntegratorConfig, step_picard, step_rk4
 
-grid = GridSpec(200.0, 2 ** 13)
-pair = PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5)
-start = make_initial("odd_bump", 1e-3, pair, grid)
+grid, start = build_run_inputs(canonical_scenario({"grid.n": 2 ** 13}))[:2]
 
 dt, steps = 2e-3, 50
 cfg = IntegratorConfig(dt=dt, t_end=steps * dt, scheme="picard", picard_tol=1e-9)

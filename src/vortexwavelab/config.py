@@ -1,25 +1,18 @@
 """Scenario configuration files and trajectory output.
 
 Configs are flat ``key = value`` text with ``#`` comments, one namespaced
-key per line::
+key per line (``_KEYS`` lists them all; ``demos/transition.cfg`` is the
+canonical scenario)::
 
-    grid.half_length = 200
-    grid.n            = 16384
-    vortex.x0         = 1.0
-    vortex.y0         = -12.0
-    vortex.lambda     = 110.188
-    wave.kind         = odd_bump
-    wave.amplitude    = 1e-3
-    gevrey.L0         = 10
-    gevrey.delta0     = 5
-    time.dt           = 0.004
-    time.t_end        = 0.85
-    time.scheme       = rk4
-    output.path       = trajectory.csv
-    output.stride     = 2
-    monitor.eta1      = 0.5
+    grid.n        = 16384
+    vortex.y0     = -12.0
+    vortex.lambda = 110.188
+    wave.kind     = odd_bump
+    time.dt       = 0.004
+    time.t_end    = 0.85
+    output.path   = trajectory.csv
 
-Exactly one of vortex.gamma / vortex.lambda may appear; gamma sets the
+Exactly one of vortex.gamma / vortex.lambda must appear; gamma sets the
 strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  Without
 gevrey.delta0 the radius decays at L0 / (2 t_end).  Trajectories are
 written as CSV with a fixed 16-column header and 17-significant-digit

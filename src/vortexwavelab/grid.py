@@ -33,9 +33,6 @@ import numpy as np
 from .errors import GridMismatchError
 
 
-STACK_ROWS = 6  # rows of a stage's largest stacked pass, the inverse pass of waves.reconstruct
-
-
 class GridSpec:
     """Equispaced periodic grid on [-half_length, half_length).
 
@@ -67,16 +64,13 @@ class GridSpec:
 
     def workspace(self, size=0):
         """The grid's stage workspace, a flat complex128 buffer of at least
-        ``size`` values that also holds the largest stacked pass of a stage:
-        STACK_ROWS float64 rows of n samples followed by their STACK_ROWS
-        complex half spectra (see :func:`spectral.transform_buffers`), that
-        is 6 (n + 1) complex values (1.6 MB at n = 2^14).  It
-        is allocated on first use, not with the grid, and grows, never
+        ``size`` values (a stage's largest stacked pass, six rows and their
+        half spectra, takes 6 (n + 1): 1.6 MB at n = 2^14).  It is
+        allocated on first use, not with the grid, and grows, never
         shrinks, when a caller needs more.  Its contents belong to whoever
         wrote them last: the next stacked pass overwrites them, so two
         threads must not run stages on one grid object at the same time.
         """
-        size = max(size, STACK_ROWS * (self.n_points + 1))
         if self._workspace is None or len(self._workspace) < size:
             self._workspace = np.empty(size, dtype=np.complex128)
         return self._workspace

@@ -270,7 +270,8 @@ def monitor(state, gevrey_params, derived=None, first=None):
 @dataclass
 class RunResult:
     records: list
-    exit_reason: str      # completed | taylor_negative | vortex_proximity | cfl_violation | non_finite
+    exit_reason: str  # completed | taylor_negative | vortex_proximity | cfl_violation
+    #                   | non_finite | picard_diverged
     final_state: WaveState
     message: str = ""
 
@@ -279,9 +280,10 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     """March a state to t_end, recording monitors every ``stride`` steps.
 
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
-    a truncated trajectory on fatal vortex proximity, CFL violation or a
+    a truncated trajectory on fatal vortex proximity, CFL violation, a
     state that is no longer finite (reason "non_finite", raised by
-    :func:`waves.assemble` for W, U and the vortex positions).  Raises
+    :func:`waves.assemble` for W, U and the vortex positions) or a Picard
+    step whose sweeps do not converge (reason "picard_diverged").  Raises
     ValueError unless ``stride`` is an int >= 1 and ``eta1`` None or
     finite and >= 0.
     """
@@ -328,6 +330,8 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         return stop("vortex_proximity", str(exc))
     except NonFiniteStateError as exc:
         return stop("non_finite", str(exc))
+    except PicardDivergedError as exc:
+        return stop("picard_diverged", str(exc))
     return RunResult(records, "completed", state)
 
 

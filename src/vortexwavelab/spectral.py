@@ -30,7 +30,7 @@ pairs H with a vortex kernel would be polluted at the 1e-4 level.
 import numpy as np
 
 from .errors import NearBoundaryError
-from .grid import STACK_ROWS, Field, check_same_grid
+from .grid import Field, check_same_grid
 
 MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
 
@@ -54,14 +54,13 @@ def periodic_square_kernel(w, half_length):
 # multipliers, precomputed on the GridSpec
 
 def transform_buffers(grid, k):
-    """The leading k rows of the grid's workspace (:meth:`GridSpec.workspace`)
-    as a stacked pass's buffers: a float64 (k, n) array of rows and a
-    complex128 (k, n/2 + 1) array of their half spectra, at most STACK_ROWS
-    of each.  The next pass on the grid overwrites both."""
+    """The leading k (n + 1) values of the grid's workspace as a stacked
+    pass's buffers: float64 (k, n) rows, then their complex128 (k, n/2 + 1)
+    half spectra.  The next pass on the grid overwrites both."""
     n, half = grid.n_points, grid.n_points // 2
-    ws = grid.workspace()
-    rows = ws[:STACK_ROWS * half].view(np.float64)[:k * n].reshape(k, n)
-    spectra = ws[STACK_ROWS * half:STACK_ROWS * half + k * (half + 1)].reshape(k, half + 1)
+    ws = grid.workspace(k * (n + 1))
+    rows = ws[:k * half].view(np.float64).reshape(k, n)
+    spectra = ws[k * half:k * (n + 1)].reshape(k, half + 1)
     return rows, spectra
 
 

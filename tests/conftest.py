@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from vortexwavelab.acceptance import canonical_scenario
+from vortexwavelab.config import build_run_inputs
 from vortexwavelab.grid import GridSpec, Field
 from vortexwavelab.spectral import periodic_cauchy_kernel, periodic_square_kernel
 
@@ -40,3 +42,9 @@ def band_limited(grid, rng, modes=32, scale=1.0):
     spec = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     spec[1:modes + 1] = rng.normal(size=modes) + 1j * rng.normal(size=modes)
     return Field(grid, np.fft.irfft(spec, grid.n_points) * scale)
+
+
+def canonical_start(n, overrides=None):
+    """The initial state of the canonical scenario on n points (with
+    ``overrides`` of :func:`acceptance.canonical_scenario`)."""
+    return build_run_inputs(canonical_scenario({"grid.n": n, **(overrides or {})}))[1]

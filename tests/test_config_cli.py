@@ -1,5 +1,6 @@
 """Scenario-config parsing, trajectory files, sweeps, and the CLI contract."""
 
+import functools
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortexwavelab.acceptance import canonical_scenario
 from vortexwavelab.cli import main
 from vortexwavelab.config import (ScenarioConfig, build_run_inputs, run_scenario, sweep_rows,
                                   write_trajectory)
@@ -188,6 +190,24 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3                      # header + the two finite records
+
+
+def test_cmd_run_picard_diverged_writes_partial_file(tmp_path, monkeypatch, capsys):
+    # two Picard sweeps do not converge on the canonical pair: exit 1, with
+    # the t = 0 row written over the CSV an earlier run left at the path
+    import vortexwavelab.config as config
+    monkeypatch.setattr(config, "IntegratorConfig",
+                        functools.partial(IntegratorConfig, picard_max_iter=2))
+    out = tmp_path / "partial.csv"
+    out.write_text("an earlier run's rows\n")
+    cfg = canonical_scenario({"grid.n": 2 ** 10, "time.t_end": 0.04, "time.scheme": "picard"})
+    cfg_path = tmp_path / "picard.cfg"
+    cfg_path.write_text(cfg.serialize() + "output.path = %s\n" % out)
+    assert main(["run", str(cfg_path)]) == 1
+    assert "run stopped early: no contraction" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(StepRecord.COLUMNS)
+    assert len(lines) == 2 and lines[1].startswith("0,")
 
 
 def test_library_and_cli_share_the_default_radius():

@@ -13,7 +13,7 @@ from vortexwavelab.gevrey import (GevreyParams, embedding_bound, energy,
 from vortexwavelab.grid import Field, field_from_function, zero_field
 from vortexwavelab.spectral import derivative, hilbert
 
-from conftest import band_limited, mean_zero, per_pole
+from conftest import band_limited, canonical_start, mean_zero, per_pole
 
 
 def test_params_validation():
@@ -185,9 +185,8 @@ def test_energy_round_off_sensitivity_at_the_smallest_radius(grid):
     # relative at L0 = 4 and at L0 = 10 (5e-15 and 1.1e-13 measured; the
     # order sum with its round-off guards moved it by 4.4e-5 and 5.6e-2),
     # so a change that only reorders round-off does not read as physics.
-    from vortexwavelab.sim import make_initial, step_rk4
-    from vortexwavelab.taylor import PairConfig
-    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 110.18831137722873), grid)
+    from vortexwavelab.sim import step_rk4
+    state = canonical_start(grid.n_points)
     rng = np.random.default_rng(17)
     worst = {4.0: 0.0, 10.0: 0.0}
     for step in range(1, 61):

@@ -194,3 +194,23 @@ def test_rhs_keeps_odd_fields_odd(grid, seed, x, y, lam, amplitude):
     scale = max(abs(z1), abs(z2)) + inputs
     assert abs(z1.real + z2.real) <= 1e-14 * scale
     assert abs(z1.imag - z2.imag) <= 1e-14 * scale
+
+
+TAYLOR_GRID = GridSpec(50.0, 2 ** 11)
+
+
+def low_mode_field(rng, amplitude):
+    """Real mean-zero field on grid modes 1..m, m random up to 63, scaled
+    to the given sup norm."""
+    f = band_limited(TAYLOR_GRID, rng, modes=int(rng.integers(1, 64)))
+    return Field(TAYLOR_GRID, amplitude * f.samples / f.sup_norm())
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.floats(1e-4, 0.3), st.floats(1e-4, 0.3))
+def test_strong_taylor_sign_without_vortices(seed, amp_w, amp_u):
+    # Wu (1997): with no vortex, A1 is 1 plus a nonnegative integral, so
+    # its minimum is at least 1 (to round-off) for any wave
+    rng = np.random.default_rng(seed)
+    state = WaveState(low_mode_field(rng, amp_w), low_mode_field(rng, amp_u))
+    assert assemble(state).inf_A1 >= 1.0 - 1e-12

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexwavelab.acceptance import CANONICAL_LAMBDA
 from vortexwavelab.errors import NonFiniteStateError, PicardDivergedError
 from vortexwavelab.gevrey import GevreyParams, energy
 from vortexwavelab.grid import Field, GridSpec, zero_field
@@ -18,14 +19,16 @@ from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
 from vortexwavelab.taylor import PairConfig
 from vortexwavelab.waves import WaveState, assemble
 
+from conftest import canonical_start
+
 
 @pytest.fixture(scope="module")
 def sim_grid():
     return GridSpec(200.0, 2 ** 12)
 
 
-def canonical_pair(lam=4 * math.pi, y=-6.0):
-    return PairConfig(1.0, y, lam)
+def canonical_pair(lam=4 * math.pi):
+    return PairConfig(1.0, -6.0, lam)
 
 
 def test_make_initial_variants(sim_grid):
@@ -169,6 +172,18 @@ def test_picard_diverges_with_huge_step(sim_grid):
     assert len(err.value.history) == 8
 
 
+def test_run_ends_picard_diverged_with_earlier_rows():
+    # two sweeps do not reach 1e-10 on the canonical pair: the run ends
+    # with a named reason, the error text and the t = 0 row
+    s = canonical_start(2 ** 10)
+    res = run_simulation(s, IntegratorConfig(dt=0.004, t_end=0.04, scheme="picard",
+                                             picard_max_iter=2))
+    assert res.exit_reason == "picard_diverged"
+    assert res.message.startswith("no contraction to 1e-10 after 2 sweeps")
+    assert [r.t for r in res.records] == [0.0]
+    assert res.final_state is s
+
+
 def test_monitor_zero_state(sim_grid):
     s = WaveState(zero_field(sim_grid), zero_field(sim_grid), ())
     rep = monitor(s, gevrey_params=GevreyParams(L0=10, delta0=1))
@@ -267,8 +282,7 @@ def test_default_schedule_keeps_as5_to_t_end(sim_grid, dt, t_end):
     # without gevrey_params the radius reaches L0/2 at t_end; t adds up
     # past t_end by round-off (0.6000000000000004), which AS5's slack
     # absorbs, and E stays finite on every row
-    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=-2 * math.pi * 6.75 ** 1.5,
-                                                      y=-12.0), sim_grid)
+    s = canonical_start(sim_grid.n_points, {"vortex.lambda": -CANONICAL_LAMBDA})
     res = run_simulation(s, IntegratorConfig(dt=dt, t_end=t_end), stride=10)
     assert res.exit_reason == "completed"
     assert res.records[-1].t == pytest.approx(t_end)

@@ -6,16 +6,15 @@ gates."""
 
 import importlib.util
 import json
-import math
 import sys
 from pathlib import Path
 
 import vortexwavelab
 import vortexwavelab.cli
 from vortexwavelab import sim, waves
-from vortexwavelab.grid import Field, GridSpec
-from vortexwavelab.sim import make_initial
-from vortexwavelab.taylor import PairConfig
+from vortexwavelab.grid import Field
+
+from conftest import canonical_start
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,8 +31,7 @@ def test_tracer_records_a_stage_and_uninstalls():
     originals = {key: getattr(sys.modules["vortexwavelab." + key[0]], key[1])
                  for key in tracing.TARGETS}
     field_members = {name: Field.__dict__[name] for name in ("fft", "__init__")}
-    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
-                         GridSpec(200.0, 2 ** 8))
+    state = canonical_start(2 ** 8)
     tracer = tracing.Tracer()
     tracer.install()
     try:

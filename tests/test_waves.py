@@ -17,7 +17,7 @@ from vortexwavelab.waves import (Vortex, WaveState, assemble, chord_arc_constant
                                  compute_Q, interface_distance, pole_kernels,
                                  reconstruct, refine_minimum, rhs)
 
-from conftest import band_limited, per_pole
+from conftest import band_limited, canonical_start, per_pole
 
 TWO_PI = 2 * math.pi
 
@@ -322,10 +322,9 @@ def test_stage_budget(monkeypatch):
 
     from vortexwavelab import spectral, waves
     from vortexwavelab.sim import _advance, make_initial
-    grid = GridSpec(200.0, 2 ** 10)
-    starts = (make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
-                           grid),
-              make_initial("odd_bump", 1e-3, None, grid))
+    start = canonical_start(2 ** 10)
+    grid = start.grid
+    starts = (start, make_initial("odd_bump", 1e-3, None, grid))
     stages = [_advance(s.arrays, [rhs(grid, s.arrays, s.strengths)], [4e-3]) for s in starts]
     counts = dict.fromkeys(("transforms", "transform_calls", "periodic_cauchy_kernel",
                             "periodic_square_kernel", "pole_kernels"), 0)
@@ -464,11 +463,9 @@ def test_a1_matches_the_projection_form(name):
 def test_steppers_carry_the_spectra_of_w_and_u():
     # the spectra _advance and reversed_state attach are the rfft of the
     # samples they go with, to round-off
-    from vortexwavelab.sim import (IntegratorConfig, make_initial, reversed_state,
+    from vortexwavelab.sim import (IntegratorConfig, reversed_state,
                                    step_picard, step_rk4)
-    grid = GridSpec(200.0, 2 ** 10)
-    start = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
-                         grid)
+    start = canonical_start(2 ** 10)
     config = IntegratorConfig(dt=4e-3, t_end=4e-3, scheme="picard", picard_tol=1e-9)
     states = (step_rk4(start, 4e-3), step_picard(start, 4e-3, config)[0])
     states += tuple(reversed_state(s) for s in states)
@@ -480,9 +477,7 @@ def test_steppers_carry_the_spectra_of_w_and_u():
 
 
 def test_real_fields_stay_float64(grid):
-    from vortexwavelab.sim import make_initial
-    state = make_initial("odd_bump", 1e-3, PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5),
-                         grid)
+    state = canonical_start(grid.n_points)
     d = assemble(state)
     dW, dU, _ = state_rhs(state, d)
     for a in [f.samples for f in (state.W, state.U, d.b, d.A1, d.A, d.G)] + [dW, dU]:

@@ -10,7 +10,6 @@ earlier ones; so every array a stage returns must survive later stages bit
 for bit.
 """
 
-import math
 import os
 import platform
 import subprocess
@@ -21,14 +20,13 @@ import numpy as np
 import pytest
 
 from vortexwavelab import sim
-from vortexwavelab.grid import GridSpec
-from vortexwavelab.sim import IntegratorConfig, make_initial, step_picard, step_rk4
+from vortexwavelab.sim import IntegratorConfig, step_picard, step_rk4
 from vortexwavelab.spectral import hilbert_quadrature, pv_commutator, sq_diff_integral
-from vortexwavelab.taylor import PairConfig
 from vortexwavelab.waves import assemble, rhs
 
+from conftest import canonical_start
+
 ROOT = Path(__file__).resolve().parents[1]
-CANONICAL_PAIR = PairConfig(1.0, -12.0, 2 * math.pi * 6.75 ** 1.5)
 
 
 def derived_arrays(derived):
@@ -44,8 +42,8 @@ def test_stage_results_survive_later_stages(monkeypatch):
     # unchanged, bit for bit, after the remaining stages of an RK4 and a
     # Picard step and after an assembly of another state, and none of them
     # is memory of the grid's workspace
-    grid = GridSpec(200.0, 2 ** 10)
-    start = make_initial("odd_bump", 1e-3, CANONICAL_PAIR, grid)
+    start = canonical_start(2 ** 10)
+    grid = start.grid
     kept = []
 
     def recording_rhs(grid, y, lam, record=None):
@@ -71,8 +69,8 @@ def test_quadratures_and_stages_keep_each_others_results():
     # the quadratures' circulant pass writes into the same workspace as a
     # stage: a quadrature result survives a later assembly and rhs, and an
     # assembly made before the quadratures survives them, bit for bit
-    grid = GridSpec(200.0, 2 ** 10)
-    start = make_initial("odd_bump", 1e-3, CANONICAL_PAIR, grid)
+    start = canonical_start(2 ** 10)
+    grid = start.grid
     derived = assemble(start)
     derived_bytes = [a.tobytes() for a in derived_arrays(derived)]
     results = [sq_diff_integral(derived.F, method="quadrature"),
@@ -103,10 +101,9 @@ MAX_FAULTS_PER_STEP = 600
 
 CHILD = """
 import resource
-from vortexwavelab import grid, sim, taylor
-g = grid.GridSpec(200.0, 2 ** 14)
-pair = taylor.PairConfig(1.0, -12.0, %r)
-state = sim.step_rk4(sim.make_initial("odd_bump", 1e-3, pair, g), 2e-3)  # warm-up
+from vortexwavelab import acceptance, config, sim
+start = config.build_run_inputs(acceptance.canonical_scenario())[1]
+state = sim.step_rk4(start, 2e-3)  # warm-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(%d):
     state = sim.step_rk4(state, 2e-3)
@@ -120,7 +117,7 @@ def test_library_steps_keep_their_memory():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD % (CANONICAL_PAIR.lam, steps)],
+    proc = subprocess.run([sys.executable, "-c", CHILD % steps],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     per_step = int(proc.stdout.split()[-1]) / steps
