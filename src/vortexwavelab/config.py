@@ -175,11 +175,12 @@ def write_trajectory(path, records):
 
 
 def write_sweep(path, rows):
-    """Sweep CSV: gamma, x, y, lambda, inf_A1, argmin_alpha."""
+    """Sweep CSV of the 6-tuples ``rows`` (see :func:`sweep_rows`): gamma, x,
+    y, lambda, inf_A1, argmin_alpha, each with 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("gamma,x,y,lambda,inf_A1,argmin_alpha\n")
         for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
 
 
 def sweep_rows(gamma_min, gamma_max, steps, x, y, max_workers=None):

@@ -279,6 +279,13 @@ class RunResult:
 def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     """March a state to t_end, recording monitors every ``stride`` steps.
 
+    A run ends at t_end (measured from the state's t): it takes the whole
+    steps of dt that fit, with a relative slack of 1e-12 so that t_end/dt
+    rounding just above an integer (0.9/0.004 = 225.00000000000003) takes
+    no extra step, then one step of the remainder if that exceeds 1e-9 dt.
+    The CFL check judges the step actually taken, and the last step's row
+    is always recorded.
+
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
     a truncated trajectory on fatal vortex proximity, CFL violation, a
     state that is no longer finite (reason "non_finite", raised by
@@ -292,7 +299,9 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     if eta1 is not None and not (math.isfinite(eta1) and eta1 >= 0):
         raise ValueError("eta1 must be finite and >= 0, got %r" % (eta1,))
     params = gevrey_params or GevreyParams.halving_at(integrator.t_end)
-    n_steps = max(int(round(integrator.t_end / integrator.dt)), 0)
+    dt, t_stop = integrator.dt, state.t + integrator.t_end
+    n_whole = int(integrator.t_end / dt * (1.0 + 1e-12))
+    n_steps = n_whole + int(integrator.t_end - n_whole * dt > 1e-9 * dt)
     records = []
 
     def stop(reason, message):
@@ -303,19 +312,20 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         first = monitor(state, params, derived)
         records.append(first)
         for step_index in range(1, n_steps + 1):
+            if step_index > n_whole:
+                dt = t_stop - state.t
             if derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:  # inf for no vortex
                 return stop("vortex_proximity", "d_I=%g below %g spacings"
                             % (derived.d_I, FATAL_PROXIMITY_SPACINGS))
             limit = CFL_SAFETY * cfl_limit(state, derived)
-            if integrator.dt > limit:
+            if dt > limit:
                 return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
-                            % (integrator.dt, limit, state.t))
+                            % (dt, limit, state.t))
             if integrator.scheme == "rk4":
-                state = step_rk4(state, integrator.dt, derived)
+                state = step_rk4(state, dt, derived)
                 picard_iters = None
             else:
-                state, picard_iters, _ = step_picard(state, integrator.dt,
-                                                     integrator, derived)
+                state, picard_iters, _ = step_picard(state, dt, integrator, derived)
             derived = assemble(state)
             last = step_index == n_steps
             hit = eta1 is not None and derived.inf_A1 <= -eta1

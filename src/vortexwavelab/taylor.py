@@ -63,7 +63,8 @@ def g_profile(k):
     """g(k) = (3k^4 + 2k^2 - 1)/(k^2 + 1)^4; max 1/4 at k = +-1, min -1 at 0."""
     k = np.asarray(k, dtype=float)
     k2 = k * k
-    return (3.0 * k2 * k2 + 2.0 * k2 - 1.0) / (k2 + 1.0) ** 4
+    d2 = (k2 + 1.0) ** 2
+    return (3.0 * k2 * k2 + 2.0 * k2 - 1.0) / (d2 * d2)
 
 
 def f_reduced(gamma, k):
@@ -82,7 +83,8 @@ def _g1(alpha, cfg):
     a = np.asarray(alpha, dtype=float)
     x, y, lam = cfg.x, cfg.y, cfg.lam
     r2 = x * x + y * y
-    num = 3.0 * y * a ** 4 + r2 * y * (3.0 * x * x - y * y + 2.0 * a * a)
+    a2 = a * a  # fourth powers as squares of squares: a float ** 4 costs ~70 ns a point
+    num = 3.0 * y * (a2 * a2) + r2 * y * (3.0 * x * x - y * y + 2.0 * a2)
     # (a^4 + r^4 + 2a^2(y^2 - x^2))^2 as a product, which does not cancel
     # near a = x when x >> |y|
     den = (((a + x) ** 2 + y * y) * ((a - x) ** 2 + y * y)) ** 2

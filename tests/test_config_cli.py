@@ -13,7 +13,7 @@ import pytest
 from vortexwavelab.acceptance import canonical_scenario
 from vortexwavelab.cli import main
 from vortexwavelab.config import (ScenarioConfig, build_run_inputs, run_scenario, sweep_rows,
-                                  write_trajectory)
+                                  write_sweep, write_trajectory)
 from vortexwavelab.errors import ConfigError
 from vortexwavelab.sim import IntegratorConfig, StepRecord, run_simulation
 
@@ -276,6 +276,16 @@ def test_sweep_rows_and_threshold():
 
 def test_sweep_rows_ignore_max_workers():
     assert sweep_rows(3.9, 4.1, 7, 1e-3, -10.0, max_workers=2) == sweep_rows(3.9, 4.1, 7, 1e-3, -10.0)
+
+
+def test_write_sweep_formats_each_value_to_17_digits(tmp_path):
+    # one format string per row writes what per-value "%.17g" did
+    rows = sweep_rows(3.9, 4.1, 21, 1e-3, -10.0)
+    out = tmp_path / "sweep.csv"
+    write_sweep(out, rows)
+    expected = "gamma,x,y,lambda,inf_A1,argmin_alpha\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert out.read_text() == expected
 
 
 @pytest.mark.parametrize("option,value", [

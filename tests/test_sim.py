@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from vortexwavelab.acceptance import CANONICAL_LAMBDA
+from vortexwavelab.acceptance import CANONICAL_LAMBDA, canonical_scenario
+from vortexwavelab.config import run_scenario
 from vortexwavelab.errors import NonFiniteStateError, PicardDivergedError
 from vortexwavelab.gevrey import GevreyParams, energy
 from vortexwavelab.grid import Field, GridSpec, zero_field
@@ -288,6 +289,22 @@ def test_default_schedule_keeps_as5_to_t_end(sim_grid, dt, t_end):
     assert res.records[-1].t == pytest.approx(t_end)
     assert res.records[-1].phi == pytest.approx(5.0)
     assert all(r.as_flags["AS5"] and math.isfinite(r.E_gevrey) for r in res.records)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "picard"])
+@pytest.mark.parametrize("t_end", [0.001, 0.0062, 0.01, 0.0139])
+def test_run_ends_at_t_end(scheme, t_end):
+    # dt = 0.004: the whole steps that fit, then one step of the remainder,
+    # so the last row sits at t_end, also below dt/2 (0.001); with
+    # gevrey.delta0 left out phi reaches L0/2 exactly there, so AS5 holds
+    cfg = canonical_scenario({"grid.n": 2048, "time.t_end": t_end, "time.scheme": scheme,
+                              "gevrey.delta0": None, "monitor.eta1": None,
+                              "output.stride": 1})
+    res = run_scenario(cfg)
+    assert res.exit_reason == "completed"
+    assert len(res.records) == 2 + int(t_end / 0.004)
+    assert abs(res.records[-1].t - t_end) <= 1e-15
+    assert res.records[-1].as_flags["AS5"]
 
 
 def test_as5_slack_is_round_off_only(sim_grid):

@@ -6,6 +6,7 @@ values, matched either exactly (when the identity holds discretely) or
 with an explicitly budgeted O(1/L) truncation tolerance.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -164,6 +165,38 @@ def test_low_pass_is_invisible_on_resolved_fields(grid):
     rng = np.random.default_rng(4)
     f = band_limited(grid, rng, modes=100)
     assert np.max(np.abs(low_pass(f).samples - f.samples)) <= 1e-13 * f.sup_norm()
+
+
+# ----------------------------------------------------------------------
+# periodized kernels
+
+@pytest.mark.parametrize("L", [1.0, 200.0, 3200.0])
+def test_periodic_kernels_match_mpmath(L):
+    # the reference is taken at the float64 argument x = s w, so the
+    # tolerance measures the kernels' formulas, not the rounding of s w
+    s = np.pi / (2.0 * L)
+    rng = np.random.default_rng(19)
+    u = np.concatenate([rng.uniform(-L, L, 60), [-L, L * (1.0 - 1e-12), 1e-9]])
+    for v in (0.0, 1e-2, -1e-2, 1.0, -1.0, -12.0, -10.0 * L, -100.0 * L):
+        w = u if v == 0.0 else u + 1j * v
+        k1 = periodic_cauchy_kernel(w, L)
+        assert k1.dtype == (np.float64 if v == 0.0 else np.complex128)
+        with mpmath.workdps(40):
+            for got, a, b in zip(k1, s * w.real, s * w.imag):
+                ref = s * mpmath.cot(mpmath.mpc(a, b))
+                for part, ref_part in ((got.real, ref.real), (got.imag, ref.imag)):
+                    assert abs(part - ref_part) <= 2e-15 * abs(ref_part)
+    k2 = periodic_square_kernel(u, L)
+    assert k2.dtype == np.float64
+    with mpmath.workdps(40):
+        for got, a in zip(k2, s * u):
+            ref = (s / mpmath.sin(mpmath.mpf(a))) ** 2
+            assert abs(got - ref) <= 2e-15 * ref
+    assert periodic_square_kernel(u + 1j, L).dtype == np.complex128
+    for kernel in (periodic_cauchy_kernel, periodic_square_kernel):
+        for w, dtype in ((0.5 * L, np.float64), (0.5 * L - 1j, np.complex128)):
+            value = kernel(w, L)
+            assert isinstance(value, np.generic) and value.dtype == dtype
 
 
 # ----------------------------------------------------------------------
