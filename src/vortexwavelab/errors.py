@@ -19,10 +19,6 @@ class VortexProximityError(VortexWaveError):
     resolve; the state is no longer trustworthy."""
 
 
-class RadiusExhaustedError(VortexWaveError):
-    """The shrinking analyticity radius L0 - delta0*t reached zero."""
-
-
 class NonFiniteStateError(VortexWaveError, ValueError):
     """A state holds NaN or infinite values, so nothing derived from it
     means anything."""

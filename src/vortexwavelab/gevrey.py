@@ -9,7 +9,7 @@ Four norms are provided, differing in their per-order weights:
 
 sigma is the radius of convergence.  The radius schedule phi(t) =
 L0 - delta0*t shrinks linearly; the energy of a wave state is measured
-in the Yd x X pair at the current radius.
+in the Yd x X pair at a radius sigma, phi(t) in the monitor.
 
 Since ||d^n f||^2 is the sum over modes of P(k) k^(2n), with P the power
 spectrum, each squared norm is one dot product: sum_k P(k) w(sigma k),
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RadiusExhaustedError
 from .grid import check_same_grid
 
 N_MAX = 40          # highest derivative order in the weights
@@ -125,20 +124,8 @@ def gevrey_norm(f, sigma, kind):
     return _norm(power_spectrum(f.grid, f.fft), f.grid.wavenumbers, sigma, kind)
 
 
-def radius(t, params):
-    """The schedule's radius phi(t), for t >= 0.  Raises once the radius
-    is exhausted; callers who need phi >= L0/2 must keep t <= L0/(2*delta0)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    phi = params.phi(t)
-    if phi <= 0:
-        raise RadiusExhaustedError("radius exhausted at t=%g (L0=%g, delta0=%g)"
-                                   % (t, params.L0, params.delta0))
-    return phi
-
-
-def energy(W, U, t, params):
-    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius phi(t).
+def energy(W, U, sigma):
+    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius sigma > 0.
 
     The power of dW/da is k^2 times that of W.  Summed over the resolved
     band only, E does not see the round-off in the modes above it: on
@@ -146,11 +133,12 @@ def energy(W, U, t, params):
     noise on W and U moves E by at most 1.1e-13 relative at L0 = 10 and
     5e-15 at L0 = 4, which ``tests/test_gevrey.py`` pins below 1e-10.
     """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive, got %g" % sigma)
     grid = check_same_grid(W, U)
-    phi = radius(t, params)
     k = grid.wavenumbers
-    eu = _norm(power_spectrum(grid, U.fft), k, phi, "Yd").value
-    ew = _norm(power_spectrum(grid, W.fft) * k * k, k, phi, "X").value
+    eu = _norm(power_spectrum(grid, U.fft), k, sigma, "Yd").value
+    ew = _norm(power_spectrum(grid, W.fft) * k * k, k, sigma, "X").value
     return 0.5 * (eu * eu + ew * ew)
 
 

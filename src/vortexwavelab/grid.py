@@ -36,7 +36,8 @@ from .errors import GridMismatchError
 class GridSpec:
     """Equispaced periodic grid on [-half_length, half_length).
 
-    n_points must be a power of two and at least 16; spacing * n_points
+    half_length must be finite and positive, n_points a power of two
+    and at least 16; spacing * n_points
     equals 2 * half_length exactly in floating point (division by a
     power of two is exact).
     """
@@ -45,8 +46,8 @@ class GridSpec:
         n_points = int(n_points)
         if n_points < 16 or (n_points & (n_points - 1)) != 0:
             raise ValueError("n_points must be a power of two >= 16, got %d" % n_points)
-        if half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not (np.isfinite(half_length) and half_length > 0):
+            raise ValueError("half_length must be finite and positive, got %r" % half_length)
         self.half_length = float(half_length)
         self.n_points = n_points
         self.spacing = 2.0 * self.half_length / n_points

@@ -240,7 +240,7 @@ def monitor(state, gevrey_params, derived=None, first=None):
     """
     derived = derived if derived is not None else assemble(state)
     phi = gevrey_params.phi(state.t)
-    E = energy(state.W, state.U, state.t, gevrey_params) if phi > 0 else math.nan
+    E = energy(state.W, state.U, phi) if phi > 0 else math.nan
     nan = complex(math.nan, math.nan)
     m = len(state.positions)
     z1, z2 = state.positions if m == 2 else (nan, nan)

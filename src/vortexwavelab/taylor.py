@@ -34,6 +34,7 @@ a = r sqrt(max(Re v, 0)) for each of the quartic's four roots v; a complex
 or negative root still gives a real a, which can only lose the comparison.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,21 +187,30 @@ def residue_pair_integral(w1, w2):
 
 
 def residue_pair_integral_quad(w1, w2):
-    """Adaptive-quadrature companion of :func:`residue_pair_integral`,
-    integrating over the whole real line."""
-    from scipy.integrate import quad  # scipy is a verification dependency only
-
+    """Numerical companion of :func:`residue_pair_integral`, which never
+    uses the residue: b = tan(theta/2) maps the line onto the circle, where
+    (1 + b^2) / (2 (b - w1)(b - conj w2)) is periodic and analytic in theta,
+    so the periodic trapezoid rule on n midpoint nodes (clear of theta =
+    +-pi) converges like r^-n.  r is the smallest max(|z|, 1/|z|) over the
+    poles z = (1 + ib)/(1 - ib), and n the power of two with n ln r >= 40,
+    at least 64; a point that needs more than 2^20 nodes raises ValueError.
+    The integrand is taken as 1/(2 (s - w1 c)(s - conj(w2) c)), s and c the
+    sine and cosine of theta/2 from exact arguments, which stays accurate
+    where b is large."""
     if np.imag(w1) >= 0 or np.imag(w2) >= 0:
         raise ValueError("both points must lie strictly below the real line")
-    w2c = np.conj(w2)
-
-    def integrand(b, part):
-        v = 1.0 / ((b - w1) * (b - w2c))
-        return v.real if part == "re" else v.imag
-
-    re, _ = quad(integrand, -np.inf, np.inf, args=("re",), epsabs=1e-11, limit=400)
-    im, _ = quad(integrand, -np.inf, np.inf, args=("im",), epsabs=1e-11, limit=400)
-    return complex(re, im)
+    n = 64
+    for w in (w1, w2):   # z(conj w) = conj(1/z(w)): the same r
+        p, q = abs(1 + 1j * w), abs(1 - 1j * w)
+        log_r = math.log(max(p, q) / min(p, q)) if min(p, q) > 0 else math.inf
+        while n * log_r < 40:
+            n *= 2
+            if n > 2 ** 20:
+                raise ValueError("pole %s lies too near the real line for the "
+                                 "quadrature (more than 2^20 nodes)" % w)
+    u = 0.5 - (np.arange(n) + 0.5) / n   # theta/2 = pi u, u exact
+    s, c = np.sin(np.pi * u), np.sin(np.pi * (0.5 - np.abs(u)))
+    return complex(np.sum(1.0 / ((s - w1 * c) * (s - np.conj(w2) * c))) * np.pi / n)
 
 
 def interaction_sum(vortices, alpha):

@@ -370,8 +370,10 @@ assert main(["run", cfg]) == 0
 
 
 def test_run_and_sweep_load_no_scipy(tmp_path):
-    # scipy serves only the acceptance checks and the tests: with it blocked,
-    # the package, its CLI, a sweep and a 2^10-point run with a pair still work
+    # scipy serves only the tests: with it blocked, the package, its CLI, a
+    # sweep and a 2^10-point run with a pair still work, and the acceptance
+    # checks need no scipy either (test_acceptance.py::test_criterion runs
+    # each of them with scipy blocked)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TRANSITION_MINI.replace("grid.n = 4096", "grid.n = 1024")
                    .replace("time.t_end = 0.5", "time.t_end = 0.02")

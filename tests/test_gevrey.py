@@ -7,9 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vortexwavelab.errors import RadiusExhaustedError
-from vortexwavelab.gevrey import (GevreyParams, embedding_bound, energy,
-                                  gevrey_norm, radius)
+from vortexwavelab.gevrey import GevreyParams, embedding_bound, energy, gevrey_norm
 from vortexwavelab.grid import Field, field_from_function, zero_field
 from vortexwavelab.spectral import derivative, hilbert
 
@@ -130,25 +128,21 @@ def test_spectrum_floor_guards_machine_noise(grid):
 
 def test_radius_schedule():
     p = GevreyParams(L0=10.0, delta0=1000.0)
-    assert radius(0.0, p) == 10.0
-    assert radius(p.L0 / (2 * p.delta0), p) == pytest.approx(5.0, rel=1e-15)
-    assert radius(0.004, p) == pytest.approx(6.0, rel=1e-15)
-    with pytest.raises(RadiusExhaustedError):
-        radius(0.011, p)
-    with pytest.raises(ValueError):
-        radius(-1.0, p)
+    assert p.phi(0.0) == 10.0
+    assert p.phi(p.L0 / (2 * p.delta0)) == pytest.approx(5.0, rel=1e-15)
+    assert p.phi(0.004) == pytest.approx(6.0, rel=1e-15)
+    assert p.phi(0.011) < 0.0   # exhausted: the monitor records E as NaN
     half = GevreyParams.halving_at(0.6, L0=8.0)
     assert half.phi(0.0) == 8.0 and half.phi(0.6) == pytest.approx(4.0, rel=1e-15)
     assert GevreyParams.halving_at(0.0).L0 == 10.0
 
 
 def test_energy_zero_and_w_only(grid):
-    p = GevreyParams(L0=10.0, delta0=1.0)
-    assert energy(zero_field(grid), zero_field(grid), 0.0, p) == 0.0
+    assert energy(zero_field(grid), zero_field(grid), 10.0) == 0.0
     rng = np.random.default_rng(15)
     W = band_limited(grid, rng, modes=12)
     a = gevrey_norm(derivative(W), 10.0, "X").value
-    assert energy(W, zero_field(grid), 0.0, p) == pytest.approx(a * a / 2, rel=1e-12)
+    assert energy(W, zero_field(grid), 10.0) == pytest.approx(a * a / 2, rel=1e-12)
 
 
 def test_energy_against_extended_precision_summation(grid):
@@ -157,8 +151,7 @@ def test_energy_against_extended_precision_summation(grid):
     rng = np.random.default_rng(16)
     W = band_limited(grid, rng, modes=10)
     U = band_limited(grid, rng, modes=10)
-    p = GevreyParams(L0=8.0, delta0=1.0)
-    got = energy(W, U, 0.0, p)
+    got = energy(W, U, 8.0)
 
     def norm_sq(field, weight):
         # the full spectrum in fftfreq order, independent of Field.fft
@@ -195,21 +188,22 @@ def test_energy_round_off_sensitivity_at_the_smallest_radius(grid):
             continue
         W, U = state.W.samples, state.U.samples
         for L0 in worst:
-            params = GevreyParams(L0=L0, delta0=5.0)
-            e0 = energy(Field(grid, W), Field(grid, U), state.t, params)
+            phi = GevreyParams(L0=L0, delta0=5.0).phi(state.t)
+            e0 = energy(Field(grid, W), Field(grid, U), phi)
             for _ in range(3):
                 noisy = [Field(grid, f * (1.0 + 1e-14 * rng.standard_normal(f.size)))
                          for f in (W, U)]
-                worst[L0] = max(worst[L0], abs(energy(*noisy, state.t, params) - e0) / e0)
+                worst[L0] = max(worst[L0], abs(energy(*noisy, phi) - e0) / e0)
     assert state.t == pytest.approx(0.24)
     assert worst[4.0] <= 1e-10
     assert worst[10.0] <= 1e-10
 
 
 def test_energy_radius_exhaustion(grid):
-    p = GevreyParams(L0=10.0, delta0=1000.0)
-    with pytest.raises(RadiusExhaustedError):
-        energy(zero_field(grid), zero_field(grid), 1.0, p)
+    # an exhausted radius is refused, as gevrey_norm refuses it
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            energy(zero_field(grid), zero_field(grid), sigma)
 
 
 def test_embedding_bound_cases(grid):

@@ -64,9 +64,8 @@ def test_integrator_config_validation(kwargs):
 
 
 def test_make_initial_gevrey_scales_with_amplitude(sim_grid):
-    p = GevreyParams(L0=10.0, delta0=1.0)
-    e1 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 1e-3, None, sim_grid)), 0.0, p)
-    e2 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 2e-3, None, sim_grid)), 0.0, p)
+    e1 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 1e-3, None, sim_grid)), 10.0)
+    e2 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 2e-3, None, sim_grid)), 10.0)
     assert np.isfinite(e1) and e1 > 0
     assert e2 == pytest.approx(4.0 * e1, rel=1e-10)   # quadratic in amplitude
 
@@ -208,10 +207,10 @@ def test_energy_boundedness_short_window(sim_grid):
     # delta0 = 100 * L0: the radius survives only to t = L0/(2 delta0) = 0.005
     p = GevreyParams(L0=10.0, delta0=1000.0)
     s = make_initial("odd_bump", 1e-4, canonical_pair(lam=5.0), sim_grid)
-    e0 = energy(s.W, s.U, 0.0, p)
+    e0 = energy(s.W, s.U, p.phi(0.0))
     for _ in range(2):
         s = step_rk4(s, 2.5e-3)
-    assert energy(s.W, s.U, s.t, p) <= 2.0 * (e0 + 1.0)
+    assert energy(s.W, s.U, p.phi(s.t)) <= 2.0 * (e0 + 1.0)
 
 
 def test_run_constant_trajectory_lambda_zero(sim_grid):

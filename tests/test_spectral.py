@@ -6,6 +6,8 @@ values, matched either exactly (when the identity holds discretely) or
 with an explicitly budgeted O(1/L) truncation tolerance.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ def test_grid_invariants():
         GridSpec(200.0, 12)       # not a power of two
     with pytest.raises(ValueError):
         GridSpec(200.0, 8)        # too small
+
+
+@pytest.mark.parametrize("half_length", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_half_length(half_length):
+    # named here, not later as a grid mismatch (NaN != NaN) or a
+    # non-finite state at t = 0
+    with pytest.raises(ValueError, match="half_length must be finite and positive"):
+        GridSpec(half_length, 64)
 
 
 def test_spectrum_convention(grid):

@@ -4,6 +4,7 @@ formula."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -226,6 +227,32 @@ def test_residue_pair_integral_values():
 def test_residue_quadrature_agreement():
     got = residue_pair_integral_quad(-2j, -1j)
     assert abs(got - 2 * math.pi / 3) <= 1e-9
+
+
+def test_residue_quadrature_companion():
+    # C02's 20 seeded pairs, then poles near the real line, at large |b|
+    # and near b = 0, which take 2^15 to 2^19 nodes, and w2 = -i, whose
+    # pole b = i maps to z = 0 (64 nodes)
+    rng = np.random.default_rng(20260810)
+    pairs = [(complex(rng.uniform(-5, 5), -rng.uniform(1, 6)),
+              complex(rng.uniform(-5, 5), -rng.uniform(1, 6))) for _ in range(20)]
+    pairs += [(5 - 0.01j, 0.3 - 0.01j), (50 - 0.1j, -50 - 0.1j), (0.001 - 0.001j, -0.001j),
+              (-2j, -1j)]
+    for w1, w2 in pairs:
+        exact = residue_pair_integral(w1, w2)
+        assert abs(residue_pair_integral_quad(w1, w2) - exact) <= 1e-13 * abs(exact)
+    # against a quadrature independent of both: mpmath's, split at the poles
+    w1, w2 = 3 - 1e-3j, 0.2 - 5e-4j
+    with mpmath.workdps(30):
+        p1, p2c = mpmath.mpc(w1), mpmath.mpc(w2.conjugate())
+        ref = complex(mpmath.quad(lambda b: 1 / ((b - p1) * (b - p2c)),
+                                  [-mpmath.inf, 0.2, 3, mpmath.inf]))
+    assert abs(residue_pair_integral_quad(w1, w2) - ref) <= 1e-13 * abs(ref)
+    # a pole 1e-7 from the axis would need 2^28 nodes: refused, not allocated
+    with pytest.raises(ValueError, match="2\\^20 nodes"):
+        residue_pair_integral_quad(0.5 - 1e-7j, -1j)
+    with pytest.raises(ValueError, match="2\\^20 nodes"):
+        residue_pair_integral_quad(-1j, 0.5 - 1e-7j)
 
 
 def test_interaction_sum_values():
