@@ -7,6 +7,12 @@ iterates the trapezoid update to its fixed point; the sweep residuals
 must contract geometrically, and after 50 steps the two integrators
 must agree far below the tolerance the acceptance suite demands (1e-6
 in L2 of W and U).
+
+Each Picard step returns the last iterate whose right-hand side it
+evaluated and carries that slope to the next step, which starts from
+the second-order Adams-Bashforth predictor on it.  The first step has
+no carry and starts from Euler: it takes 3 sweeps, and every later step
+2, so the run prints "sweeps per step: min 2, max 3".
 """
 
 import math

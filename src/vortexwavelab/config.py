@@ -100,6 +100,11 @@ class ScenarioConfig:
             if key in self.values and ok is not None and not ok(self.values[key]):
                 raise ConfigError("%s must be %s, got %r" % (key, requirement, self.values[key]),
                                   key=key)
+        x0, half_length = self.get("vortex.x0"), self.get("grid.half_length")
+        if x0 >= half_length:
+            raise ConfigError("vortex.x0 must be below grid.half_length = %r (the pair "
+                              "must sit inside the periodic cell), got %r"
+                              % (half_length, x0), key="vortex.x0")
 
     # --- text form -----------------------------------------------------
     @classmethod

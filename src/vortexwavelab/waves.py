@@ -105,9 +105,12 @@ class WaveState:
 
     The vortices come as a sequence of :class:`Vortex`, or as the arrays
     ``positions`` and ``strengths``, which the state keeps as they are.
+    ``carry`` is what the step that returned the state left for the next
+    one (:class:`sim.PicardCarry`), None for any other state.
     """
 
-    def __init__(self, W, U, vortices=(), t=0.0, *, positions=None, strengths=None):
+    def __init__(self, W, U, vortices=(), t=0.0, *, positions=None, strengths=None,
+                 carry=None):
         check_same_grid(W, U)
         if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
             raise ValueError("W and U must be real fields")
@@ -116,6 +119,7 @@ class WaveState:
             strengths = np.array([v.strength for v in vortices], dtype=np.float64)
         self.W, self.U, self.t = W, U, t
         self.positions, self.strengths = positions, strengths
+        self.carry = carry
 
     @property
     def grid(self):

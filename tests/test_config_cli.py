@@ -126,7 +126,8 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("output.stride", "0"), ("grid.n", "1000"), ("grid.half_length", "-5"),
     ("time.dt", "0"), ("time.t_end", "-1"), ("gevrey.L0", "2"), ("gevrey.delta0", "0"),
-    ("vortex.x0", "-1"), ("vortex.gamma", "-1"), ("wave.amplitude", "-1"),
+    ("vortex.x0", "-1"), ("vortex.x0", "200"), ("vortex.x0", "300"),
+    ("vortex.gamma", "-1"), ("wave.amplitude", "-1"),
     ("monitor.eta1", "-2"), ("wave.kind", "square_bump"), ("time.scheme", "euler")])
 def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     lines = [line for line in MINI_RUN.splitlines() if not line.startswith(key + " ")]

@@ -12,13 +12,14 @@ import pytest
 from vortexwavelab.acceptance import CANONICAL_LAMBDA, canonical_scenario
 from vortexwavelab.config import run_scenario
 from vortexwavelab.errors import NonFiniteStateError, PicardDivergedError
+from vortexwavelab import sim
 from vortexwavelab.gevrey import GevreyParams, energy
 from vortexwavelab.grid import Field, GridSpec, zero_field
 from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
                                reversed_state, run_simulation, step_picard,
                                step_rk4, symmetry_defect)
 from vortexwavelab.taylor import PairConfig
-from vortexwavelab.waves import WaveState, assemble
+from vortexwavelab.waves import WaveState, assemble, rhs
 
 from conftest import canonical_start
 
@@ -54,11 +55,13 @@ def test_make_initial_variants(sim_grid):
                                     dict(picard_max_iter=0), dict(picard_tol=0.0),
                                     dict(picard_tol=-1e-9), dict(dt=math.nan),
                                     dict(t_end=math.nan), dict(t_end=math.inf),
-                                    dict(dt=math.inf), dict(picard_tol=math.nan)])
+                                    dict(dt=math.inf), dict(picard_tol=math.nan),
+                                    dict(picard_max_iter=2.5)])
 def test_integrator_config_validation(kwargs):
     # a bad value fails where the config is built, with an error that
     # names it, not later inside a step (picard_max_iter = 0 ran no sweep
-    # at all; a NaN t_end failed converting the step count to int)
+    # at all, 2.5 failed in range(); a NaN t_end failed converting the
+    # step count to int)
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         IntegratorConfig(**{"dt": 0.01, "t_end": 1.0, **kwargs})
 
@@ -150,6 +153,95 @@ def test_steps_build_one_state(sim_grid, monkeypatch):
         sweeps.add(step_picard(s, 5e-3, cfg, derived)[1])
         assert built == one_state
     assert len(sweeps) == 2
+
+
+def _trapezoid_residual(start, end, dt):
+    """H4 distance of ``end`` from start + dt/2 (rhs(start) + rhs(end))."""
+    grid, lam = start.grid, start.strengths
+    k0, k1 = rhs(grid, start.arrays, lam), rhs(grid, end.arrays, lam)
+    target = tuple(y + dt / 2 * (a + b) for y, a, b in zip(start.arrays, k0, k1))
+    return sim._h4_distance(grid, sim._h4_weight(grid), target, end.arrays)
+
+
+def test_picard_carries_the_rhs_of_the_state_it_returns():
+    # the step returns the last iterate whose right-hand side it evaluated
+    # and carries that slope, so the next step needs no rhs of its start
+    s = canonical_start(2 ** 12)
+    cfg = IntegratorConfig(dt=2e-3, t_end=1.0, scheme="picard", picard_tol=1e-9)
+    prev = None
+    for _ in range(3):
+        s, _, _ = step_picard(s, 2e-3, cfg)
+        fresh = rhs(s.grid, s.arrays, s.strengths)
+        assert all(np.array_equal(a, b) for a, b in zip(s.carry.slope, fresh))
+        assert s.carry.dt == 2e-3
+        assert prev is None or s.carry.start_slope is prev
+        prev = s.carry.slope
+
+
+def test_picard_sweeps_after_the_first_step():
+    # C10's inputs at n = 2^12: Euler starts the first step (3 sweeps),
+    # the AB2 predictor every later one (2 sweeps, where Euler took 3)
+    s = canonical_start(2 ** 12)
+    cfg = IntegratorConfig(dt=2e-3, t_end=1.0, scheme="picard", picard_tol=1e-9)
+    sweeps = []
+    for _ in range(6):
+        s, iters, _ = step_picard(s, 2e-3, cfg)
+        sweeps.append(iters)
+    assert sweeps[0] == 3
+    assert max(sweeps[1:]) <= 2
+
+
+def test_picard_residual_after_a_remainder_step_and_without_a_carry():
+    # a shorter last step predicts from the carry with its own dt (its
+    # predictor lands closer than a whole step's, which a constant-step
+    # AB2 coefficient would not), and a state rebuilt without the carry
+    # starts from Euler: either way the returned state solves the
+    # trapezoid equations to the tolerance
+    s = canonical_start(2 ** 12)
+    cfg = IntegratorConfig(dt=2e-3, t_end=1.0, scheme="picard", picard_tol=1e-9)
+    for _ in range(2):
+        s, _, whole = step_picard(s, 2e-3, cfg)
+    bare = WaveState(s.W, s.U, t=s.t, positions=s.positions, strengths=s.strengths)
+    assert bare.carry is None
+    for start, dt in ((s, 6e-4), (bare, 2e-3)):
+        end, iters, hist = step_picard(start, dt, cfg)
+        assert end.t == start.t + dt
+        if start.carry is None:
+            assert iters == 3
+        else:
+            assert iters == 2 and hist[0] < whole[0]
+        assert _trapezoid_residual(start, end, dt) < cfg.picard_tol
+        assert _trapezoid_residual(start, end, dt) == pytest.approx(hist[-1], rel=1e-3)
+
+
+def test_steppers_attach_nothing_to_the_state_they_are_given(sim_grid):
+    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
+    before = dict(vars(s))
+    assemble(s)
+    assert step_rk4(s, 5e-3).carry is None
+    cfg = IntegratorConfig(dt=5e-3, t_end=1.0, scheme="picard", picard_tol=1e-9)
+    assert step_picard(s, 5e-3, cfg)[0].carry is not None
+    assert vars(s) == before and s.carry is None
+
+
+def test_picard_run_derives_three_times_per_step(monkeypatch):
+    # per step: two sweeps from the carried slope and the AB2 predictor,
+    # and the assembly of the new state for the CFL guard and the monitor
+    import vortexwavelab.waves as waves
+    derives = []
+    real = waves.derive
+
+    def derive(*args):
+        derives.append(1)
+        return real(*args)
+    monkeypatch.setattr(waves, "derive", derive)
+    s = canonical_start(2 ** 10)
+    res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02, scheme="picard",
+                                             picard_tol=1e-9))
+    assert res.exit_reason == "completed"
+    sweeps = [r.picard_iters for r in res.records[1:]]
+    assert len(sweeps) == 10 and sweeps[1:] == [2] * 9
+    assert len(derives) == 1 + sum(sweeps) + len(sweeps)
 
 
 @pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-1), dict(stride=1.5),

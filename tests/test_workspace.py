@@ -41,7 +41,8 @@ def test_stage_results_survive_later_stages(monkeypatch):
     # spectra and dz/dt) and every array of an assembly's record are
     # unchanged, bit for bit, after the remaining stages of an RK4 and a
     # Picard step and after an assembly of another state, and none of them
-    # is memory of the grid's workspace
+    # is memory of the grid's workspace; the slopes a Picard step carries
+    # also survive the next step, which reads them
     start = canonical_start(2 ** 10)
     grid = start.grid
     kept = []
@@ -55,9 +56,9 @@ def test_stage_results_survive_later_stages(monkeypatch):
     derived_bytes = [a.tobytes() for a in derived_arrays(derived)]
     config = IntegratorConfig(dt=4e-3, t_end=4e-3, scheme="picard", picard_tol=1e-9)
     after_rk4 = step_rk4(start, 4e-3)
-    step_picard(start, 4e-3, config)
+    step_picard(step_picard(start, 4e-3, config)[0], 4e-3, config)
     assemble(after_rk4)
-    assert len(kept) >= 4 + 3                   # RK4's four stages, Picard's k0 and sweeps
+    assert len(kept) >= 4 + 3 + 1               # RK4's stages, Picard's k0 and sweeps
     workspace = grid.workspace()
     for arrays, saved in kept + [(derived_arrays(derived), derived_bytes)]:
         for a, b in zip(arrays, saved):
