@@ -10,17 +10,16 @@ dW/da at a radius phi(t) = L0 - delta0*t that shrinks linearly in time
 -- the decay is what pays for the half-derivative the evolution loses.
 
 Shown here: norms and band edges at two radii, the unitarity of the
-Hilbert transform in these norms, the certified sup-norm embedding, the
-band edge of an under-resolved field, and the energy along a short
-forced run.
+Hilbert transform in these norms, the band edge of an under-resolved
+field, and the energy along a short forced run.
 """
 
 import numpy as np
 
-from vortexwavelab.gevrey import GevreyParams, embedding_bound, gevrey_norm
+from vortexwavelab.gevrey import GevreyParams, gevrey_norm
 from vortexwavelab.grid import Field, GridSpec, field_from_function
 from vortexwavelab.sim import IntegratorConfig, make_initial, run_simulation
-from vortexwavelab.spectral import derivative, hilbert, periodic_cauchy_kernel
+from vortexwavelab.spectral import hilbert, periodic_cauchy_kernel
 from vortexwavelab.taylor import PairConfig
 
 grid = GridSpec(200.0, 2 ** 13)
@@ -42,12 +41,6 @@ for kind in ("X", "Xd", "Y", "Yd"):
     a = gevrey_norm(h, 5.0, kind).value
     b = gevrey_norm(hilbert(h), 5.0, kind).value
     print(f"  {kind:2s}: |H f| / |f| - 1 = {b/a - 1:+.2e}")
-
-print("\n== certified sup-norm bound ==")
-for n in (0, 1, 2):
-    measured = derivative(h, n).sup_norm()
-    bound = embedding_bound(h, 3.0, n)
-    print(f"  n = {n}: measured sup {measured:.4e} <= bound {bound:.4e}")
 
 print("\n== band edge of an under-resolved field ==")
 noisy = Field(grid, h.samples.real + 1e-7 * rng.normal(size=grid.n_points))

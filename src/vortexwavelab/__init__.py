@@ -11,7 +11,7 @@ and double as oracles for the discrete operators.
 """
 
 from .grid import GridSpec, Field, field_from_function, zero_field
-from .gevrey import GevreyParams, GevreyReport, gevrey_norm, energy, embedding_bound
+from .gevrey import GevreyParams, GevreyReport, gevrey_norm, energy
 from .taylor import (PairConfig, a1_flat_pair, g_profile, f_reduced, inf_a1_flat,
                      inf_a1_flat_rows, crossing_depth, residue_pair_integral,
                      interaction_sum)
@@ -22,7 +22,7 @@ from .config import ScenarioConfig, run_scenario
 
 __all__ = [
     "GridSpec", "Field", "field_from_function", "zero_field",
-    "GevreyParams", "GevreyReport", "gevrey_norm", "energy", "embedding_bound",
+    "GevreyParams", "GevreyReport", "gevrey_norm", "energy",
     "PairConfig", "a1_flat_pair", "g_profile",
     "f_reduced", "inf_a1_flat", "inf_a1_flat_rows", "crossing_depth",
     "residue_pair_integral", "interaction_sum",

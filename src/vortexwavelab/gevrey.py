@@ -141,18 +141,3 @@ def energy(W, U, sigma):
     ew = _norm(power_spectrum(grid, W.fft) * k * k, k, sigma, "X").value
     return 0.5 * (eu * eu + ew * ew)
 
-
-def embedding_bound(f, sigma, n):
-    """Certified sup-norm bound for the n-th derivative:
-
-        ||d^n f||_inf <= ( ((n+1)!)^2/sigma^(n+1) + (n!)^2/sigma^n ) ||f||_X_sigma
-
-    (constant 1, from ||g||_inf^2 <= ||g||_L2^2 + ||g'||_L2^2).  The
-    measured sup norm must never exceed the returned value.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    xnorm = gevrey_norm(f, sigma, "X").value
-    c1 = np.exp(2.0 * math.lgamma(n + 2.0) - (n + 1.0) * math.log(sigma))
-    c0 = np.exp(2.0 * math.lgamma(n + 1.0) - n * math.log(sigma))
-    return float((c1 + c0) * xnorm)

@@ -159,6 +159,3 @@ def field_from_function(grid, fn):
 def zero_field(grid):
     return Field(grid, np.zeros(grid.n_points))
 
-
-def constant_field(grid, value):
-    return Field(grid, np.full(grid.n_points, value))

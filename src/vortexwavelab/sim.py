@@ -22,6 +22,10 @@ sweep count, the ``picard_iters`` of its trajectory row, is the number
 of right-hand sides it evaluates: 2 per step after the first on C10's
 inputs (n = 2^14, dt = 2e-3, tol 1e-9), where an Euler start takes 3.
 
+A run reads each state's :class:`waves.Derived` record: the CFL guard,
+the eta1 check, the monitor and the next step's first stage.  RK4 derives
+the new state after its step; Picard takes its last sweep's record.
+
 The step size is checked each step against
 
     dt <= 0.5 * min( spacing / max|b| ,  1 / sqrt(max|A| k_max) )
@@ -42,7 +46,8 @@ from .errors import NonFiniteStateError, PicardDivergedError, VortexProximityErr
 from .gevrey import GevreyParams, energy, power_spectrum
 from .grid import Field, field_from_function, zero_field
 from .spectral import low_pass
-from .waves import Vortex, WaveState, assemble, rhs
+from .waves import (Vortex, WaveState, b_residual, chord_arc_constant, derive,
+                    refine_minimum, rhs)
 
 FATAL_PROXIMITY_SPACINGS = 8.0  # below this the quadratures are unresolved
 CFL_SAFETY = 0.5
@@ -97,12 +102,13 @@ def make_initial(kind, amplitude, pair, grid):
     return WaveState(W, U, vortices, 0.0)
 
 
-def cfl_limit(state, derived):
-    """Largest stable dt for the current state (before the safety factor);
-    raises NonFiniteStateError when b or A is not finite."""
+def cfl_limit(state, record):
+    """Largest stable dt for the current state (before the safety factor),
+    from its :class:`waves.Derived` record; raises NonFiniteStateError
+    when b or A is not finite."""
     grid = state.grid
-    bmax = derived.b.sup_norm()
-    amax = float(np.max(np.abs(derived.A.samples)))
+    bmax = float(np.max(np.abs(record.b)))
+    amax = float(np.max(np.abs(record.A)))
     if not (math.isfinite(bmax) and math.isfinite(amax)):
         raise NonFiniteStateError("b or A is not finite at t=%g" % state.t)
     adv = grid.spacing / bmax if bmax > 0 else math.inf
@@ -135,12 +141,17 @@ def _state(grid, y, lam, t, carry=None):
                      t=t, positions=z, strengths=lam, carry=carry)
 
 
-def step_rk4(state, dt, derived=None):
-    """Classical fourth-order Runge-Kutta step; ``derived``, the state's
-    :class:`waves.DerivedFields` if the caller has it, spares the first
+def _derive(state):
+    """The :class:`waves.Derived` record of a state."""
+    return derive(state.grid, *state.arrays, state.strengths)
+
+
+def step_rk4(state, dt, record=None):
+    """Classical fourth-order Runge-Kutta step; ``record``, the state's
+    :class:`waves.Derived` record if the caller has it, spares the first
     stage its derivation."""
     grid, y, lam = state.grid, state.arrays, state.strengths
-    k1 = rhs(grid, y, lam, None if derived is None else derived.record)
+    k1 = rhs(grid, y, lam, record)
     k2 = rhs(grid, _advance(y, [k1], [dt / 2]), lam)
     k3 = rhs(grid, _advance(y, [k2], [dt / 2]), lam)
     k4 = rhs(grid, _advance(y, [k3], [dt]), lam)
@@ -169,12 +180,12 @@ def _h4_distance(grid, weight, y1, y2):
 PicardCarry = namedtuple("PicardCarry", "slope start_slope dt")
 
 
-def step_picard(state, dt, config, derived=None):
+def step_picard(state, dt, config, record=None):
     """Implicit-trapezoid step solved by Picard sweeps.
 
     The start slope k0 is the state's carried slope when it has one
     (bit for bit the right-hand side of the state), else rhs(X_0), with
-    ``derived``, the state's :class:`waves.DerivedFields`, sparing its
+    ``record``, the state's :class:`waves.Derived` record, sparing its
     derivation.  The first iterate is the variable-step Adams-Bashforth-2
     predictor X_0 + (dt + c) k0 - c k_prev, c = dt^2 / (2 dt_prev), from
     the carry's start slope k_prev and dt_prev, or Euler without a carry.
@@ -188,10 +199,16 @@ def step_picard(state, dt, config, derived=None):
     of the history; raises PicardDivergedError when no residual falls
     below picard_tol within picard_max_iter sweeps.
     """
+    return _picard(state, dt, config, record)[:3]
+
+
+def _picard(state, dt, config, record):
+    """:func:`step_picard`, which also returns the :class:`waves.Derived`
+    record of the new state: the last sweep's, which derived it."""
     grid, y, lam = state.grid, state.arrays, state.strengths
     carry = state.carry
     if carry is None:
-        k0 = rhs(grid, y, lam, None if derived is None else derived.record)
+        k0 = rhs(grid, y, lam, record)
         candidate = _advance(y, [k0], [dt])
     else:
         k0, c = carry.slope, dt * dt / (2.0 * carry.dt)
@@ -199,13 +216,14 @@ def step_picard(state, dt, config, derived=None):
     weight = _h4_weight(grid)
     history = []
     for iteration in range(1, config.picard_max_iter + 1):
-        k1 = rhs(grid, candidate, lam)
+        record = derive(grid, *candidate, lam)
+        k1 = rhs(grid, candidate, lam, record)
         new = _advance(y, [k0, k1], [dt / 2, dt / 2])
         history.append(_h4_distance(grid, weight, new, candidate))
         if history[-1] < config.picard_tol:
             return (_state(grid, candidate, lam, state.t + dt, PicardCarry(k1, k0, dt)),
-                    iteration, history)
-        candidate = new
+                    iteration, history, record)
+        candidate, record = new, None  # not held through the next derive
     raise PicardDivergedError(
         "no contraction to %g after %d sweeps (last residual %.2e): dt too "
         "large, or the tolerance sits below the discrete H4 round-off floor"
@@ -264,11 +282,12 @@ class StepRecord:
 StepRecord.COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "as_flags")
 
 
-def monitor(state, gevrey_params, derived=None, first=None):
+def monitor(state, gevrey_params, record=None, first=None):
     """The trajectory row of one state, with ``picard_iters`` None.
 
-    ``first`` is the run's t = 0 row; a state monitored without one is
-    its own first row.  The assumption flags are advisory
+    ``record`` is the state's :class:`waves.Derived` record (derived here
+    if None); ``first`` is the run's t = 0 row, a state monitored without
+    one is its own first row.  The assumption flags are advisory
     (vortex-interface proximity is checked separately and is fatal): AS1
     all quantities finite; AS2 the homogeneous energy pair, ||U||_L2 and
     ||U||_inf within AS2_CAP; AS3 chord-arc at least half of the first
@@ -278,24 +297,25 @@ def monitor(state, gevrey_params, derived=None, first=None):
     1e-12 of round-off (AS5 relative to L0), so that a run whose
     schedule reaches L0/2 at t_end keeps AS5 on its last row.
     """
-    derived = derived if derived is not None else assemble(state)
+    record = _derive(state) if record is None else record
+    grid = state.grid
+    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, record.A1)
     phi = gevrey_params.phi(state.t)
     E = energy(state.W, state.U, phi) if phi > 0 else math.nan
     nan = complex(math.nan, math.nan)
     m = len(state.positions)
     z1, z2 = state.positions if m == 2 else (nan, nan)
     row = StepRecord(t=state.t, x1=z1.real, y1=z1.imag, x2=z2.real, y2=z2.imag,
-                     d_I=derived.d_I, inf_A1=derived.inf_A1,
-                     argmin_alpha=derived.argmin_alpha, E_gevrey=E, phi=phi,
-                     chord_arc=derived.chord_arc, U_L2=state.U.l2_norm(),
-                     U_inf=state.U.sup_norm(), b_residual=derived.b_residual,
+                     d_I=record.d_I, inf_A1=inf_A1, argmin_alpha=argmin_alpha, E_gevrey=E,
+                     phi=phi, chord_arc=chord_arc_constant(grid, record.Z),
+                     U_L2=state.U.l2_norm(), U_inf=state.U.sup_norm(),
+                     b_residual=b_residual(grid, record),
                      symmetry_defect=symmetry_defect(state), picard_iters=None,
                      as_flags={})
     first = row if first is None else first
     finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
-        and all(np.isfinite([derived.d_I if m else 0.0,
-                             derived.inf_A1, derived.b_residual]))
-    as4 = derived.d_I >= 0.5 * first.d_I ** 0.9 if m else True
+        and all(np.isfinite([row.d_I if m else 0.0, row.inf_A1, row.b_residual]))
+    as4 = row.d_I >= 0.5 * first.d_I ** 0.9 if m else True
     if m == 2:
         as4 = as4 and abs(row.x2) >= 0.5 * abs(first.x2)
     row.as_flags.update(
@@ -329,7 +349,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
     a truncated trajectory on fatal vortex proximity, CFL violation, a
     state that is no longer finite (reason "non_finite", raised by
-    :func:`waves.assemble` for W, U and the vortex positions) or a Picard
+    :func:`waves.derive` for W, U and the vortex positions) or a Picard
     step whose sweeps do not converge (reason "picard_diverged").  Raises
     ValueError unless ``stride`` is an int >= 1 and ``eta1`` None or
     finite and >= 0.
@@ -348,34 +368,33 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         return RunResult(records, reason, state, message)
 
     try:
-        derived = assemble(state)
-        first = monitor(state, params, derived)
+        record = _derive(state)
+        first = monitor(state, params, record)
         records.append(first)
         for step_index in range(1, n_steps + 1):
             if step_index > n_whole:
                 dt = t_stop - state.t
-            if derived.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:  # inf for no vortex
+            if record.d_I < FATAL_PROXIMITY_SPACINGS * state.grid.spacing:  # inf for no vortex
                 return stop("vortex_proximity", "d_I=%g below %g spacings"
-                            % (derived.d_I, FATAL_PROXIMITY_SPACINGS))
-            limit = CFL_SAFETY * cfl_limit(state, derived)
+                            % (record.d_I, FATAL_PROXIMITY_SPACINGS))
+            limit = CFL_SAFETY * cfl_limit(state, record)
             if dt > limit:
                 return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
                             % (dt, limit, state.t))
             if integrator.scheme == "rk4":
-                state = step_rk4(state, dt, derived)
-                picard_iters = None
+                state = step_rk4(state, dt, record)
+                record, picard_iters = _derive(state), None
             else:
-                state, picard_iters, _ = step_picard(state, dt, integrator, derived)
-            derived = assemble(state)
+                state, picard_iters, _, record = _picard(state, dt, integrator, record)
             last = step_index == n_steps
-            hit = eta1 is not None and derived.inf_A1 <= -eta1
+            hit = eta1 is not None and refine_minimum(state.grid.alpha, record.A1)[1] <= -eta1
             if step_index % stride == 0 or last or hit:
-                record = monitor(state, params, derived, first)
-                record.picard_iters = picard_iters
-                records.append(record)
+                row = monitor(state, params, record, first)
+                row.picard_iters = picard_iters
+                records.append(row)
             if hit:
                 return stop("taylor_negative", "inf A1 = %g <= -%g at t=%g"
-                            % (derived.inf_A1, eta1, state.t))
+                            % (row.inf_A1, eta1, state.t))
     except VortexProximityError as exc:
         return stop("vortex_proximity", str(exc))
     except NonFiniteStateError as exc:

@@ -219,13 +219,6 @@ def analytic_projection(f):
     return Field(f.grid, f.samples - 1j * _apply(f, f.grid.i_sgn).samples)
 
 
-def pminus(f):
-    """(I - H)/2 minus its interval mean; annihilates decaying boundary
-    values of lower-half-plane holomorphic functions."""
-    g = 0.5 * analytic_projection(f).samples
-    return Field(f.grid, g - np.mean(g))
-
-
 def commutator_hilbert(f, g):
     """[f, H] g = f * Hg - H(f g) computed through the multiplier form."""
     grid = check_same_grid(f, g)

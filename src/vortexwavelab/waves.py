@@ -22,11 +22,13 @@ A stage runs on plain arrays.  :func:`rhs` maps the stage layout
 y = (w, u, w_hat, u_hat, z), the samples and half spectra of W and U and
 the positions, with the strengths lam to its time derivative in the same
 layout, through the :class:`Derived` record of :func:`derive`; every
-helper below takes and returns arrays.  :class:`WaveState` and
-:class:`DerivedFields` (the record as Fields, built by :func:`assemble`)
-exist for the monitor and the API.  Every vortex term is array algebra
-over the (m, n) stacks of the periodized pole kernels, taken from one
-complex exponential over the grid (:func:`pole_kernels`).
+helper below takes and returns arrays.  The record is the one derived
+type of a run: the steppers, the CFL guard and the monitor of
+:mod:`vortexwavelab.sim` read it.  :class:`WaveState` wraps W and U as
+Fields, and :func:`assemble` views a state's record as
+:class:`DerivedFields` for callers that read Fields.  Every vortex term
+is array algebra over the (m, n) stacks of the periodized pole kernels,
+taken from one complex exponential over the grid (:func:`pole_kernels`).
 
 A stage (:func:`derive` then the low-pass of :func:`rhs`) runs 16 real
 transforms (14 without vortices) in three stacked passes of
@@ -70,22 +72,21 @@ cancel, which leaves
 b is computed from its defining property: b minus the holomorphic pieces
 (D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
 of a function holomorphic below and decaying, i.e. annihilated by the
-projection (I - H)/2 up to its mean.  b_residual measures exactly that
-(formula-convention independent, which is the point); it, chord_arc and
-the refined minimum of A1 (inf_A1, argmin_alpha) are computed on first
-read of a :class:`DerivedFields`, so right-hand-side stages never pay
-for them.
+projection (I - H)/2 up to its mean.  :func:`b_residual` measures exactly
+that (formula-convention independent, which is the point).  It,
+:func:`chord_arc_constant` and :func:`refine_minimum` (the refined
+minimum of A1) are plain functions over a record's arrays, which only
+the monitor calls, so right-hand-side stages never pay for them.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteStateError, VortexProximityError
 from .grid import Field, check_same_grid
-from .spectral import MIN_SPACINGS, apply_multiplier, pminus
+from .spectral import MIN_SPACINGS, apply_multiplier
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,9 +105,10 @@ class WaveState:
     (complex) and strengths (float) as (m,) arrays, and the time t.
 
     The vortices come as a sequence of :class:`Vortex`, or as the arrays
-    ``positions`` and ``strengths``, which the state keeps as they are.
-    ``carry`` is what the step that returned the state left for the next
-    one (:class:`sim.PicardCarry`), None for any other state.
+    ``positions`` and ``strengths`` of one shape, which the state keeps
+    without a copy when they are complex128 and float64.  ``carry`` is
+    what the step that returned the state left for the next one
+    (:class:`sim.PicardCarry`), None for any other state.
     """
 
     def __init__(self, W, U, vortices=(), t=0.0, *, positions=None, strengths=None,
@@ -115,8 +117,13 @@ class WaveState:
         if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
             raise ValueError("W and U must be real fields")
         if positions is None:
-            positions = np.array([v.position for v in vortices], dtype=np.complex128)
-            strengths = np.array([v.strength for v in vortices], dtype=np.float64)
+            positions = [v.position for v in vortices]
+            strengths = [v.strength for v in vortices]
+        positions = np.asarray(positions, dtype=np.complex128)
+        if strengths is None or np.shape(strengths) != positions.shape:
+            raise ValueError("strengths must be given with positions, in their shape %s"
+                             % (positions.shape,))
+        strengths = np.asarray(strengths, dtype=np.float64)
         self.W, self.U, self.t = W, U, t
         self.positions, self.strengths = positions, strengths
         self.carry = carry
@@ -138,38 +145,15 @@ Derived = namedtuple("Derived", "Z Z_alpha F_alpha F Q DtZ DtQ b A1 A G zdots d_
 
 
 class DerivedFields:
-    """A :class:`Derived` record for the monitor and the API: Z to G as
-    Fields over its arrays, ``zdots`` and ``d_I`` as they are, and the
-    record itself, ``record``, which :func:`rhs` accepts.  Read-only;
-    the diagnostics ``b_residual``, ``chord_arc``, ``inf_A1`` and
-    ``argmin_alpha`` are computed on first read."""
+    """A :class:`Derived` record as Fields, for callers that read Fields:
+    Z to G as Fields over its arrays, ``zdots`` and ``d_I`` as they are,
+    and the record itself, ``record``.  Read-only."""
 
     def __init__(self, grid, record):
         self.record = record
         for name in Derived._fields[:-2]:
             setattr(self, name, Field(grid, getattr(record, name)))
         self.zdots, self.d_I = record.zdots, record.d_I
-
-    @cached_property
-    def b_residual(self):
-        """||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2; at most
-        1e-6 * (1 + ||b||_L2) for a trustworthy b."""
-        g = 1.0 / self.Z_alpha.samples - 1.0
-        resid = (self.b.samples - self.DtZ.samples * g
-                 - np.conj(self.Q.samples) - np.conj(self.F.samples))
-        return pminus(Field(self.b.grid, resid)).l2_norm()
-
-    @cached_property
-    def chord_arc(self):
-        return chord_arc_constant(self.Z)
-
-    @cached_property
-    def _A1_minimum(self):
-        """(argmin_alpha, inf_A1): the grid minimum of A1, refined."""
-        return refine_minimum(self.A1.grid.alpha, self.A1.samples)
-
-    argmin_alpha = property(lambda self: self._A1_minimum[0])
-    inf_A1 = property(lambda self: self._A1_minimum[1])
 
 
 def reconstruct(grid, w, u, w_hat, u_hat):
@@ -207,21 +191,36 @@ def interface_distance(Z, z):
     return float(np.min(np.abs(Z - z[:, None]), initial=np.inf))
 
 
-def chord_arc_constant(Z):
-    """min over sampled pairs of |Z(a) - Z(b)| / |a - b|, Z a Field.
+def chord_arc_constant(grid, Z):
+    """min over sampled pairs of |Z(a) - Z(b)| / |a - b|, Z the samples.
 
     Pairs are taken at every separation s*h with s a power of two (all
     offsets at each separation), which resolves self-approach at any
     scale without the O(n^2) full search.
     """
-    grid = Z.grid
     best = np.inf
     s = 1
     while s <= grid.n_points // 2:
-        d = np.abs(Z.samples[s:] - Z.samples[:-s]) / (s * grid.spacing)
+        d = np.abs(Z[s:] - Z[:-s]) / (s * grid.spacing)
         best = min(best, float(np.min(d)))
         s *= 2
     return best
+
+
+def b_residual(grid, d):
+    """||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2 of the record
+    d, with P_- = (I - H)/2 minus its interval mean, which annihilates
+    decaying boundary values of lower-half-plane holomorphic functions; at
+    most 1e-6 * (1 + ||b||_L2) for a trustworthy b."""
+    # g is named: numpy would multiply into the temporary 1/Z_a - 1 as g * DtZ,
+    # and its complex product is not commutative bit for bit
+    g = 1.0 / d.Z_alpha - 1.0
+    resid = d.b - d.DtZ * g - np.conj(d.Q) - np.conj(d.F)
+    c_re, c_im = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(resid.real, resid.imag),
+                                  scratch=True)[0]
+    p = 0.5 * (resid - 1j * (c_re + 1j * c_im))
+    p -= np.mean(p)
+    return float(np.sqrt(grid.spacing * np.sum(np.abs(p) ** 2)))
 
 
 def pole_stacks(grid, m):
@@ -338,7 +337,7 @@ def compute_b(u, h, c_im_h):
 
     one projection of the summed holomorphic pieces h, as Re h + C Im h,
     with C Im h from :func:`stage_projections`.  How well b meets its
-    defining property is :attr:`DerivedFields.b_residual`.
+    defining property is :func:`b_residual`.
     """
     return h.real + c_im_h + 2.0 * u
 
@@ -416,7 +415,7 @@ def derive(grid, w, u, w_hat, u_hat, z, lam):
 
 
 def assemble(state):
-    """The :class:`DerivedFields` of a state, for the monitor and the API
+    """The :class:`Derived` record of a state as :class:`DerivedFields`
     (the errors of :func:`derive`)."""
     return DerivedFields(state.grid, derive(state.grid, *state.arrays, state.strengths))
 
@@ -436,8 +435,9 @@ def rhs(grid, y, lam, record=None):
     Re Z_a - 1 and -Im Z_a, and dU/da as Re F_a.  Both time derivatives
     are low-passed to half the grid band (de-aliasing) in one stacked
     pass; the mask zeroes the Nyquist mode, so each filtered row carries
-    its half spectrum.  ``record`` is the state's :class:`Derived` record
-    when the caller already has it (:attr:`DerivedFields.record`).
+    its half spectrum.  ``record`` is the :class:`Derived` record of y
+    when the caller already has it, which spares the stage its
+    :func:`derive`.
     """
     d = derive(grid, *y, lam) if record is None else record
     bs = d.b

@@ -177,8 +177,8 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
     real = sim.step_rk4
     seen = []
 
-    def step(state, dt, derived=None):
-        out = real(state, dt, derived)
+    def step(state, dt, record=None):
+        out = real(state, dt, record)
         seen.append(1)
         if len(seen) == 2:
             out.U.samples[0] = np.inf

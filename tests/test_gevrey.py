@@ -1,4 +1,4 @@
-"""Gevrey-norm, radius-schedule, energy, and embedding tests."""
+"""Gevrey-norm, radius-schedule and energy tests."""
 
 import dataclasses
 import math
@@ -7,11 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from vortexwavelab.gevrey import GevreyParams, embedding_bound, energy, gevrey_norm
-from vortexwavelab.grid import Field, field_from_function, zero_field
+from vortexwavelab.gevrey import GevreyParams, energy, gevrey_norm
+from vortexwavelab.grid import Field, zero_field
 from vortexwavelab.spectral import derivative, hilbert
 
-from conftest import band_limited, canonical_start, mean_zero, per_pole
+from conftest import band_limited, canonical_start, per_pole
 
 
 def test_params_validation():
@@ -205,25 +205,3 @@ def test_energy_radius_exhaustion(grid):
         with pytest.raises(ValueError, match="sigma must be positive"):
             energy(zero_field(grid), zero_field(grid), sigma)
 
-
-def test_embedding_bound_cases(grid):
-    assert embedding_bound(zero_field(grid), 1.0, 0) == 0.0
-    m = 64
-    k = grid.wavenumbers[m]
-    c = field_from_function(grid, lambda a: np.cos(k * a))
-    bound = embedding_bound(c, 1.0, 0)
-    assert bound >= c.sup_norm() >= 0.999
-    lorentz = mean_zero(Field(grid, (per_pole(grid, 1j).samples
-                                     - per_pole(grid, -1j).samples) / 2j))
-    b1 = embedding_bound(lorentz, 2.0, 1)
-    assert derivative(lorentz).sup_norm() <= b1
-
-
-def test_embedding_bound_never_exceeded(grid):
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        f = band_limited(grid, rng, modes=24)
-        for n in (0, 1, 3):
-            for sigma in (1.0, 3.0):
-                measured = derivative(f, n).sup_norm()
-                assert measured <= embedding_bound(f, sigma, n)

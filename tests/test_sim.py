@@ -126,33 +126,28 @@ def test_picard_contracts_and_matches_rk4(sim_grid):
     assert gap <= 1e-7
 
 
-def test_steps_build_one_state(sim_grid, monkeypatch):
-    # a step runs its stages on plain arrays and wraps only its result: one
-    # WaveState over two Fields (W and U), no DerivedFields, with a start
-    # assembly passed in or not and whatever the number of Picard sweeps
+def test_steps_build_one_state(monkeypatch):
+    # a run reads each state's Derived record and wraps only what a step
+    # returns: one WaveState over two Fields a step, no DerivedFields, with
+    # RK4 and with Picard, beyond the Fields of the initial state
     from collections import Counter
 
     from vortexwavelab.waves import DerivedFields
-    s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
-    derived = assemble(s)
     built = Counter()
     for cls in (Field, WaveState, DerivedFields):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
-    one_state = {"Field": 2, "WaveState": 1}
-    for d in (None, derived):
+    for scheme in ("rk4", "picard"):
         built.clear()
-        step_rk4(s, 5e-3, d)
-        assert built == one_state
-    sweeps = set()
-    for tol in (1e-4, 1e-12):
-        cfg = IntegratorConfig(dt=5e-3, t_end=1.0, scheme="picard", picard_tol=tol)
-        built.clear()
-        sweeps.add(step_picard(s, 5e-3, cfg, derived)[1])
-        assert built == one_state
-    assert len(sweeps) == 2
+        s = canonical_start(2 ** 10)
+        initial = built["Field"]
+        res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02, scheme=scheme,
+                                                 picard_tol=1e-9), stride=3)
+        assert res.exit_reason == "completed"
+        assert built["DerivedFields"] == 0 and built["WaveState"] == 1 + 10
+        assert built["Field"] <= initial + 2 * 10
 
 
 def _trapezoid_residual(start, end, dt):
@@ -224,9 +219,9 @@ def test_steppers_attach_nothing_to_the_state_they_are_given(sim_grid):
     assert vars(s) == before and s.carry is None
 
 
-def test_picard_run_derives_three_times_per_step(monkeypatch):
-    # per step: two sweeps from the carried slope and the AB2 predictor,
-    # and the assembly of the new state for the CFL guard and the monitor
+def test_picard_run_derives_once_per_sweep(monkeypatch):
+    # per step: two sweeps from the carried slope and the AB2 predictor; the
+    # CFL guard, the eta1 check and the monitor read the last sweep's record
     import vortexwavelab.waves as waves
     derives = []
     real = waves.derive
@@ -235,13 +230,14 @@ def test_picard_run_derives_three_times_per_step(monkeypatch):
         derives.append(1)
         return real(*args)
     monkeypatch.setattr(waves, "derive", derive)
+    monkeypatch.setattr(sim, "derive", derive)
     s = canonical_start(2 ** 10)
     res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02, scheme="picard",
                                              picard_tol=1e-9))
     assert res.exit_reason == "completed"
     sweeps = [r.picard_iters for r in res.records[1:]]
     assert len(sweeps) == 10 and sweeps[1:] == [2] * 9
-    assert len(derives) == 1 + sum(sweeps) + len(sweeps)
+    assert len(derives) == 1 + sum(sweeps)
 
 
 @pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-1), dict(stride=1.5),
@@ -423,9 +419,9 @@ def _nan_after(monkeypatch, calls, poison):
     real = sim.step_rk4
     seen = []
 
-    def step(state, dt, derived=None):
+    def step(state, dt, record=None):
         seen.append(1)
-        out = real(state, dt, derived)
+        out = real(state, dt, record)
         if len(seen) >= calls:
             poison(out)
         return out
@@ -453,16 +449,16 @@ def test_assemble_rejects_a_non_finite_position(sim_grid):
 def test_run_ends_non_finite_on_nan_b(sim_grid, monkeypatch):
     # a NaN transport coefficient must not slip through the CFL guard
     import vortexwavelab.sim as sim
-    real = sim.assemble
+    real = sim.derive
     seen = []
 
-    def assemble(state):
-        d = real(state)
+    def derive(grid, *args):
+        d = real(grid, *args)
         seen.append(1)
         if len(seen) == 2:
-            d.b = Field(state.grid, np.full(state.grid.n_points, np.nan))
+            d = d._replace(b=np.full(grid.n_points, np.nan))
         return d
-    monkeypatch.setattr(sim, "assemble", assemble)
+    monkeypatch.setattr(sim, "derive", derive)
     s = make_initial("odd_bump", 1e-3, canonical_pair(lam=10.0), sim_grid)
     res = run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.05), stride=1)
     assert res.exit_reason == "non_finite"

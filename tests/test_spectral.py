@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 from vortexwavelab.errors import GridMismatchError, NearBoundaryError
-from vortexwavelab.grid import Field, GridSpec, constant_field, field_from_function, zero_field
+from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
 from vortexwavelab.spectral import (cauchy_velocity, commutator_hilbert,
                                     derivative, hilbert, hilbert_quadrature,
                                     lambda_op, low_pass, periodic_cauchy_kernel,
@@ -85,7 +85,7 @@ def test_grid_mismatch_raises(grid, small_grid):
 # Hilbert transform
 
 def test_hilbert_kills_constants(grid):
-    out = hilbert(constant_field(grid, 1.0))
+    out = hilbert(Field(grid, np.full(grid.n_points, 1.0)))
     assert out.sup_norm() == 0.0
 
 
@@ -140,7 +140,7 @@ def test_hilbert_involution_and_isometry(grid):
 # multipliers
 
 def test_lambda_op(grid):
-    assert lambda_op(constant_field(grid, 3.7)).sup_norm() <= 1e-14
+    assert lambda_op(Field(grid, np.full(grid.n_points, 3.7))).sup_norm() <= 1e-14
     m = 173
     k = grid.wavenumbers[m]
     e = field_from_function(grid, lambda a: np.exp(1j * k * a))
@@ -158,7 +158,7 @@ def test_derivative_trig_and_constant(grid):
     c = field_from_function(grid, lambda a: np.cos(k * a))
     out = derivative(s)
     assert np.max(np.abs(out.samples - k * c.samples)) <= 1e-10 * k
-    assert derivative(constant_field(grid, 5.0)).sup_norm() <= 1e-13
+    assert derivative(Field(grid, np.full(grid.n_points, 5.0))).sup_norm() <= 1e-13
     with pytest.raises(ValueError):
         derivative(s, -1)
 
@@ -249,7 +249,7 @@ def test_cauchy_near_boundary_rejected(grid):
 # squared-difference integral
 
 def test_sq_diff_constant_and_exponential(grid):
-    assert sq_diff_integral(constant_field(grid, 2.0 + 1j)).sup_norm() <= 1e-13
+    assert sq_diff_integral(Field(grid, np.full(grid.n_points, 2.0 + 1j))).sup_norm() <= 1e-13
     m = 64
     k = grid.wavenumbers[m]
     e = field_from_function(grid, lambda a: np.exp(1j * k * a))
@@ -323,7 +323,7 @@ def test_quadratures_match_a_pairwise_double_loop(complex_input):
 
 def test_pv_commutator_trivial_cases(small_grid):
     g = per_pole(small_grid, 1j)
-    out = pv_commutator(constant_field(small_grid, 4.2), g)
+    out = pv_commutator(Field(small_grid, np.full(small_grid.n_points, 4.2)), g)
     assert out.sup_norm() <= 1e-12
     f = per_pole(small_grid, 2j)
     assert pv_commutator(f, zero_field(small_grid)).sup_norm() == 0.0
