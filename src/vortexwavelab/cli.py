@@ -18,16 +18,9 @@ verify runs the acceptance checks and prints one line per check;
 
 The environment variable VWL_THREADS is ignored: the sweep is one array
 computation.
-
-On glibc, `run` and `verify` make the process keep the heap it frees
-(`mallopt`, once per process), so each RK4 stage reuses the pages the last
-one released instead of faulting them back in; `sweep`, which steps no
-state, and the Python API keep the default policy.
 """
 
 import argparse
-import ctypes
-import functools
 import os
 import sys
 
@@ -48,35 +41,6 @@ def _threads():
         return min(8, os.cpu_count() or 1)
 
 
-# glibc's mallopt parameters (malloc.h) and the values `run` and `verify`
-# give them.  By default glibc returns the free top of the heap to the
-# kernel once it exceeds a threshold that adapts to the largest block
-# freed so far (a few hundred KiB here), so each RHS stage's temporaries,
-# about 5 MB at n = 2^14, are unmapped and then faulted back in by the
-# next stage.  Setting either parameter turns that adaptation off, so both
-# are set: no trimming below 1 GiB, and blocks up to glibc's 32 MiB cap (a
-# 2^21-point complex array) come from the heap rather than a fresh mapping.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30))
-
-
-@functools.cache
-def _keep_freed_heap():
-    """Set `_HEAP_POLICY` for this process, once; a C library without
-    ``mallopt`` (or refusing a value) keeps its default policy.  Only the
-    commands that step a state call this: allocator policy is
-    process-wide, and a library should not set it for its host."""
-    try:  # Windows has no process-wide handle: CDLL(None) is a TypeError there
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        mallopt(param, value)
-
-
 def _writable(path):
     """Create ``path`` if missing, keeping what it holds; on failure print
     why and return False."""
@@ -89,7 +53,6 @@ def _writable(path):
 
 
 def cmd_run(args):
-    _keep_freed_heap()
     try:
         cfg = ScenarioConfig.from_file(args.config)
     except ConfigError as exc:
@@ -134,7 +97,6 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    _keep_freed_heap()
     results = run_all(RunCache())
     width = max(len(r.name) for r in results)
     all_ok = True

@@ -20,6 +20,7 @@ floats.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,8 +206,8 @@ def sweep_rows(gamma_min, gamma_max, steps, x, y, max_workers=None):
         raise ValueError("--gamma-min must be nonnegative, got %r" % gamma_min)
     if not gamma_min < gamma_max:
         raise ValueError("need --gamma-min < --gamma-max")
-    if steps < 2:
-        raise ValueError("need at least 2 --steps")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError("--steps must be an int >= 2, got %r" % (steps,))
     if x <= 0:
         raise ValueError("--x must be positive, got %r" % x)
     if y >= 0:

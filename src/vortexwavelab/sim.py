@@ -52,6 +52,7 @@ from .waves import (Vortex, WaveState, b_residual, chord_arc_constant, derive,
 FATAL_PROXIMITY_SPACINGS = 8.0  # below this the quadratures are unresolved
 CFL_SAFETY = 0.5
 AS2_CAP = 1.0  # on 2E, ||U||_L2 and ||U||_inf
+PICARD_MAX_SWEEPS = 50  # a Picard step that has not converged by then raises
 
 
 @dataclass
@@ -60,7 +61,6 @@ class IntegratorConfig:
     t_end: float
     scheme: str = "rk4"
     picard_tol: float = 1e-10       # discrete H4 change between sweeps
-    picard_max_iter: int = 50
 
     def __post_init__(self):
         if self.scheme not in ("rk4", "picard"):
@@ -70,9 +70,6 @@ class IntegratorConfig:
                 raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
-        if not isinstance(self.picard_max_iter, numbers.Integral) or self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be an int >= 1, got %r"
-                             % (self.picard_max_iter,))
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive, got %r" % (self.picard_tol,))
 
@@ -84,8 +81,8 @@ def make_initial(kind, amplitude, pair, grid):
     W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying).  The
     vortices sit at -x + iy (strength +lam) and x + iy (strength -lam).
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError("amplitude must be finite and nonnegative, got %r" % (amplitude,))
     if kind not in ("zero_wave", "odd_bump"):
         raise ValueError("unknown initial kind %r" % kind)
     if kind == "odd_bump" and amplitude > 0.0:
@@ -197,7 +194,7 @@ def step_picard(state, dt, config, record=None):
     simultaneously.  Returns (new_state, sweeps, residual_history), where
     sweeps counts the right-hand sides evaluated after k0, one per entry
     of the history; raises PicardDivergedError when no residual falls
-    below picard_tol within picard_max_iter sweeps.
+    below picard_tol within PICARD_MAX_SWEEPS sweeps.
     """
     return _picard(state, dt, config, record)[:3]
 
@@ -215,7 +212,7 @@ def _picard(state, dt, config, record):
         candidate = _advance(y, [k0, carry.start_slope], [dt + c, -c])
     weight = _h4_weight(grid)
     history = []
-    for iteration in range(1, config.picard_max_iter + 1):
+    for iteration in range(1, PICARD_MAX_SWEEPS + 1):
         record = derive(grid, *candidate, lam)
         k1 = rhs(grid, candidate, lam, record)
         new = _advance(y, [k0, k1], [dt / 2, dt / 2])
@@ -227,7 +224,7 @@ def _picard(state, dt, config, record):
     raise PicardDivergedError(
         "no contraction to %g after %d sweeps (last residual %.2e): dt too "
         "large, or the tolerance sits below the discrete H4 round-off floor"
-        % (config.picard_tol, config.picard_max_iter, history[-1]), history)
+        % (config.picard_tol, PICARD_MAX_SWEEPS, history[-1]), history)
 
 
 def symmetry_defect(state):

@@ -1,6 +1,5 @@
 """Scenario-config parsing, trajectory files, sweeps, and the CLI contract."""
 
-import functools
 import math
 import os
 import subprocess
@@ -143,6 +142,21 @@ def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_cli_and_library_write_the_same_csv(tmp_path):
+    # `vwl run` adds nothing to the library path: the canonical scenario at
+    # n = 1024, 30 RK4 steps with a row each, gives the same bytes through
+    # cli.main as through run_scenario and write_trajectory
+    cfg = canonical_scenario({"grid.n": 1024, "time.t_end": 0.12, "output.stride": 1,
+                              "monitor.eta1": None})
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(cfg.serialize() + "output.path = %s\n" % (tmp_path / "cli.csv"))
+    assert main(["run", str(cfg_path)]) == 0
+    write_trajectory(tmp_path / "library.csv", run_scenario(cfg).records)
+    cli_csv = (tmp_path / "cli.csv").read_bytes()
+    assert len(cli_csv.splitlines()) == 32          # header, t = 0 and 30 steps
+    assert cli_csv == (tmp_path / "library.csv").read_bytes()
+
+
 def test_cmd_output_in_missing_directory_fails_before_the_work(tmp_path, monkeypatch, capsys):
     import vortexwavelab.cli as cli
     started = []
@@ -196,9 +210,8 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
 def test_cmd_run_picard_diverged_writes_partial_file(tmp_path, monkeypatch, capsys):
     # two Picard sweeps do not converge on the canonical pair: exit 1, with
     # the t = 0 row written over the CSV an earlier run left at the path
-    import vortexwavelab.config as config
-    monkeypatch.setattr(config, "IntegratorConfig",
-                        functools.partial(IntegratorConfig, picard_max_iter=2))
+    import vortexwavelab.sim as sim
+    monkeypatch.setattr(sim, "PICARD_MAX_SWEEPS", 2)
     out = tmp_path / "partial.csv"
     out.write_text("an earlier run's rows\n")
     cfg = canonical_scenario({"grid.n": 2 ** 10, "time.t_end": 0.04, "time.scheme": "picard"})
@@ -306,6 +319,7 @@ def test_cmd_sweep_non_finite_option_is_named(tmp_path, capsys, option, value):
 
 @pytest.mark.parametrize("option,value", [
     ("gamma_min", -1.0), ("x", 0.0), ("x", -1.0), ("y", 0.0), ("y", 2.0),
+    ("steps", 2.5), ("steps", math.nan),
 ])
 def test_sweep_rows_out_of_range_names_the_option(option, value):
     args = dict(gamma_min=3.9, gamma_max=4.1, steps=3, x=1e-3, y=-10.0)

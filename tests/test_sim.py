@@ -52,18 +52,23 @@ def test_make_initial_variants(sim_grid):
 
 
 @pytest.mark.parametrize("kwargs", [dict(scheme="euler"), dict(dt=0.0), dict(t_end=-1.0),
-                                    dict(picard_max_iter=0), dict(picard_tol=0.0),
+                                    dict(picard_tol=math.inf), dict(picard_tol=0.0),
                                     dict(picard_tol=-1e-9), dict(dt=math.nan),
                                     dict(t_end=math.nan), dict(t_end=math.inf),
-                                    dict(dt=math.inf), dict(picard_tol=math.nan),
-                                    dict(picard_max_iter=2.5)])
+                                    dict(dt=math.inf), dict(picard_tol=math.nan)])
 def test_integrator_config_validation(kwargs):
     # a bad value fails where the config is built, with an error that
-    # names it, not later inside a step (picard_max_iter = 0 ran no sweep
-    # at all, 2.5 failed in range(); a NaN t_end failed converting the
+    # names it, not later inside a step (a NaN t_end failed converting the
     # step count to int)
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         IntegratorConfig(**{"dt": 0.01, "t_end": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+def test_make_initial_rejects_a_non_finite_amplitude(sim_grid, amplitude):
+    # a NaN amplitude gave a zero wave (amplitude > 0 is False), inf a NaN wave
+    with pytest.raises(ValueError, match="amplitude"):
+        make_initial("odd_bump", amplitude, canonical_pair(), sim_grid)
 
 
 def test_make_initial_gevrey_scales_with_amplitude(sim_grid):
@@ -252,20 +257,21 @@ def test_run_rejects_bad_stride_and_eta1(sim_grid, kwargs):
         run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.02), **kwargs)
 
 
-def test_picard_diverges_with_huge_step(sim_grid):
+def test_picard_diverges_with_huge_step(sim_grid, monkeypatch):
+    monkeypatch.setattr(sim, "PICARD_MAX_SWEEPS", 8)
     s = make_initial("odd_bump", 1e-2, canonical_pair(lam=40.0), sim_grid)
-    cfg = IntegratorConfig(dt=0.5, t_end=1.0, scheme="picard", picard_max_iter=8)
+    cfg = IntegratorConfig(dt=0.5, t_end=1.0, scheme="picard")
     with pytest.raises(PicardDivergedError) as err:
         step_picard(s, 0.5, cfg)
     assert len(err.value.history) == 8
 
 
-def test_run_ends_picard_diverged_with_earlier_rows():
+def test_run_ends_picard_diverged_with_earlier_rows(monkeypatch):
     # two sweeps do not reach 1e-10 on the canonical pair: the run ends
     # with a named reason, the error text and the t = 0 row
+    monkeypatch.setattr(sim, "PICARD_MAX_SWEEPS", 2)
     s = canonical_start(2 ** 10)
-    res = run_simulation(s, IntegratorConfig(dt=0.004, t_end=0.04, scheme="picard",
-                                             picard_max_iter=2))
+    res = run_simulation(s, IntegratorConfig(dt=0.004, t_end=0.04, scheme="picard"))
     assert res.exit_reason == "picard_diverged"
     assert res.message.startswith("no contraction to 1e-10 after 2 sweeps")
     assert [r.t for r in res.records] == [0.0]

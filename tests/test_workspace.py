@@ -86,7 +86,7 @@ def test_quadratures_and_stages_keep_each_others_results():
 
 
 # Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
-# default heap policy (no mallopt), 30 steps after one warm-up step.
+# default heap policy, 30 steps after one warm-up step.
 # Measured on Linux/glibc 2.36 with numpy 2.4: 120-300 per step with the
 # stage workspace (215 in each of eight runs of the stage on plain arrays,
 # 132 on the same host for the stage that wrapped every state in Fields
