@@ -15,7 +15,7 @@ from .gevrey import GevreyParams, GevreyReport, gevrey_norm, energy
 from .taylor import (PairConfig, a1_flat_pair, g_profile, f_reduced, inf_a1_flat,
                      inf_a1_flat_rows, crossing_depth, residue_pair_integral,
                      interaction_sum)
-from .waves import Vortex, WaveState, DerivedFields, assemble, rhs
+from .waves import Vortex, WaveState, rhs
 from .sim import (IntegratorConfig, StepRecord, make_initial, monitor,
                   run_simulation, step_picard, step_rk4)
 from .config import ScenarioConfig, run_scenario
@@ -26,7 +26,7 @@ __all__ = [
     "PairConfig", "a1_flat_pair", "g_profile",
     "f_reduced", "inf_a1_flat", "inf_a1_flat_rows", "crossing_depth",
     "residue_pair_integral", "interaction_sum",
-    "Vortex", "WaveState", "DerivedFields", "assemble", "rhs",
+    "Vortex", "WaveState", "rhs",
     "IntegratorConfig", "StepRecord", "make_initial", "monitor",
     "run_simulation", "step_picard", "step_rk4",
     "ScenarioConfig", "run_scenario",

@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 
-from .acceptance import RunCache, run_all
+from .acceptance import run_all
 from .config import ScenarioConfig, run_scenario, sweep_rows, write_sweep, write_trajectory
 from .errors import ConfigError, VortexWaveError
 
@@ -97,7 +97,7 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    results = run_all(RunCache())
+    results = run_all()
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:

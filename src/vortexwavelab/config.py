@@ -13,15 +13,16 @@ canonical scenario)::
     output.path   = trajectory.csv
 
 Exactly one of vortex.gamma / vortex.lambda must appear; gamma sets the
-strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  Without
-gevrey.delta0 the radius decays at L0 / (2 t_end).  Trajectories are
-written as CSV with a fixed 16-column header and 17-significant-digit
-floats.
+strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  A nonzero
+wave.amplitude needs wave.kind = odd_bump.  Without gevrey.delta0 the
+radius decays at L0 / (2 t_end).  A dict's values are typed by key
+(``_TYPES``).  Trajectories are written as CSV with a fixed 16-column
+header and 17-significant-digit floats.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +57,16 @@ _KEYS = {
     "monitor.eta1": (float, None, lambda v: v >= 0, "nonnegative"),
 }
 
+# the values a key of each type takes, bools excepted, in a config built from a dict
+_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          str: (str, "a string")}
+
 
 @dataclass
 class ScenarioConfig:
     """Validated scenario: a dict of the namespaced keys actually set."""
 
-    values: dict = field(default_factory=dict)
+    values: dict
 
     def __post_init__(self):
         self.validate()
@@ -81,9 +86,12 @@ class ScenarioConfig:
 
     # --- validation ----------------------------------------------------
     def validate(self):
-        for key in self.values:
+        for key, v in self.values.items():
             if key not in _KEYS:
                 raise ConfigError("unknown key %r" % key, key=key)
+            kind, name = _TYPES[_KEYS[key][0]]
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError("%s must be %s, got %r" % (key, name, v), key=key)
         for key, (_, default, _, _) in _KEYS.items():
             if default is REQUIRED and key not in self.values:
                 raise ConfigError("missing required key %r" % key, key=key)
@@ -95,12 +103,15 @@ class ScenarioConfig:
                 "(got %s)" % ("both" if has_gamma else "neither"),
                 key="vortex.gamma" if has_gamma else "vortex.lambda")
         for key, v in self.values.items():
-            if isinstance(v, float) and not math.isfinite(v):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
                 raise ConfigError("value of %r is not finite" % key, key=key)
         for key, (_, _, ok, requirement) in _KEYS.items():
             if key in self.values and ok is not None and not ok(self.values[key]):
                 raise ConfigError("%s must be %s, got %r" % (key, requirement, self.values[key]),
                                   key=key)
+        if self.get("wave.amplitude") != 0 and self.get("wave.kind") != "odd_bump":
+            raise ConfigError("wave.amplitude must be 0 unless wave.kind = odd_bump, got %r"
+                              % self.get("wave.amplitude"), key="wave.amplitude")
         x0, half_length = self.get("vortex.x0"), self.get("grid.half_length")
         if x0 >= half_length:
             raise ConfigError("vortex.x0 must be below grid.half_length = %r (the pair "

@@ -9,14 +9,9 @@ class GridMismatchError(VortexWaveError):
     """Two fields that must share a grid do not."""
 
 
-class NearBoundaryError(VortexWaveError):
-    """A Cauchy-integral evaluation point is too close to the curve
-    for the trapezoid quadrature to resolve."""
-
-
 class VortexProximityError(VortexWaveError):
-    """A point vortex came closer to the interface than the grid can
-    resolve; the state is no longer trustworthy."""
+    """A point off the curve (a vortex, a Cauchy-integral point) is closer
+    to it than the quadratures resolve; nothing computed there is trusted."""
 
 
 class NonFiniteStateError(VortexWaveError, ValueError):
@@ -28,9 +23,9 @@ class PicardDivergedError(VortexWaveError):
     """The fixed-point iteration for the implicit step failed to
     converge within the allowed number of sweeps."""
 
-    def __init__(self, message, history=None):
+    def __init__(self, message, history):
         super().__init__(message)
-        self.history = list(history) if history is not None else []
+        self.history = list(history)
 
 
 class ConfigError(VortexWaveError):

@@ -63,7 +63,7 @@ class GridSpec:
         self.half_band = (self.wavenumbers <= 0.5 * self.k_max).astype(float)
         self._workspace = None
 
-    def workspace(self, size=0):
+    def workspace(self, size):
         """The grid's stage workspace, a flat complex128 buffer of at least
         ``size`` values (a stage's largest stacked pass, six rows and their
         half spectra, takes 6 (n + 1): 1.6 MB at n = 2^14).  It is

@@ -77,15 +77,17 @@ class IntegratorConfig:
 def make_initial(kind, amplitude, pair, grid):
     """Initial state: wave profile plus the symmetric counter-rotating pair.
 
-    kind "zero_wave" gives W = U = 0; "odd_bump" gives
-    W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying).  The
-    vortices sit at -x + iy (strength +lam) and x + iy (strength -lam).
+    kind "zero_wave" gives W = U = 0 and takes amplitude 0 only; "odd_bump"
+    gives W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying).
+    The vortices sit at -x + iy (strength +lam) and x + iy (strength -lam).
     """
     if not (math.isfinite(amplitude) and amplitude >= 0):
         raise ValueError("amplitude must be finite and nonnegative, got %r" % (amplitude,))
     if kind not in ("zero_wave", "odd_bump"):
         raise ValueError("unknown initial kind %r" % kind)
-    if kind == "odd_bump" and amplitude > 0.0:
+    if kind == "zero_wave" and amplitude != 0.0:
+        raise ValueError("amplitude must be 0 for a zero_wave, got %r" % (amplitude,))
+    if amplitude > 0.0:
         W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
     else:
         W = zero_field(grid)
@@ -279,12 +281,12 @@ class StepRecord:
 StepRecord.COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "as_flags")
 
 
-def monitor(state, gevrey_params, record=None, first=None):
+def monitor(state, gevrey_params, record, first=None):
     """The trajectory row of one state, with ``picard_iters`` None.
 
-    ``record`` is the state's :class:`waves.Derived` record (derived here
-    if None); ``first`` is the run's t = 0 row, a state monitored without
-    one is its own first row.  The assumption flags are advisory
+    ``record`` is the state's :class:`waves.Derived` record; ``first`` is
+    the run's t = 0 row, a state monitored without one is its own first
+    row.  The assumption flags are advisory
     (vortex-interface proximity is checked separately and is fatal): AS1
     all quantities finite; AS2 the homogeneous energy pair, ||U||_L2 and
     ||U||_inf within AS2_CAP; AS3 chord-arc at least half of the first
@@ -294,7 +296,6 @@ def monitor(state, gevrey_params, record=None, first=None):
     1e-12 of round-off (AS5 relative to L0), so that a run whose
     schedule reaches L0/2 at t_end keeps AS5 on its last row.
     """
-    record = _derive(state) if record is None else record
     grid = state.grid
     argmin_alpha, inf_A1 = refine_minimum(grid.alpha, record.A1)
     phi = gevrey_params.phi(state.t)

@@ -39,7 +39,7 @@ argument (5-6 ms through complex tan or sin) and 9 ms on a complex one
 
 import numpy as np
 
-from .errors import NearBoundaryError
+from .errors import VortexProximityError
 from .grid import Field, check_same_grid
 
 MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
@@ -119,17 +119,6 @@ def periodic_square_kernel(w, half_length):
 # ----------------------------------------------------------------------
 # multipliers, precomputed on the GridSpec
 
-def transform_buffers(grid, k):
-    """The leading k (n + 1) values of the grid's workspace as a stacked
-    pass's buffers: float64 (k, n) rows, then their complex128 (k, n/2 + 1)
-    half spectra.  The next pass on the grid overwrites both."""
-    n, half = grid.n_points, grid.n_points // 2
-    ws = grid.workspace(k * (n + 1))
-    rows = ws[:k * half].view(np.float64).reshape(k, n)
-    spectra = ws[k * half:k * (n + 1)].reshape(k, half + 1)
-    return rows, spectra
-
-
 def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
     """Stacked multipliers: row i of the result is irfft(multipliers[i] * fhat_i).
 
@@ -140,17 +129,19 @@ def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
     through one ``irfft``.  Returns (out, products): the float64 (k, n)
     result and the (k, n/2 + 1) products, which are the rfft of ``out``
     wherever the multiplier is real at the Nyquist mode.  Both are new
-    arrays, or with ``scratch`` the leading rows of the grid's workspace
-    (:func:`transform_buffers`), which the next stacked pass on the grid
-    overwrites: a caller that asks for them reads them before that and
-    keeps none.
+    arrays, or with ``scratch`` the leading k (n + 1) values of the grid's
+    workspace, the rows and then their half spectra, which the next stacked
+    pass on the grid overwrites: a caller that asks for them reads them
+    before that and keeps none.
     """
-    k = len(multipliers)
+    k, n, half = len(multipliers), grid.n_points, grid.n_points // 2
     if scratch:
-        out, products = transform_buffers(grid, k)
+        ws = grid.workspace(k * (n + 1))
+        out = ws[:k * half].view(np.float64).reshape(k, n)
+        products = ws[k * half:k * (n + 1)].reshape(k, half + 1)
     else:
-        out = np.empty((k, grid.n_points))
-        products = np.empty((k, grid.n_points // 2 + 1), dtype=np.complex128)
+        out = np.empty((k, n))
+        products = np.empty((k, half + 1), dtype=np.complex128)
     if spectra is None:
         for o, r in zip(out, rows):
             o[...] = r
@@ -160,7 +151,7 @@ def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
     else:
         for p, m, f_hat in zip(products, multipliers, spectra):
             np.multiply(m, f_hat, out=p)
-    return np.fft.irfft(products, grid.n_points, out=out), products
+    return np.fft.irfft(products, n, out=out), products
 
 
 def _apply(f, multiplier):
@@ -182,13 +173,9 @@ def lambda_op(f):
     return _apply(f, f.grid.wavenumbers)
 
 
-def derivative(f, n=1):
-    """Spectral n-th derivative, multiplier (ik)^n.  n = 0 returns a copy."""
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    if n == 0:
-        return Field(f.grid, f.samples.copy())
-    return _apply(f, f.grid.ik if n == 1 else f.grid.ik ** n)
+def derivative(f):
+    """Spectral first derivative d/da, multiplier ik."""
+    return _apply(f, f.grid.ik)
 
 
 def low_pass(f):
@@ -235,28 +222,21 @@ def cauchy_velocity(Z, F, z):
     Z is the sampled curve (alpha plus a periodic part), F the density on
     it, z a point off the curve.  The 1/(z - Z) kernel is used in its
     periodized form.  Points closer to the sampled curve than
-    MIN_SPACINGS grid spacings are rejected: the quadrature carries no
-    accuracy there.
+    MIN_SPACINGS grid spacings raise VortexProximityError: the quadrature
+    carries no accuracy there.
     """
     grid = check_same_grid(Z, F)
     dist = np.min(np.abs(z - Z.samples))
     if dist < MIN_SPACINGS * grid.spacing:
-        raise NearBoundaryError(
+        raise VortexProximityError(
             "evaluation point %s is %.3g from the curve; need >= %g grid spacings"
             % (z, dist, MIN_SPACINGS))
     kern = periodic_cauchy_kernel(z - Z.samples, grid.half_length)
-    total = np.sum(curve_derivative(Z).samples * F.samples * kern) * grid.spacing
+    # Z_b = 1 + d/da of the periodic part: the ramp alpha is taken off first,
+    # or the spectral derivative would differentiate a sawtooth
+    Z_b = 1.0 + derivative(Field(grid, Z.samples - grid.alpha)).samples
+    total = np.sum(Z_b * F.samples * kern) * grid.spacing
     return complex(total / (2.0j * np.pi))
-
-
-def curve_derivative(Z):
-    """d/da of a curve written as alpha + periodic part.
-
-    The linear ramp is removed before the spectral derivative; feeding the
-    raw samples of alpha through the FFT would differentiate a sawtooth.
-    """
-    periodic_part = Field(Z.grid, Z.samples - Z.grid.alpha)
-    return Field(Z.grid, 1.0 + derivative(periodic_part).samples)
 
 
 # ----------------------------------------------------------------------

@@ -211,7 +211,9 @@ def b_residual(grid, d):
     """||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2 of the record
     d, with P_- = (I - H)/2 minus its interval mean, which annihilates
     decaying boundary values of lower-half-plane holomorphic functions; at
-    most 1e-6 * (1 + ||b||_L2) for a trustworthy b."""
+    most 1e-6 * (1 + ||b||_L2) for a trustworthy b.  It recomputes
+    DtZ (1/Z_a - 1) + conj(Q) from the record rather than take the h that
+    :func:`derive` built b from, so a wrong h in b shows here."""
     # g is named: numpy would multiply into the temporary 1/Z_a - 1 as g * DtZ,
     # and its complex product is not commutative bit for bit
     g = 1.0 / d.Z_alpha - 1.0

@@ -35,7 +35,7 @@ def test_criterion(name, fn, cache, monkeypatch):
 def test_canonical_as2_holds_until_t_0_192(cache):
     # README: on the canonical run AS2 holds through t = 0.184 and first
     # goes false at t = 0.192, when 2 E_gevrey passes its cap of 1
-    rows = cache.transition().records
+    rows = cache.transition.records
     first = next(i for i, r in enumerate(rows) if not r.as_flags["AS2"])
     assert rows[first - 1].t == pytest.approx(0.184)
     assert rows[first].t == pytest.approx(0.192)
@@ -47,7 +47,7 @@ def test_check_times_ignore_wall_clock_steps(monkeypatch):
     # neither C01's 1 s cap nor the seconds run_all reports
     clock = itertools.count(0.0, 3600.0)
     monkeypatch.setattr(time, "time", lambda: next(clock))
-    result = run_all(RunCache(), names=["C01"])[0]
+    result = run_all(names=["C01"])[0]
     assert result.passed, result.detail
     assert 0.0 <= result.seconds < 1.0
 

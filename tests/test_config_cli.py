@@ -84,6 +84,34 @@ def test_parse_errors_name_the_key():
     assert err.value.key == "vortex.y0"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid.n", 4096.0), ("vortex.y0", "-12"), ("output.stride", 2.5),
+    ("vortex.x0", True), ("grid.half_length", True), ("output.path", 3),
+    ("vortex.lambda", np.float32("nan"))])
+def test_dict_config_is_typed_by_key(key, value):
+    # a value of the wrong type, or a non-finite numpy float, is named by
+    # its key where the config is built, not met later as a bare TypeError
+    # or a ValueError that names no key
+    with pytest.raises(ConfigError) as err:
+        canonical_scenario({key: value})
+    assert err.value.key == key
+
+
+def test_dict_config_takes_integral_and_real_numbers():
+    cfg = canonical_scenario({"grid.n": np.int64(4096), "grid.half_length": 200,
+                              "vortex.y0": np.float64(-12.0), "output.stride": np.int32(2)})
+    assert build_run_inputs(cfg)[0] == build_run_inputs(canonical_scenario({"grid.n": 4096}))[0]
+
+
+@pytest.mark.parametrize("overrides", [{"wave.kind": "zero_wave"}, {"wave.kind": None}])
+def test_amplitude_needs_the_odd_bump(overrides):
+    # an amplitude with the zero wave (the default kind) ran a flat wave
+    with pytest.raises(ConfigError) as err:
+        canonical_scenario(overrides)
+    assert err.value.key == "wave.amplitude"
+    assert canonical_scenario({**overrides, "wave.amplitude": 0.0}).get("wave.amplitude") == 0.0
+
+
 def test_trajectory_file_format(tmp_path):
     cfg = ScenarioConfig.parse(MINI_RUN)
     result = run_scenario(cfg)
@@ -126,7 +154,7 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
     ("output.stride", "0"), ("grid.n", "1000"), ("grid.half_length", "-5"),
     ("time.dt", "0"), ("time.t_end", "-1"), ("gevrey.L0", "2"), ("gevrey.delta0", "0"),
     ("vortex.x0", "-1"), ("vortex.x0", "200"), ("vortex.x0", "300"),
-    ("vortex.gamma", "-1"), ("wave.amplitude", "-1"),
+    ("vortex.gamma", "-1"), ("wave.amplitude", "-1"), ("wave.amplitude", "0.5"),
     ("monitor.eta1", "-2"), ("wave.kind", "square_bump"), ("time.scheme", "euler")])
 def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     lines = [line for line in MINI_RUN.splitlines() if not line.startswith(key + " ")]
@@ -355,8 +383,8 @@ def test_cmd_sweep_cli(tmp_path, monkeypatch):
 def test_verify_plumbing_and_mutation(monkeypatch, capsys):
     # determinism: the same check twice gives the identical detail line
     from vortexwavelab import acceptance
-    r1 = acceptance.run_all(acceptance.RunCache(), names=["C02"])[0]
-    r2 = acceptance.run_all(acceptance.RunCache(), names=["C02"])[0]
+    r1 = acceptance.run_all(names=["C02"])[0]
+    r2 = acceptance.run_all(names=["C02"])[0]
     assert r1.detail == r2.detail and r1.passed
 
     # injected sign flip in the Hilbert multiplier (-H for H): the
@@ -367,7 +395,7 @@ def test_verify_plumbing_and_mutation(monkeypatch, capsys):
     def flipped(f):
         return Field(f.grid, -sp.hilbert(f).samples)
     monkeypatch.setattr("vortexwavelab.acceptance.hilbert", flipped)
-    res = acceptance.run_all(acceptance.RunCache(), names=["C04"])[0]
+    res = acceptance.run_all(names=["C04"])[0]
     assert not res.passed
     assert "Hilbert" in res.name
 

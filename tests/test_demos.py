@@ -1,4 +1,5 @@
-"""Smoke test of the narrative demos: each runs to completion.
+"""Smoke test of the narrative demos: each runs to completion, with a
+RuntimeWarning an error as in CI's demo step.
 
 Demo 06 (about 3 s) also runs ``step_picard`` and the RK4 stage
 combinations end to end.  Demos 03 and 04, full runs of 3 to 7 s and 2
@@ -26,7 +27,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

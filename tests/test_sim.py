@@ -71,6 +71,13 @@ def test_make_initial_rejects_a_non_finite_amplitude(sim_grid, amplitude):
         make_initial("odd_bump", amplitude, canonical_pair(), sim_grid)
 
 
+def test_make_initial_zero_wave_takes_no_amplitude(sim_grid):
+    # the zero wave ignored its amplitude, so a forgotten kind ran a flat wave
+    with pytest.raises(ValueError, match="amplitude"):
+        make_initial("zero_wave", 0.5, canonical_pair(), sim_grid)
+    assert make_initial("zero_wave", 0.0, canonical_pair(), sim_grid).W.sup_norm() == 0.0
+
+
 def test_make_initial_gevrey_scales_with_amplitude(sim_grid):
     e1 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 1e-3, None, sim_grid)), 10.0)
     e2 = energy(*(lambda s: (s.W, s.U))(make_initial("odd_bump", 2e-3, None, sim_grid)), 10.0)
@@ -280,7 +287,7 @@ def test_run_ends_picard_diverged_with_earlier_rows(monkeypatch):
 
 def test_monitor_zero_state(sim_grid):
     s = WaveState(zero_field(sim_grid), zero_field(sim_grid), ())
-    rep = monitor(s, gevrey_params=GevreyParams(L0=10, delta0=1))
+    rep = monitor(s, GevreyParams(L0=10, delta0=1), sim._derive(s))
     assert rep.E_gevrey == 0.0
     assert rep.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert all(rep.as_flags.values())
@@ -367,8 +374,8 @@ def test_radius_exhaustion_marks_energy_nan(sim_grid):
                          gevrey_params=GevreyParams(L0=10.0, delta0=1000.0))
     assert res.exit_reason == "completed"
     assert math.isnan(res.records[-1].E_gevrey)
-    assert not monitor(res.final_state, gevrey_params=GevreyParams(
-        L0=10.0, delta0=1000.0)).as_flags["AS5"]
+    assert not monitor(res.final_state, GevreyParams(L0=10.0, delta0=1000.0),
+                       sim._derive(res.final_state)).as_flags["AS5"]
 
 
 @pytest.mark.parametrize("dt, t_end", [(0.004, 0.12), (0.004, 0.6), (0.01, 0.03)])
@@ -404,8 +411,8 @@ def test_as5_slack_is_round_off_only(sim_grid):
     p = GevreyParams(L0=10.0, delta0=1.0)
 
     def as5(t):
-        return monitor(WaveState(zero_field(sim_grid), zero_field(sim_grid), (), t),
-                       p).as_flags["AS5"]
+        s = WaveState(zero_field(sim_grid), zero_field(sim_grid), (), t)
+        return monitor(s, p, sim._derive(s)).as_flags["AS5"]
     assert as5(5.0 + 4e-15)                # phi a few ulps below L0/2
     assert not as5(5.0 + 1e-9 * p.L0)      # phi 1e-9 L0 below L0/2
 

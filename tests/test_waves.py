@@ -505,10 +505,31 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
     state_rhs(state)
     sim.step_rk4(state, 1e-3)
     assert calls == []
-    row = sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0))
+    row = sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0), sim._derive(state))
     assert sorted(calls) == ["b_residual", "chord_arc_constant"]
     assert row.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert row.inf_A1 <= float(np.min(assemble(state).A1.samples))
+
+
+def test_b_residual_sees_a_wrong_b(monkeypatch):
+    # b_residual recomputes DtZ (1/Z_a - 1) + conj(Q) rather than take the h
+    # derive builds b from, so a b built from a wrong h (1e-4 off, its
+    # projection C Im h too), or a b off by a smooth bump, reads far above
+    # the round-off of the canonical state (8.5e-9 and 7.9e-7 against 2.3e-16)
+    import vortexwavelab.waves as waves
+    state = canonical_start(2 ** 12)
+    grid = state.grid
+
+    def residual():
+        return b_residual(grid, waves.derive(grid, *state.arrays, state.strengths))
+    assert residual() <= 1e-12
+    compute_b = waves.compute_b
+    monkeypatch.setattr(waves, "compute_b",
+                        lambda u, h, c: compute_b(u, h * (1 + 1e-4), c * (1 + 1e-4)))
+    assert residual() > 1e-12
+    monkeypatch.setattr(waves, "compute_b",
+                        lambda u, h, c: compute_b(u, h, c) + 1e-6 * np.exp(-grid.alpha ** 2))
+    assert residual() > 1e-12
 
 
 def test_wave_state_names_bad_vortex_arrays(grid):

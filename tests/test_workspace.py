@@ -59,7 +59,7 @@ def test_stage_results_survive_later_stages(monkeypatch):
     step_picard(step_picard(start, 4e-3, config)[0], 4e-3, config)
     assemble(after_rk4)
     assert len(kept) >= 4 + 3 + 1               # RK4's stages, Picard's k0 and sweeps
-    workspace = grid.workspace()
+    workspace = grid.workspace(0)
     for arrays, saved in kept + [(derived_arrays(derived), derived_bytes)]:
         for a, b in zip(arrays, saved):
             assert a.tobytes() == b
@@ -79,7 +79,7 @@ def test_quadratures_and_stages_keep_each_others_results():
     saved = [r.samples.tobytes() for r in results]
     assert [a.tobytes() for a in derived_arrays(derived)] == derived_bytes
     rhs(grid, start.arrays, start.strengths, assemble(start).record)
-    workspace = grid.workspace()
+    workspace = grid.workspace(0)
     for r, b in zip(results, saved):
         assert r.samples.tobytes() == b
         assert not np.shares_memory(r.samples, workspace)
