@@ -15,18 +15,14 @@ Fields keep real data real: W, U and everything the transition is read
 from (b, A1, A, G) are float64 samples, the complex traces (Z, F, Q, ...)
 complex128, transformed as their real and imaginary parts.
 
-Each grid owns one stage workspace (:meth:`GridSpec.workspace`), a buffer
-it allocates on first use and keeps, into which the stacked transform
-passes and the pole-kernel stacks of a right-hand-side stage write, so a
-stage does not allocate and fault in a fresh set of large arrays.  Views
-of it live only inside one call of :mod:`vortexwavelab.waves` or
-:mod:`vortexwavelab.spectral`: every array or field handed out is its own.
-
-A stage works on the plain sample arrays and half spectra (see
-:mod:`vortexwavelab.waves`); a :class:`Field` wraps them at the API, for
-the state a step returns, the monitor and the operators of
-:mod:`vortexwavelab.spectral`.
+Each grid owns one stage workspace (:meth:`GridSpec.workspace`), which
+every stacked transform pass and a stage's pole-kernel stacks overwrite,
+so a stage faults in no fresh large arrays.  Only
+:func:`spectral.apply_multiplier` and :func:`waves.pole_kernels` hand out
+views of it; a :class:`Field` wraps a stage's arrays at the API.
 """
+
+import numbers
 
 import numpy as np
 
@@ -36,13 +32,15 @@ from .errors import GridMismatchError
 class GridSpec:
     """Equispaced periodic grid on [-half_length, half_length).
 
-    half_length must be finite and positive, n_points a power of two
-    and at least 16; spacing * n_points
+    half_length must be finite and positive, n_points an integer (numpy
+    integers too), a power of two and at least 16; spacing * n_points
     equals 2 * half_length exactly in floating point (division by a
     power of two is exact).
     """
 
     def __init__(self, half_length, n_points):
+        if not isinstance(n_points, numbers.Integral):
+            raise ValueError("n_points must be an integer, got %r" % (n_points,))
         n_points = int(n_points)
         if n_points < 16 or (n_points & (n_points - 1)) != 0:
             raise ValueError("n_points must be a power of two >= 16, got %d" % n_points)
@@ -65,11 +63,10 @@ class GridSpec:
 
     def workspace(self, size):
         """The grid's stage workspace, a flat complex128 buffer of at least
-        ``size`` values (a stage's largest stacked pass, six rows and their
-        half spectra, takes 6 (n + 1): 1.6 MB at n = 2^14).  It is
-        allocated on first use, not with the grid, and grows, never
-        shrinks, when a caller needs more.  Its contents belong to whoever
-        wrote them last: the next stacked pass overwrites them, so two
+        ``size`` values: k (n + 1) for a stacked pass of k rows and their
+        half spectra, 3 m n for the pole-kernel stacks of m vortices
+        (1.6 MB at n = 2^14 for a pair).  It is allocated on first use and
+        grows, never shrinks; the next stacked pass overwrites it, so two
         threads must not run stages on one grid object at the same time.
         """
         if self._workspace is None or len(self._workspace) < size:

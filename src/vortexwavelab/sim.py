@@ -127,15 +127,18 @@ def _weighted_sum(base, weights, terms):
 
 def _advance(y, parts, weights):
     """y + sum_i weights[i] * parts[i], entry by entry of the stage layout
-    (w, u, w_hat, u_hat, z) of :func:`waves.rhs`: W and U carry their half
+    (w_hat, u_hat, z) of :func:`waves.rhs`: W and U advance as half
     spectra, the same combination of the spectra of the state and of the
-    low-passed parts, so the next stage transforms neither."""
+    low-passed parts, which is all the next stage reads of them."""
     return tuple(_weighted_sum(base, weights, terms) for base, *terms in zip(y, *parts))
 
 
 def _state(grid, y, lam, t, carry=None):
-    """The WaveState of the stage layout y, strengths lam, at time t."""
-    w, u, w_hat, u_hat, z = y
+    """The WaveState of the stage layout y, strengths lam, at time t: the
+    samples of W and U come from their half spectra in one 2-row
+    ``irfft``, and each Field keeps its spectrum."""
+    w_hat, u_hat, z = y
+    w, u = np.fft.irfft((w_hat, u_hat), grid.n_points)
     return WaveState(Field.with_spectrum(grid, w, w_hat), Field.with_spectrum(grid, u, u_hat),
                      t=t, positions=z, strengths=lam, carry=carry)
 
@@ -168,8 +171,8 @@ def _h4_distance(grid, weight, y1, y2):
     """Discrete H4 x H4 distance of (W, U) plus the vortex separation of two
     stage layouts: the power of each difference weighted by ``weight``
     (:func:`_h4_weight`)."""
-    total = sum(np.sum(power_spectrum(grid, y1[i] - y2[i]) * weight) for i in (2, 3))
-    total += np.sum(np.abs(y1[4] - y2[4]) ** 2)
+    total = sum(np.sum(power_spectrum(grid, y1[i] - y2[i]) * weight) for i in (0, 1))
+    total += np.sum(np.abs(y1[2] - y2[2]) ** 2)
     return math.sqrt(total)
 
 

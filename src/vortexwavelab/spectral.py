@@ -3,13 +3,15 @@
 Every operator is one multiplier on a field's half spectrum, and
 :func:`apply_multiplier` is the one primitive that applies them: k real
 rows, each with its own multiplier, go through one stacked ``rfft`` (unless
-their half spectra are already known) and one stacked ``irfft``.  The
-operators over it are its one-field case: ik, |k|, the half-band mask and
-C = i sgn(k), each mapping real fields to real fields (a complex field
-goes through as two rows, its real and imaginary parts).  A right-hand
-side stage stacks its own rows instead (see :mod:`vortexwavelab.waves`),
-and so do the singular quadratures: their trapezoid sums over a
-periodized kernel are circular convolutions, one pass each.
+their half spectra are already known) and one stacked ``irfft``, in the
+grid's workspace (:meth:`GridSpec.workspace`).  The operators over it are
+its one-field case, each copying its result out: ik, |k|, the half-band
+mask and C = i sgn(k), each mapping real fields to real fields (a complex
+field goes through as two rows, its real and imaginary parts).  A
+right-hand side stage stacks its own rows instead (see
+:mod:`vortexwavelab.waves`), and so do the singular quadratures: their
+trapezoid sums over a periodized kernel are circular convolutions, one
+pass each.
 The Hilbert transform H = iC is the multiplier -sgn(k), zero on the mean
 and Nyquist modes.  With the transform convention fhat(k) = integral
 f exp(-i k a), boundary values of functions holomorphic in the lower
@@ -119,29 +121,24 @@ def periodic_square_kernel(w, half_length):
 # ----------------------------------------------------------------------
 # multipliers, precomputed on the GridSpec
 
-def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
+def apply_multiplier(grid, multipliers, rows=None, spectra=None):
     """Stacked multipliers: row i of the result is irfft(multipliers[i] * fhat_i).
 
-    fhat_i is ``spectra[i]`` when the half spectra are known.  Otherwise
-    the k real ``rows`` (arrays of n samples, views included) are copied
-    into the (k, n) output array, which one ``rfft`` transforms into the
-    products and the inverse pass then overwrites.  The k products go
-    through one ``irfft``.  Returns (out, products): the float64 (k, n)
-    result and the (k, n/2 + 1) products, which are the rfft of ``out``
-    wherever the multiplier is real at the Nyquist mode.  Both are new
-    arrays, or with ``scratch`` the leading k (n + 1) values of the grid's
-    workspace, the rows and then their half spectra, which the next stacked
-    pass on the grid overwrites: a caller that asks for them reads them
-    before that and keeps none.
+    fhat_i is ``spectra[i]`` when the half spectra are known, else the
+    rfft of the real row ``rows[i]`` (n samples, views included); there
+    must be as many rows or spectra as multipliers (ValueError).  One
+    ``rfft`` (for rows) and one ``irfft`` transform all k rows in the
+    grid's workspace (:meth:`GridSpec.workspace`): the float64 (k, n)
+    result is a view of it, which the next stacked pass overwrites, so a
+    caller reads it before that and keeps none of it.
     """
     k, n, half = len(multipliers), grid.n_points, grid.n_points // 2
-    if scratch:
-        ws = grid.workspace(k * (n + 1))
-        out = ws[:k * half].view(np.float64).reshape(k, n)
-        products = ws[k * half:k * (n + 1)].reshape(k, half + 1)
-    else:
-        out = np.empty((k, n))
-        products = np.empty((k, half + 1), dtype=np.complex128)
+    inputs, kind = (rows, "rows") if spectra is None else (spectra, "spectra")
+    if len(inputs) != k:
+        raise ValueError("%d multipliers but %d %s" % (k, len(inputs), kind))
+    ws = grid.workspace(k * (n + 1))
+    out = ws[:k * half].view(np.float64).reshape(k, n)
+    products = ws[k * half:k * (n + 1)].reshape(k, half + 1)
     if spectra is None:
         for o, r in zip(out, rows):
             o[...] = r
@@ -151,15 +148,16 @@ def apply_multiplier(grid, multipliers, rows=None, spectra=None, scratch=False):
     else:
         for p, m, f_hat in zip(products, multipliers, spectra):
             np.multiply(m, f_hat, out=p)
-    return np.fft.irfft(products, n, out=out), products
+    return np.fft.irfft(products, n, out=out)
 
 
 def _apply(f, multiplier):
     """The one-field case of :func:`apply_multiplier`, on f's cached half
-    spectrum: float64 in, float64 out; complex in, complex out."""
+    spectrum: float64 in, float64 out; complex in, complex out.  The
+    result is copied out of the workspace."""
     spectra = np.atleast_2d(f.fft)
-    out, _ = apply_multiplier(f.grid, (multiplier,) * len(spectra), spectra=spectra)
-    return Field(f.grid, out[0] if len(out) == 1 else out[0] + 1j * out[1])
+    out = apply_multiplier(f.grid, (multiplier,) * len(spectra), spectra=spectra)
+    return Field(f.grid, out[0].copy() if len(out) == 1 else out[0] + 1j * out[1])
 
 
 def hilbert(f):
@@ -254,8 +252,7 @@ def _circulant(grid, kernel, rows):
     row = np.zeros(n)
     row[1:] = kernel(grid.spacing * np.fft.fftfreq(n, 1.0 / n)[1:], grid.half_length)
     multiplier = np.fft.rfft(row)
-    out, _ = apply_multiplier(grid, (multiplier,) * len(rows), rows=rows, scratch=True)
-    return out, multiplier[0].real
+    return apply_multiplier(grid, (multiplier,) * len(rows), rows=rows), multiplier[0].real
 
 
 def sq_diff_rows(f):
@@ -288,7 +285,7 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     """
     grid = f.grid
     if method == "spectral":
-        lam, _ = apply_multiplier(grid, (grid.wavenumbers,) * 3, rows=sq_diff_rows(f.samples))
+        lam = apply_multiplier(grid, (grid.wavenumbers,) * 3, rows=sq_diff_rows(f.samples))
         return Field(grid, sq_diff_from_rows(f.samples, lam))
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)

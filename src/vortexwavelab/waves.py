@@ -19,38 +19,35 @@ From these the assembly derives, per state:
     G      the vortex forcing of U.
 
 A stage runs on plain arrays.  :func:`rhs` maps the stage layout
-y = (w, u, w_hat, u_hat, z), the samples and half spectra of W and U and
-the positions, with the strengths lam to its time derivative in the same
-layout, through the :class:`Derived` record of :func:`derive`; every
-helper below takes and returns arrays.  The record is the one derived
-type of a run: the steppers, the CFL guard and the monitor of
-:mod:`vortexwavelab.sim` read it.  :class:`WaveState` wraps W and U as
-Fields, and :func:`assemble` views a state's record as
-:class:`DerivedFields` for callers that read Fields.  Every vortex term
-is array algebra over the (m, n) stacks of the periodized pole kernels,
-taken from one complex exponential over the grid (:func:`pole_kernels`).
+y = (w_hat, u_hat, z), the half spectra of W and U and the positions,
+with the strengths lam to its time derivative in the same layout,
+through the :class:`Derived` record of :func:`derive`; every helper below
+takes and returns arrays.  The record is the one derived type of a run:
+the steppers, the CFL guard and the monitor of :mod:`vortexwavelab.sim`
+read it.  :class:`WaveState` wraps W and U as Fields, and
+:func:`assemble` views a state's record as :class:`DerivedFields` for
+callers that read Fields.  Every vortex term is array algebra over the
+(m, n) stacks of the periodized pole kernels, taken from one complex
+exponential over the grid (:func:`pole_kernels`).
 
-A stage (:func:`derive` then the low-pass of :func:`rhs`) runs 16 real
-transforms (14 without vortices) in three stacked passes of
-:func:`spectral.apply_multiplier`, ordered by what each needs:
+A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 16 real
+transforms (14 without vortices) in 5 calls, three passes ordered by what
+each needs:
 
-1. one inverse pass of six rows from the spectra of W and U, which the
-   steppers carry: CW, dW/da, |d/da| W, CU, dU/da and |d/da| U
-   (:func:`reconstruct`);
-2. after the pole kernels, one forward and one inverse pass over the rows
-   C Im h (for b), |d/da| |DtZ|^2 (for A1) and, with vortices, C Im G2
-   (the vortex term of A1): three rows, two without vortices
-   (:func:`stage_projections`);
-3. one forward and one inverse pass that low-passes dW/dt and dU/dt
-   (:func:`rhs`).
+1. 8 inverse rows in two calls of :func:`spectral.apply_multiplier`:
+   W, CW, dW/da and |d/da| W, then the same of U, from the spectra the
+   steppers carry (:func:`reconstruct`);
+2. after the pole kernels, 3 rows forward and back: C Im h (for b),
+   |d/da| |DtZ|^2 (for A1) and, with vortices, C Im G2 (the vortex term
+   of A1) (:func:`stage_projections`);
+3. 2 rows forward: the half spectra of dW/dt and dU/dt, which the
+   half-band mask low-passes and the stage returns (:func:`rhs`).
 
 The first two passes and the pole-kernel stacks (:func:`pole_stacks`)
-write into the grid's workspace (:meth:`GridSpec.workspace`), which the
-grid allocates once, so a stage faults none of them in afresh.  Views of
-it stay inside this module: every array of :class:`Derived` is its own,
-built from the workspace rows before the next pass overwrites them.  The
-third pass writes new arrays, because the steppers combine the results
-of several stages after later stages have run.
+write into the grid's workspace (:meth:`GridSpec.workspace`), which
+:func:`derive` asks for at its largest first, so that it does not grow
+on a later pass.  Views of it stay inside this module: every array of
+:class:`Derived` and every slope of :func:`rhs` is its own.
 
 A1 takes one projection besides |D||DtZ|^2, with |D| = |d/da|.  In its
 definition (:func:`compute_A1`) the squared-difference integral is
@@ -134,8 +131,8 @@ class WaveState:
 
     @property
     def arrays(self):
-        """The stage layout (w, u, w_hat, u_hat, z) of :func:`rhs`."""
-        return self.W.samples, self.U.samples, self.W.fft, self.U.fft, self.positions
+        """The stage layout (w_hat, u_hat, z) of :func:`rhs`."""
+        return self.W.fft, self.U.fft, self.positions
 
 
 # The derived arrays of one state, as a stage computes them (:func:`derive`):
@@ -156,9 +153,9 @@ class DerivedFields:
         self.zdots, self.d_I = record.zdots, record.d_I
 
 
-def reconstruct(grid, w, u, w_hat, u_hat):
-    """(Z, F, Z_alpha, F_alpha) from the real parts w, u and their half
-    spectra, in one inverse pass of six rows: with H = iC and
+def reconstruct(grid, w_hat, u_hat):
+    """(Z, F, Z_alpha, F_alpha) from the half spectra of W and U, in two
+    inverse passes of four rows, one per field: with H = iC and
     C d/da = -|d/da| = -|D|,
 
         Z - alpha = W + iCW,  F = U + iCU,  Z_a = 1 + W_a - i|D|W,  F_a = U_a - i|D|U.
@@ -166,14 +163,16 @@ def reconstruct(grid, w, u, w_hat, u_hat):
     The plus sign in (I + H) is forced: with the -sgn(k) multiplier it
     projects onto k <= 0 modes, exactly the boundary values of functions
     holomorphic below the interface, so (I - H)(Z - alpha) vanishes.
+    Raises NonFiniteStateError when a spectrum is not finite, as every
+    mode is once one sample is.
     """
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(u))):
+    if not (np.all(np.isfinite(w_hat)) and np.all(np.isfinite(u_hat))):
         raise NonFiniteStateError("non-finite W or U")
-    out, _ = apply_multiplier(grid, (grid.i_sgn, grid.ik, grid.wavenumbers) * 2,
-                              spectra=(w_hat,) * 3 + (u_hat,) * 3, scratch=True)
-    c_w, w_a, lam_w, c_u, u_a, lam_u = out  # the grid's workspace
-    return (_complex(grid.alpha + w, c_w), _complex(u, c_u),
-            _complex(1.0 + w_a, -lam_w), _complex(u_a, -lam_u))
+    multipliers = (1.0, grid.i_sgn, grid.ik, grid.wavenumbers)
+    w, c_w, w_a, lam_w = apply_multiplier(grid, multipliers, spectra=(w_hat,) * 4)
+    Z, Z_alpha = _complex(grid.alpha + w, c_w), _complex(1.0 + w_a, -lam_w)
+    u, c_u, u_a, lam_u = apply_multiplier(grid, multipliers, spectra=(u_hat,) * 4)
+    return Z, _complex(u, c_u), Z_alpha, _complex(u_a, -lam_u)
 
 
 def _complex(re, im):
@@ -218,8 +217,7 @@ def b_residual(grid, d):
     # and its complex product is not commutative bit for bit
     g = 1.0 / d.Z_alpha - 1.0
     resid = d.b - d.DtZ * g - np.conj(d.Q) - np.conj(d.F)
-    c_re, c_im = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(resid.real, resid.imag),
-                                  scratch=True)[0]
+    c_re, c_im = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(resid.real, resid.imag))
     p = 0.5 * (resid - 1j * (c_re + 1j * c_im))
     p -= np.mean(p)
     return float(np.sqrt(grid.spacing * np.sum(np.abs(p) ** 2)))
@@ -329,7 +327,7 @@ def stage_projections(grid, h, DtZ, G2, with_vortices):
     if with_vortices:
         rows += (G2.imag,)
         multipliers += (grid.i_sgn,)
-    return apply_multiplier(grid, multipliers, rows=rows, scratch=True)[0]
+    return apply_multiplier(grid, multipliers, rows=rows)
 
 
 def compute_b(u, h, c_im_h):
@@ -389,14 +387,16 @@ def refine_minimum(alpha, values):
     return sign * float(a_star), float(f_star)
 
 
-def derive(grid, w, u, w_hat, u_hat, z, lam):
-    """The :class:`Derived` record of the state y = (w, u, w_hat, u_hat, z)
+def derive(grid, w_hat, u_hat, z, lam):
+    """The :class:`Derived` record of the state y = (w_hat, u_hat, z)
     with strengths lam; raises VortexProximityError when a vortex is too
     close to the interface for the quadratures to mean anything,
-    NonFiniteStateError when w, u or a position is not finite."""
+    NonFiniteStateError when W, U or a position is not finite."""
     if not np.all(np.isfinite(z)):
         raise NonFiniteStateError("non-finite vortex position")
-    Z, F, Z_alpha, F_alpha = reconstruct(grid, w, u, w_hat, u_hat)
+    n = grid.n_points
+    grid.workspace(max(3 * len(z) * n, 4 * (n + 1)))  # the stage's largest block first
+    Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
     d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:
         raise VortexProximityError(
@@ -410,7 +410,7 @@ def derive(grid, w, u, w_hat, u_hat, z, lam):
     del K1, K2  # workspace views, which the stacked pass overwrites
     h = DtZ * (1.0 / Z_alpha - 1.0) + np.conj(Q)
     proj = stage_projections(grid, h, DtZ, G2, len(z) > 0)
-    b = compute_b(u, h, proj[0])
+    b = compute_b(F.real, h, proj[0])
     A1 = compute_A1(DtZ, F_alpha, G1, G2, proj[1:])
     return Derived(Z, Z_alpha, F_alpha, F, Q, DtZ, DtQ, b, A1,
                    A1 / np.abs(Z_alpha) ** 2, -DtQ.real, zdots, d_I)
@@ -423,9 +423,9 @@ def assemble(state):
 
 
 def rhs(grid, y, lam, record=None):
-    """Time derivative of the stage layout y = (w, u, w_hat, u_hat, z)
-    with strengths lam, in the same layout (dW/dt, dU/dt, their half
-    spectra, dz/dt), from the evolution
+    """Time derivative of the stage layout y = (w_hat, u_hat, z) with
+    strengths lam, in the same layout (the half spectra of dW/dt and
+    dU/dt, and dz/dt), from the evolution
 
         d_t U = -b dU/da + A |d/da| W + G
         d_t W = -b dW/da + U + Re Q - b
@@ -434,16 +434,17 @@ def rhs(grid, y, lam, record=None):
     W-equation is the real part of the kinematic identity
     d_t (Z - alpha) = conj(F) + conj(Q) - b Z_a.
     dW/da and |d/da| W are read off Z_a = 1 + (I + H) dW/da, as
-    Re Z_a - 1 and -Im Z_a, and dU/da as Re F_a.  Both time derivatives
-    are low-passed to half the grid band (de-aliasing) in one stacked
-    pass; the mask zeroes the Nyquist mode, so each filtered row carries
-    its half spectrum.  ``record`` is the :class:`Derived` record of y
-    when the caller already has it, which spares the stage its
-    :func:`derive`.
+    Re Z_a - 1 and -Im Z_a, U as Re F and dU/da as Re F_a.  Both time
+    derivatives are low-passed to half the grid band (de-aliasing): one
+    stacked ``rfft`` and the half-band mask, which zeroes the Nyquist mode.
+    ``record`` is the :class:`Derived` record of y when the caller
+    already has it, which spares the stage its :func:`derive`.
     """
     d = derive(grid, *y, lam) if record is None else record
     bs = d.b
-    dW = -bs * (d.Z_alpha.real - 1.0) + y[1] + d.Q.real - bs
+    dW = -bs * (d.Z_alpha.real - 1.0) + d.F.real + d.Q.real - bs
     dU = -bs * d.F_alpha.real + d.A * -d.Z_alpha.imag + d.G
-    (dw, du), (dw_hat, du_hat) = apply_multiplier(grid, (grid.half_band,) * 2, rows=(dW, dU))
-    return dw, du, dw_hat, du_hat, d.zdots
+    spectra = np.fft.rfft((dW, dU))
+    # two slopes of n/2 + 1 values fit the heap holes a stage leaves, one (2, n/2 + 1)
+    # block does not: a step's slopes then pile onto the heap top, which glibc trims
+    return spectra[0] * grid.half_band, spectra[1] * grid.half_band, d.zdots

@@ -14,6 +14,7 @@ from vortexwavelab.cli import main
 from vortexwavelab.config import (ScenarioConfig, build_run_inputs, run_scenario, sweep_rows,
                                   write_sweep, write_trajectory)
 from vortexwavelab.errors import ConfigError
+from vortexwavelab.grid import Field
 from vortexwavelab.sim import IntegratorConfig, StepRecord, run_simulation
 
 MINI_RUN = """
@@ -223,7 +224,9 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
         out = real(state, dt, record)
         seen.append(1)
         if len(seen) == 2:
-            out.U.samples[0] = np.inf
+            u = out.U.samples.copy()
+            u[0] = np.inf
+            out.U = Field(out.grid, u)
         return out
     monkeypatch.setattr(sim, "step_rk4", step)
     out = tmp_path / "partial.csv"

@@ -25,7 +25,11 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def state_rhs(state):
-    return rhs(state.grid, state.arrays, state.strengths)
+    """(dW/dt, dU/dt, dz/dt) at a state: the samples of the half spectra
+    rhs returns."""
+    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths)
+    dw, du = np.fft.irfft((dw_hat, du_hat), state.grid.n_points)
+    return dw, du, zdots
 
 
 def random_field(grid, rng, amplitude=1.0):
@@ -74,7 +78,7 @@ def test_reconstruct_keeps_the_real_parts(grid, seed, nyquist):
     sawtooth = nyquist * (-1.0) ** np.arange(grid.n_points)
     W = Field(grid, random_field(grid, rng, 0.1).samples + sawtooth)
     U = Field(grid, random_field(grid, rng, 0.1).samples - sawtooth)
-    Z, F, _, _ = reconstruct(grid, W.samples, U.samples, W.fft, U.fft)
+    Z, F, _, _ = reconstruct(grid, W.fft, U.fft)
     assert np.max(np.abs((Z - grid.alpha).real - W.samples)) <= 1e-14
     assert np.max(np.abs(F.real - U.samples)) <= 1e-14
 
@@ -126,13 +130,11 @@ def test_stacked_multipliers_match_the_full_spectrum(grid, seed):
     full = (lambda k: 1j * np.sign(k), np.abs,
             lambda k: (np.abs(k) <= 0.5 * k_max).astype(float))
     refs = np.array([full_spectrum(grid, r, m).real for r, m in zip(rows, full)])
-    from_rows, products = apply_multiplier(grid, multipliers, rows=rows)
-    from_spectra, _ = apply_multiplier(grid, multipliers, spectra=np.fft.rfft(rows))
+    from_rows = apply_multiplier(grid, multipliers, rows=rows).copy()
+    from_spectra = apply_multiplier(grid, multipliers, spectra=np.fft.rfft(rows))
     for got in (from_rows, from_spectra):
         assert got.shape == rows.shape and got.dtype == np.float64
         assert np.max(np.abs(got - refs)) <= 1e-12 * np.max(np.abs(refs))
-    expected = np.array(multipliers) * np.fft.rfft(rows)
-    assert np.max(np.abs(products - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @SETTINGS
@@ -141,7 +143,7 @@ def test_reconstruct_matches_the_full_spectrum(grid, seed):
     rng = np.random.default_rng(seed)
     W = broadband_field(grid, rng, False)
     U = broadband_field(grid, rng, False)
-    Z, F, Z_alpha, F_alpha = reconstruct(grid, W.samples, U.samples, W.fft, U.fft)
+    Z, F, Z_alpha, F_alpha = reconstruct(grid, W.fft, U.fft)
     cases = [
         (Z - grid.alpha, W, lambda k: 1.0 - np.sign(k)),
         (F, U, lambda k: 1.0 - np.sign(k)),
@@ -172,8 +174,8 @@ def test_time_reversal_image(grid, seed, x, y, lam, amplitude):
     rng = np.random.default_rng(seed)
     state = WaveState(random_field(grid, rng, amplitude), random_field(grid, rng, amplitude),
                       (Vortex(complex(-x, y), lam), Vortex(complex(x, 0.8 * y), -0.5 * lam)))
-    dW, dU, _, _, zdots = state_rhs(state)
-    rW, rU, _, _, rzdots = state_rhs(reversed_state(state))
+    dW, dU, zdots = state_rhs(state)
+    rW, rU, rzdots = state_rhs(reversed_state(state))
     assert np.array_equal(rW, -dW)
     assert np.array_equal(rU, dU)
     assert np.array_equal(rzdots, -zdots)
@@ -185,7 +187,7 @@ def test_rhs_keeps_odd_fields_odd(grid, seed, x, y, lam, amplitude):
     rng = np.random.default_rng(seed)
     W = odd_part(random_field(grid, rng, amplitude))
     U = odd_part(random_field(grid, rng, amplitude))
-    dW, dU, _, _, (z1, z2) = state_rhs(WaveState(W, U, (Vortex(complex(-x, y), lam),
+    dW, dU, (z1, z2) = state_rhs(WaveState(W, U, (Vortex(complex(-x, y), lam),
                                                         Vortex(complex(x, y), -lam))))
     # round-off scales with the terms summed, which the wave amplitude and
     # the vortex strength bound where the result itself cancels

@@ -418,7 +418,10 @@ def test_as5_slack_is_round_off_only(sim_grid):
 
 
 def _nan_W(state):
-    state.W.samples[3] = np.nan
+    # a consistent Field, whose spectrum the stage reads, carries the NaN
+    w = state.W.samples.copy()
+    w[3] = np.nan
+    state.W = Field(state.grid, w)
 
 
 def _nan_position(state):

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from vortexwavelab.errors import GridMismatchError, VortexProximityError
 from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
-from vortexwavelab.spectral import (cauchy_velocity, commutator_hilbert,
+from vortexwavelab.spectral import (apply_multiplier, cauchy_velocity, commutator_hilbert,
                                     derivative, hilbert, hilbert_quadrature,
                                     lambda_op, low_pass, periodic_cauchy_kernel,
                                     periodic_square_kernel, pv_commutator,
@@ -36,6 +36,19 @@ def test_grid_invariants():
         GridSpec(200.0, 12)       # not a power of two
     with pytest.raises(ValueError):
         GridSpec(200.0, 8)        # too small
+
+
+@pytest.mark.parametrize("n_points", [1024.9, 1024.0, "1024"])
+def test_grid_rejects_a_point_count_that_is_not_an_integer(n_points):
+    # int() truncated 1024.9 to a 1024-point grid without a word
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        GridSpec(200.0, n_points)
+
+
+def test_grid_takes_numpy_integers():
+    grid = GridSpec(200.0, np.int64(1024))
+    assert grid.n_points == 1024 and type(grid.n_points) is int
+    assert grid == GridSpec(200.0, 1024)
 
 
 @pytest.mark.parametrize("half_length", [math.nan, math.inf, -math.inf])
@@ -167,6 +180,18 @@ def test_derivative_gaussian_second(grid):
     expected = field_from_function(grid, lambda a: (4 * a * a - 2) * np.exp(-a * a))
     out = derivative(derivative(f))
     assert np.max(np.abs(out.samples - expected.samples)) <= 1e-10
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("kind", ["rows", "spectra"])
+def test_apply_multiplier_rejects_a_count_mismatch(grid, kind, count):
+    # zip stopped at the shorter input: 2 multipliers on 1 zero row gave a
+    # second row of stale workspace memory
+    apply_multiplier(grid, (grid.ik,), rows=(np.ones(grid.n_points),))
+    n = grid.n_points if kind == "rows" else grid.n_points // 2 + 1
+    inputs = {kind: np.zeros((count, n))}
+    with pytest.raises(ValueError, match="2 multipliers but %d %s" % (count, kind)):
+        apply_multiplier(grid, (grid.ik, grid.wavenumbers), **inputs)
 
 
 def test_low_pass_is_invisible_on_resolved_fields(grid):

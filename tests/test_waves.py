@@ -38,13 +38,15 @@ def odd_bump_state(grid, amp, vortices=()):
 
 def reconstructed(W, U):
     """(Z, F, Z_alpha, F_alpha) of the Fields W and U."""
-    return reconstruct(W.grid, W.samples, U.samples, W.fft, U.fft)
+    return reconstruct(W.grid, W.fft, U.fft)
 
 
 def state_rhs(state, derived=None):
-    """(dW/dt, dU/dt, dz/dt) at a state, given its assembly or not."""
-    dw, du, _, _, zdots = rhs(state.grid, state.arrays, state.strengths,
-                              None if derived is None else derived.record)
+    """(dW/dt, dU/dt, dz/dt) at a state, given its assembly or not: the
+    samples of the half spectra rhs returns."""
+    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths,
+                                None if derived is None else derived.record)
+    dw, du = np.fft.irfft((dw_hat, du_hat), state.grid.n_points)
     return dw, du, zdots
 
 
@@ -308,16 +310,28 @@ def test_rhs_preserves_oddness(grid):
     assert zd[0].imag == pytest.approx(zd[1].imag, abs=1e-12)
 
 
+def count_transforms(monkeypatch, counts):
+    """Count each call of np.fft's rfft and irfft in counts["transform_calls"]
+    and its real transforms, one per row, in counts["transforms"]."""
+    for name in ("rfft", "irfft"):
+        def transform(x, *args, _fn=getattr(np.fft, name), **kwargs):
+            counts["transform_calls"] += 1
+            counts["transforms"] += int(np.prod(np.shape(x)[:-1]))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, transform)
+
+
 def test_stage_budget(monkeypatch):
     # one RHS stage (rhs) on a stage layout the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
     # 16 real transforms in 5 transform calls.  A call on k rows counts k
     # real transforms (a complex field is two rows, its real and imaginary
-    # parts).  The stage makes three stacked passes: 6 inverse rows from
-    # the spectra of W and U, which _advance carries, so neither is
-    # transformed again; 3 rows forward and back after the pole kernels;
-    # 2 rows forward and back to low-pass dW/dt and dU/dt.  Without
-    # vortices the middle pass drops its C Im G2 row: 14 transforms.  The
+    # parts).  The stage makes three passes: 8 inverse rows in two calls
+    # from the spectra of W and U, which _advance carries, so neither is
+    # transformed forward; 3 rows forward and back after the pole kernels;
+    # 2 rows forward to low-pass dW/dt and dU/dt, which stay spectra.
+    # Without vortices the middle pass drops its C Im G2 row: 14
+    # transforms.  The
     # transforms are counted at np.fft, the one backend of the package.
     import sys
 
@@ -329,12 +343,7 @@ def test_stage_budget(monkeypatch):
     stages = [_advance(s.arrays, [rhs(grid, s.arrays, s.strengths)], [4e-3]) for s in starts]
     counts = dict.fromkeys(("transforms", "transform_calls", "periodic_cauchy_kernel",
                             "periodic_square_kernel", "pole_kernels"), 0)
-    for name in ("rfft", "irfft"):
-        def transform(x, *args, _fn=getattr(np.fft, name), **kwargs):
-            counts["transform_calls"] += 1
-            counts["transforms"] += int(np.prod(np.shape(x)[:-1]))
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, transform)
+    count_transforms(monkeypatch, counts)
     modules = [m for name, m in sys.modules.items() if name.startswith("vortexwavelab")]
     for owner, name in ((spectral, "periodic_cauchy_kernel"),
                         (spectral, "periodic_square_kernel"), (waves, "pole_kernels")):
@@ -355,6 +364,27 @@ def test_stage_budget(monkeypatch):
         assert counts["transform_calls"] == 5
 
 
+def test_run_step_budget(monkeypatch):
+    # an RK4 step of run_simulation with vortices takes 66 real transforms:
+    # the first stage on the state's record (its low-pass, 2), three full
+    # stages (48), the derive of the new state (the stage without its
+    # low-pass, 14) and the 2-row irfft of the new state's samples (2).
+    # Two runs that differ by one step, each monitoring its first and last
+    # rows only, differ by one step's transforms.
+    from vortexwavelab.sim import IntegratorConfig, run_simulation
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    totals = []
+    for steps in (2, 3):
+        start = canonical_start(2 ** 10)
+        counts.update(transforms=0)
+        res = run_simulation(start, IntegratorConfig(dt=2e-3, t_end=steps * 2e-3),
+                             stride=steps)
+        assert res.exit_reason == "completed" and len(res.records) == 2
+        totals.append(counts["transforms"])
+    assert totals[1] - totals[0] == 66
+
+
 def per_operator_stage(state):
     """b, A1, A, G, dW/dt, dU/dt and the vortex velocities of a state from
     the formulas, one operator call per field and one (I - H) projection
@@ -366,7 +396,8 @@ def per_operator_stage(state):
     Z = Field(grid, grid.alpha + W.samples + hilbert(W).samples)
     F = U.samples + hilbert(U).samples
     Z_a = 1.0 + derivative(W).samples - 1j * lambda_op(W).samples
-    K1, K2 = pole_kernels(grid, Z.samples, state.positions)
+    # copied out of the workspace, which the operators below write into
+    K1, K2 = (k.copy() for k in pole_kernels(grid, Z.samples, state.positions))
     Q = np.zeros(grid.n_points, dtype=np.complex128)
     for (_, lam), k1 in zip(vortices, K1):
         Q -= (lam * 1j / TWO_PI) * k1

@@ -20,11 +20,14 @@ import numpy as np
 import pytest
 
 from vortexwavelab import sim
+from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.sim import IntegratorConfig, step_picard, step_rk4
-from vortexwavelab.spectral import hilbert_quadrature, pv_commutator, sq_diff_integral
-from vortexwavelab.waves import assemble, rhs
+from vortexwavelab.spectral import (analytic_projection, derivative, hilbert,
+                                    hilbert_quadrature, lambda_op, low_pass, pv_commutator,
+                                    sq_diff_integral)
+from vortexwavelab.waves import Vortex, WaveState, assemble, b_residual, derive, rhs
 
-from conftest import canonical_start
+from conftest import band_limited, canonical_start
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,8 +40,8 @@ def derived_arrays(derived):
 
 
 def test_stage_results_survive_later_stages(monkeypatch):
-    # every stage's rhs result (the stage layout of dW/dt, dU/dt, their half
-    # spectra and dz/dt) and every array of an assembly's record are
+    # every stage's rhs result (the stage layout: the half spectra of dW/dt
+    # and dU/dt, and dz/dt) and every array of an assembly's record are
     # unchanged, bit for bit, after the remaining stages of an RK4 and a
     # Picard step and after an assembly of another state, and none of them
     # is memory of the grid's workspace; the slopes a Picard step carries
@@ -85,6 +88,50 @@ def test_quadratures_and_stages_keep_each_others_results():
         assert not np.shares_memory(r.samples, workspace)
 
 
+def test_a_two_vortex_grid_allocates_its_workspace_once(monkeypatch):
+    # the first stage asks for its largest block, the pole-kernel stacks,
+    # before its first pass, and nothing after it needs more: a buffer that
+    # grew would free the old one, which raises glibc's mmap threshold
+    buffers = []
+    workspace = GridSpec.workspace
+
+    def recorded(self, size):
+        buffers.append(workspace(self, size))
+        return buffers[-1]
+    monkeypatch.setattr(GridSpec, "workspace", recorded)
+    grid = GridSpec(200.0, 2 ** 10)
+    rng = np.random.default_rng(7)
+    state = WaveState(band_limited(grid, rng, scale=1e-3), band_limited(grid, rng, scale=1e-3),
+                      (Vortex(-1.0 - 6.0j, 10.0), Vortex(1.0 - 6.0j, -10.0)))
+    record = derive(grid, *state.arrays, state.strengths)
+    rhs(grid, state.arrays, state.strengths)
+    b_residual(grid, record)
+    for method in ("spectral", "quadrature"):
+        sq_diff_integral(Field(grid, record.DtZ), method=method)
+    assert len(buffers) > 5
+    assert all(b is buffers[0] for b in buffers)
+
+
+def test_one_field_operators_hand_out_their_own_memory():
+    # each operator runs its pass in the workspace and copies its result
+    # out: on a real and on a complex field, no result shares memory with
+    # the workspace, and every result survives a later stage bit for bit
+    # (the first stage sizes the workspace, which then stays put)
+    start = canonical_start(2 ** 10)
+    grid = start.grid
+    rhs(grid, start.arrays, start.strengths)
+    fields = (start.W, Field(grid, start.W.samples + 1j * start.U.samples))
+    results = [op(f) for f in fields
+               for op in (hilbert, derivative, lambda_op, low_pass, analytic_projection,
+                          sq_diff_integral)]
+    saved = [r.samples.tobytes() for r in results]
+    rhs(grid, start.arrays, start.strengths)
+    workspace = grid.workspace(0)
+    for r, b in zip(results, saved):
+        assert r.samples.tobytes() == b
+        assert not np.shares_memory(r.samples, workspace)
+
+
 # Minor faults per RK4 step at n = 2^14 through the Python API, with glibc's
 # default heap policy, 30 steps after one warm-up step.
 # Measured on Linux/glibc 2.36 with numpy 2.4: 120-300 per step with the
@@ -93,7 +140,10 @@ def test_quadratures_and_stages_keep_each_others_results():
 # before it; the heap layout moves it, 265-281 with two more temporaries
 # per stage, 913 when RK4 sums its stages as they come), and 1,500-2,600
 # without it (each stage's transform and pole-kernel arrays handed back to
-# the kernel and faulted in again).
+# the kernel and faulted in again).  With W and U carried as half spectra
+# only: 40-260 over twelve environment sizes (110-230 when the layout also
+# carried their samples), and 300-720 when each rhs returned its two slopes
+# as one (2, n/2 + 1) block.
 # What remains comes from the arrays a step must own (its four rhs results
 # and stage layouts, every stage's derived arrays) and from np.fft's
 # per-call buffers: glibc trims the heap top once more than about 1 MB is
