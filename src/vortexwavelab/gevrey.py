@@ -102,7 +102,10 @@ def power_spectrum(grid, f_hat):
 
 
 def _norm(power, wavenumbers, sigma, kind):
-    """The kind's Gevrey norm of a half-spectrum power at radius sigma."""
+    """The kind's Gevrey norm of a half-spectrum power at radius sigma,
+    which must be positive and finite (ValueError naming it)."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite, got %r" % (sigma,))
     peak = int(np.argmax(power))
     below = power[peak:] <= BAND_FLOOR * power[peak]
     ends = np.flatnonzero(below[:-1] & below[1:])
@@ -117,15 +120,13 @@ def gevrey_norm(f, sigma, kind):
 
     kind is one of "X", "Xd", "Y", "Yd" (dots = homogeneous variants).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive, got %g" % sigma)
     if kind not in _WEIGHTS:
         raise ValueError("kind must be one of %s" % (tuple(_WEIGHTS),))
     return _norm(power_spectrum(f.grid, f.fft), f.grid.wavenumbers, sigma, kind)
 
 
 def energy(W, U, sigma):
-    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at radius sigma > 0.
+    """Wave energy 0.5*(||U||_Yd^2 + ||dW/da||_X^2) at finite radius sigma > 0.
 
     The power of dW/da is k^2 times that of W.  Summed over the resolved
     band only, E does not see the round-off in the modes above it: on
@@ -133,8 +134,6 @@ def energy(W, U, sigma):
     noise on W and U moves E by at most 1.1e-13 relative at L0 = 10 and
     5e-15 at L0 = 4, which ``tests/test_gevrey.py`` pins below 1e-10.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive, got %g" % sigma)
     grid = check_same_grid(W, U)
     k = grid.wavenumbers
     eu = _norm(power_spectrum(grid, U.fft), k, sigma, "Yd").value

@@ -17,9 +17,10 @@ complex128, transformed as their real and imaginary parts.
 
 Each grid owns one stage workspace (:meth:`GridSpec.workspace`), which
 every stacked transform pass and a stage's pole-kernel stacks overwrite,
-so a stage faults in no fresh large arrays.  Only
+so a stage faults in no fresh large arrays; only
 :func:`spectral.apply_multiplier` and :func:`waves.pole_kernels` hand out
-views of it; a :class:`Field` wraps a stage's arrays at the API.
+views of it.  A :class:`Field` is built from its samples or its half
+spectrum and makes the other form when read.
 """
 
 import numbers
@@ -89,13 +90,13 @@ class Field:
     """A function sampled on a :class:`GridSpec`: float64 samples for real
     data, complex128 otherwise.
 
-    The half spectrum of the samples is computed lazily and cached, unless
-    it was known at construction (:meth:`with_spectrum`); treat the sample
-    array as immutable once the field is constructed (compute-once,
-    read-many).
+    A Field is built from its samples, ``Field(grid, samples)``, or from
+    its half spectrum (:meth:`from_spectrum`); it makes the other form on
+    first read and caches it.  Treat both as immutable once the field is
+    constructed (compute-once, read-many).
     """
 
-    __slots__ = ("grid", "samples", "_fft")
+    __slots__ = ("grid", "_samples", "_fft")
 
     def __init__(self, grid, samples):
         samples = np.asarray(samples)
@@ -104,18 +105,29 @@ class Field:
         if samples.shape != (grid.n_points,):
             raise ValueError("samples shape %s does not match grid with %d points"
                              % (samples.shape, grid.n_points))
-        self.grid = grid
-        self.samples = samples
-        self._fft = None
+        self.grid, self._samples, self._fft = grid, samples, None
 
     @classmethod
-    def with_spectrum(cls, grid, samples, spectrum):
-        """A Field whose half spectrum is already known: ``spectrum`` must
-        be what :attr:`fft` would compute from ``samples``, as when both are
-        the same linear combination of fields and their spectra."""
-        f = cls(grid, samples)
-        f._fft = spectrum
+    def from_spectrum(cls, grid, spectrum):
+        """The Field of a half spectrum laid out as :attr:`fft` is."""
+        if np.shape(spectrum) not in ((grid.n_points // 2 + 1,), (2, grid.n_points // 2 + 1)):
+            raise ValueError("spectrum shape %s does not fit the grid" % (np.shape(spectrum),))
+        f = cls.__new__(cls)
+        f.grid, f._samples, f._fft = grid, None, spectrum
         return f
+
+    @property
+    def is_complex(self):
+        """Whether the field is complex, read off whichever form it holds."""
+        return self._fft.ndim == 2 if self._samples is None else self._samples.dtype.kind == "c"
+
+    @property
+    def samples(self):
+        """The samples, transformed from the half spectrum on first read."""
+        if self._samples is None:
+            s = np.fft.irfft(self._fft, self.grid.n_points)
+            self._samples = s if s.ndim == 1 else s[0] + 1j * s[1]
+        return self._samples
 
     @property
     def fft(self):
@@ -123,7 +135,7 @@ class Field:
         complex samples the half spectra of the real part and of the
         imaginary part, stacked along the first axis."""
         if self._fft is None:
-            s = self.samples
+            s = self._samples
             self._fft = np.fft.rfft(np.stack((s.real, s.imag)) if np.iscomplexobj(s) else s)
         return self._fft
 

@@ -24,7 +24,8 @@ inputs (n = 2^14, dt = 2e-3, tol 1e-9), where an Euler start takes 3.
 
 A run reads each state's :class:`waves.Derived` record: the CFL guard,
 the eta1 check, the monitor and the next step's first stage.  RK4 derives
-the new state after its step; Picard takes its last sweep's record.
+the new state after its step; Picard takes its last sweep's record.  A
+step leaves W and U as half spectra; only a monitored row transforms them.
 
 The step size is checked each step against
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, PicardDivergedError, VortexProximityError
 from .gevrey import GevreyParams, energy, power_spectrum
-from .grid import Field, field_from_function, zero_field
+from .grid import Field, field_from_function
 from .spectral import low_pass
 from .waves import (Vortex, WaveState, b_residual, chord_arc_constant, derive,
                     refine_minimum, rhs)
@@ -78,7 +79,8 @@ def make_initial(kind, amplitude, pair, grid):
     """Initial state: wave profile plus the symmetric counter-rotating pair.
 
     kind "zero_wave" gives W = U = 0 and takes amplitude 0 only; "odd_bump"
-    gives W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying).
+    gives W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying),
+    low-passed; W and U share one half spectrum.
     The vortices sit at -x + iy (strength +lam) and x + iy (strength -lam).
     """
     if not (math.isfinite(amplitude) and amplitude >= 0):
@@ -87,11 +89,8 @@ def make_initial(kind, amplitude, pair, grid):
         raise ValueError("unknown initial kind %r" % kind)
     if kind == "zero_wave" and amplitude != 0.0:
         raise ValueError("amplitude must be 0 for a zero_wave, got %r" % (amplitude,))
-    if amplitude > 0.0:
-        W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
-    else:
-        W = zero_field(grid)
-    U = Field(grid, W.samples.copy())
+    W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
+    U = Field.from_spectrum(grid, W.fft)
     vortices = ()
     if pair is not None:
         if pair.y >= 0:
@@ -134,12 +133,10 @@ def _advance(y, parts, weights):
 
 
 def _state(grid, y, lam, t, carry=None):
-    """The WaveState of the stage layout y, strengths lam, at time t: the
-    samples of W and U come from their half spectra in one 2-row
-    ``irfft``, and each Field keeps its spectrum."""
+    """The WaveState of the stage layout y, strengths lam, at time t: W and
+    U are Fields of their half spectra, transformed only when read."""
     w_hat, u_hat, z = y
-    w, u = np.fft.irfft((w_hat, u_hat), grid.n_points)
-    return WaveState(Field.with_spectrum(grid, w, w_hat), Field.with_spectrum(grid, u, u_hat),
+    return WaveState(Field.from_spectrum(grid, w_hat), Field.from_spectrum(grid, u_hat),
                      t=t, positions=z, strengths=lam, carry=carry)
 
 
@@ -235,12 +232,8 @@ def _picard(state, dt, config, record):
 def symmetry_defect(state):
     """Deviation from the odd/symmetric-pair structure: sup of
     |f(a) + f(-a)| over W and U plus the pair-position defects."""
-    defect = 0.0
-    n = state.grid.n_points
-    idx = (-np.arange(n)) % n
-    for f in (state.W, state.U):
-        s = f.samples
-        defect = max(defect, float(np.max(np.abs(s + s[idx]))))
+    idx = (-np.arange(state.grid.n_points)) % state.grid.n_points
+    defect = max(float(np.max(np.abs(f.samples + f.samples[idx]))) for f in (state.W, state.U))
     if len(state.positions) == 2:
         z1, z2 = state.positions
         defect = max(defect, abs(z1.real + z2.real), abs(z1.imag - z2.imag))
@@ -410,5 +403,5 @@ def reversed_state(state):
 
     Running the image forward retraces the original trajectory backwards.
     """
-    U = Field.with_spectrum(state.grid, -state.U.samples, -state.U.fft)
+    U = Field.from_spectrum(state.grid, -state.U.fft)
     return WaveState(state.W, U, t=0.0, positions=state.positions, strengths=-state.strengths)

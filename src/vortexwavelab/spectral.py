@@ -1,17 +1,16 @@
 """Fourier-multiplier operators and singular quadratures on the periodic grid.
 
-Every operator is one multiplier on a field's half spectrum, and
-:func:`apply_multiplier` is the one primitive that applies them: k real
-rows, each with its own multiplier, go through one stacked ``rfft`` (unless
-their half spectra are already known) and one stacked ``irfft``, in the
-grid's workspace (:meth:`GridSpec.workspace`).  The operators over it are
-its one-field case, each copying its result out: ik, |k|, the half-band
-mask and C = i sgn(k), each mapping real fields to real fields (a complex
-field goes through as two rows, its real and imaginary parts).  A
-right-hand side stage stacks its own rows instead (see
-:mod:`vortexwavelab.waves`), and so do the singular quadratures: their
-trapezoid sums over a periodized kernel are circular convolutions, one
-pass each.
+Every operator is one multiplier on a field's half spectrum.  The
+one-field operators (ik, |k|, the half-band mask and C = i sgn(k), each
+mapping real fields to real fields) return the Field of the product
+spectrum, whose samples are transformed only when read.
+:func:`apply_multiplier` is the stacked primitive: k real rows, each with
+its own multiplier, go through one stacked ``rfft`` (unless their half
+spectra are already known) and one stacked ``irfft``, in the grid's
+workspace (:meth:`GridSpec.workspace`).  A right-hand side stage stacks
+its rows through it (see :mod:`vortexwavelab.waves`), and so do the
+singular quadratures: their trapezoid sums over a periodized kernel are
+circular convolutions, one pass each.
 The Hilbert transform H = iC is the multiplier -sgn(k), zero on the mean
 and Nyquist modes.  With the transform convention fhat(k) = integral
 f exp(-i k a), boundary values of functions holomorphic in the lower
@@ -28,15 +27,9 @@ Evaluating 1/(Z - z_j) through its periodization keeps the pole structure
 domain instead of accurate only to O(1/L); without it every identity that
 pairs H with a vortex kernel would be polluted at the 1e-4 level.
 
-Both kernels run on numpy's float64 loops wherever they can.  A real
-argument (the separations of the circulant quadratures) gives a real
-float64 value, s/tan(s w) and s^2 (1 + 1/tan^2(s w)) with s = pi/2L; a
-complex argument gives complex128, the simple-pole kernel through float64
-tan and tanh of the real and imaginary parts of s w.  Numpy's complex tan
-and sin cost 20-70 ns a point, float64 tan, tanh, exp and products 1-3 ns:
-on a 2-core x86-64 host a call at n = 2^18 takes about 1 ms on a real
-argument (5-6 ms through complex tan or sin) and 9 ms on a complex one
-(18 ms through complex tan).
+Both kernels run on numpy's float64 loops wherever they can (see each
+kernel): numpy's complex tan and sin cost 20-70 ns a point, float64 tan,
+tanh, exp and products 1-3 ns.
 """
 
 import numpy as np
@@ -152,12 +145,9 @@ def apply_multiplier(grid, multipliers, rows=None, spectra=None):
 
 
 def _apply(f, multiplier):
-    """The one-field case of :func:`apply_multiplier`, on f's cached half
-    spectrum: float64 in, float64 out; complex in, complex out.  The
-    result is copied out of the workspace."""
-    spectra = np.atleast_2d(f.fft)
-    out = apply_multiplier(f.grid, (multiplier,) * len(spectra), spectra=spectra)
-    return Field(f.grid, out[0].copy() if len(out) == 1 else out[0] + 1j * out[1])
+    """The Field of the half spectrum multiplier * fhat: real in, real out;
+    complex in, complex out.  Its samples are transformed when read."""
+    return Field.from_spectrum(f.grid, multiplier * f.fft)
 
 
 def hilbert(f):
@@ -186,14 +176,8 @@ def low_pass(f):
     Nyquist-band growth of variable-coefficient advection on a Fourier
     grid.  At the cutoff the attenuated amplitudes are at round-off level,
     so the filter is invisible to every resolved quantity.
-
-    The result carries its half spectrum half_band * fhat: the mask zeroes
-    the Nyquist mode, so that is the rfft of the output, and a filtered
-    field, or a linear combination of filtered fields, is never transformed
-    again.
     """
-    return Field.with_spectrum(f.grid, _apply(f, f.grid.half_band).samples,
-                               f.grid.half_band * f.fft)
+    return _apply(f, f.grid.half_band)
 
 
 def analytic_projection(f):

@@ -24,11 +24,11 @@ with the strengths lam to its time derivative in the same layout,
 through the :class:`Derived` record of :func:`derive`; every helper below
 takes and returns arrays.  The record is the one derived type of a run:
 the steppers, the CFL guard and the monitor of :mod:`vortexwavelab.sim`
-read it.  :class:`WaveState` wraps W and U as Fields, and
-:func:`assemble` views a state's record as :class:`DerivedFields` for
-callers that read Fields.  Every vortex term is array algebra over the
-(m, n) stacks of the periodized pole kernels, taken from one complex
-exponential over the grid (:func:`pole_kernels`).
+read it.  :class:`WaveState` wraps W and U as Fields (a stepper's as the
+Fields of their half spectra), and :func:`assemble` views a state's record
+as :class:`DerivedFields` for callers that read Fields.  Every vortex term
+is array algebra over the (m, n) stacks of the periodized pole kernels,
+taken from one complex exponential over the grid (:func:`pole_kernels`).
 
 A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 16 real
 transforms (14 without vortices) in 5 calls, three passes ordered by what
@@ -111,7 +111,7 @@ class WaveState:
     def __init__(self, W, U, vortices=(), t=0.0, *, positions=None, strengths=None,
                  carry=None):
         check_same_grid(W, U)
-        if np.iscomplexobj(W.samples) or np.iscomplexobj(U.samples):
+        if W.is_complex or U.is_complex:
             raise ValueError("W and U must be real fields")
         if positions is None:
             positions = [v.position for v in vortices]

@@ -50,10 +50,14 @@ def test_report_invariants(grid):
 
 
 def test_sigma_must_be_positive(grid):
-    with pytest.raises(ValueError):
-        gevrey_norm(zero_field(grid), 0.0, "X")
-    with pytest.raises(ValueError):
-        gevrey_norm(zero_field(grid), -1.0, "X")
+    # a non-finite radius is refused too: nan and inf used to give a nan
+    # norm whose band edge read as an unresolved field
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got %r"
+                           % sigma):
+            gevrey_norm(zero_field(grid), sigma, "X")
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            energy(zero_field(grid), zero_field(grid), sigma)
 
 
 def test_x_norm_leading_term_double_pole(grid):

@@ -87,6 +87,16 @@ def test_field_roundtrip_and_real_flag(grid):
     assert np.max(np.abs(back[0] + 1j * back[1] - z.samples)) <= 1e-12 * z.sup_norm()
     assert f.samples.dtype == np.float64
     assert Field(grid, f.samples + 1e-6j * np.ones(grid.n_points)).samples.dtype == np.complex128
+    # a Field built from a half spectrum keeps it, tells its kind without a
+    # transform and makes the samples the other Field has
+    for g in (f, z):
+        h = Field.from_spectrum(grid, g.fft)
+        assert h.fft is g.fft and h._samples is None and h.is_complex == g.is_complex
+        assert np.max(np.abs(h.samples - g.samples)) <= 1e-12 * g.sup_norm()
+        assert h.samples.dtype == g.samples.dtype
+    for shape in ((grid.n_points // 2,), (3, grid.n_points // 2 + 1)):
+        with pytest.raises(ValueError, match="spectrum shape"):
+            Field.from_spectrum(grid, np.zeros(shape, dtype=complex))
 
 
 def test_grid_mismatch_raises(grid, small_grid):

@@ -31,7 +31,10 @@ def test_tracer_records_a_stage_and_uninstalls():
     originals = {key: getattr(sys.modules["vortexwavelab." + key[0]], key[1])
                  for key in tracing.TARGETS}
     field_members = {name: Field.__dict__[name] for name in ("fft", "__init__")}
-    state = canonical_start(2 ** 8)
+    # Fields built from samples, so that the assembly transforms them
+    start = canonical_start(2 ** 8)
+    state = waves.WaveState(*(Field(start.grid, f.samples) for f in (start.W, start.U)),
+                            positions=start.positions, strengths=start.strengths)
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -312,11 +312,14 @@ def test_rhs_preserves_oddness(grid):
 
 def count_transforms(monkeypatch, counts):
     """Count each call of np.fft's rfft and irfft in counts["transform_calls"]
-    and its real transforms, one per row, in counts["transforms"]."""
+    and its real transforms, one per row, in counts["transforms"] and in
+    counts["rfft"] or counts["irfft"]."""
     for name in ("rfft", "irfft"):
-        def transform(x, *args, _fn=getattr(np.fft, name), **kwargs):
+        def transform(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            rows = int(np.prod(np.shape(x)[:-1]))
             counts["transform_calls"] += 1
-            counts["transforms"] += int(np.prod(np.shape(x)[:-1]))
+            counts["transforms"] += rows
+            counts[_name] = counts.get(_name, 0) + rows
             return _fn(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, transform)
 
@@ -365,24 +368,31 @@ def test_stage_budget(monkeypatch):
 
 
 def test_run_step_budget(monkeypatch):
-    # an RK4 step of run_simulation with vortices takes 66 real transforms:
+    # an RK4 step of run_simulation with vortices takes 64 real transforms:
     # the first stage on the state's record (its low-pass, 2), three full
-    # stages (48), the derive of the new state (the stage without its
-    # low-pass, 14) and the 2-row irfft of the new state's samples (2).
-    # Two runs that differ by one step, each monitoring its first and last
-    # rows only, differ by one step's transforms.
+    # stages (48) and the derive of the new state (the stage without its
+    # low-pass, 14).  The new state's W and U stay half spectra, so a
+    # monitored row adds the 2 inverse transforms of their samples to the
+    # monitor's b_residual (2 rows forward and back, 4).  Two runs that
+    # differ by one step, each monitoring its first and last rows only,
+    # differ by one step's transforms; monitoring the two middle rows of
+    # the longer run adds two rows' transforms.  Building the initial state
+    # takes one forward transform, of the bump it low-passes.
     from vortexwavelab.sim import IntegratorConfig, run_simulation
     counts = {"transforms": 0, "transform_calls": 0}
     count_transforms(monkeypatch, counts)
     totals = []
-    for steps in (2, 3):
+    for steps, stride in ((2, 2), (3, 3), (3, 1)):
+        counts.update(dict.fromkeys(counts, 0))
         start = canonical_start(2 ** 10)
+        assert (counts.get("rfft", 0), counts.get("irfft", 0)) == (1, 0)
         counts.update(transforms=0)
         res = run_simulation(start, IntegratorConfig(dt=2e-3, t_end=steps * 2e-3),
-                             stride=steps)
-        assert res.exit_reason == "completed" and len(res.records) == 2
+                             stride=stride)
+        assert res.exit_reason == "completed" and len(res.records) == 1 + steps // stride
         totals.append(counts["transforms"])
-    assert totals[1] - totals[0] == 66
+    assert totals[1] - totals[0] == 64
+    assert totals[2] - totals[1] == 2 * (4 + 2)
 
 
 def per_operator_stage(state):

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexwavelab import sim
+from vortexwavelab import config, sim
+from vortexwavelab.acceptance import canonical_scenario
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.sim import IntegratorConfig, step_picard, step_rk4
 from vortexwavelab.spectral import (analytic_projection, derivative, hilbert,
@@ -112,11 +113,26 @@ def test_a_two_vortex_grid_allocates_its_workspace_once(monkeypatch):
     assert all(b is buffers[0] for b in buffers)
 
 
+def test_a_run_sizes_the_workspace_once():
+    # building a run's inputs leaves the workspace alone (the initial
+    # low-pass is a product of half spectra); the first step allocates it at
+    # the stage's largest block, and later steps and the monitor keep it
+    n = 2 ** 10
+    grid, state, _, params = config.build_run_inputs(canonical_scenario({"grid.n": n}))[:4]
+    assert grid._workspace is None
+    state = step_rk4(state, 2e-3)
+    workspace = grid._workspace
+    assert len(workspace) == max(3 * len(state.positions) * n, 4 * (n + 1))
+    for _ in range(3):
+        state = step_rk4(state, 2e-3)
+    sim.monitor(state, params, derive(grid, *state.arrays, state.strengths))
+    assert grid._workspace is workspace
+
+
 def test_one_field_operators_hand_out_their_own_memory():
-    # each operator runs its pass in the workspace and copies its result
-    # out: on a real and on a complex field, no result shares memory with
-    # the workspace, and every result survives a later stage bit for bit
-    # (the first stage sizes the workspace, which then stays put)
+    # on a real and on a complex field, no operator's result shares memory
+    # with the workspace, and every result survives a later stage bit for
+    # bit (the first stage sizes the workspace, which then stays put)
     start = canonical_start(2 ** 10)
     grid = start.grid
     rhs(grid, start.arrays, start.strengths)
@@ -143,7 +159,8 @@ def test_one_field_operators_hand_out_their_own_memory():
 # the kernel and faulted in again).  With W and U carried as half spectra
 # only: 40-260 over twelve environment sizes (110-230 when the layout also
 # carried their samples), and 300-720 when each rhs returned its two slopes
-# as one (2, n/2 + 1) block.
+# as one (2, n/2 + 1) block.  With no samples made for unmonitored states:
+# 324 in four runs on one host, where the steps that made them took 347.
 # What remains comes from the arrays a step must own (its four rhs results
 # and stage layouts, every stage's derived arrays) and from np.fft's
 # per-call buffers: glibc trims the heap top once more than about 1 MB is
