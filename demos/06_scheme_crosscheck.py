@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """RK4 against the Picard-iterated implicit trapezoid stepper.
 
-The production stepper is classical RK4.  The cross-check stepper
-freezes the right-hand side on the previous sweep's endpoint and
-iterates the trapezoid update to its fixed point; the sweep residuals
-must contract geometrically, and after 50 steps the two integrators
-must agree far below the tolerance the acceptance suite demands (1e-6
+Every run steps with classical RK4.  The benchmark's cross-check
+stepper, ``sim.step_picard``, which no run takes, freezes the
+right-hand side on the previous sweep's endpoint and iterates the
+trapezoid update to its fixed point; the sweep residuals must contract
+geometrically, and after 50 steps the two integrators must agree far
+below the bound the benchmark's ``crosscheck`` gate holds them to (1e-6
 in L2 of W and U).
 
 Each Picard step returns the last iterate whose right-hand side it

@@ -17,7 +17,7 @@ from .taylor import (PairConfig, a1_flat_pair, g_profile, f_reduced, inf_a1_flat
                      interaction_sum)
 from .waves import Vortex, WaveState, rhs
 from .sim import (IntegratorConfig, StepRecord, make_initial, monitor,
-                  run_simulation, step_picard, step_rk4)
+                  run_simulation, step_rk4)
 from .config import ScenarioConfig, run_scenario
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "residue_pair_integral", "interaction_sum",
     "Vortex", "WaveState", "rhs",
     "IntegratorConfig", "StepRecord", "make_initial", "monitor",
-    "run_simulation", "step_picard", "step_rk4",
+    "run_simulation", "step_rk4",
     "ScenarioConfig", "run_scenario",
 ]
 

@@ -4,11 +4,11 @@ run    executes a scenario config and writes its trajectory CSV.
        Exit status: 0 on normal completion, 2 when the monitor stopped
        the run because inf A1 reached -eta1 (the destabilization outcome
        the transition experiment looks for), 1 on any error (a malformed
-       config is reported with the offending key; a run stopped by a
-       fatal vortex-interface approach, the stability limit, a
-       non-finite state or a Picard step that does not converge still
-       writes the partial trajectory; an output
-       path that cannot be written ends it before the run).
+       config is reported with the offending key, ``time.scheme``
+       among them unless it is rk4, the one stepper of a run; a run
+       stopped by a fatal vortex-interface approach, the stability
+       limit or a non-finite state still writes the partial trajectory;
+       an output path that cannot be written ends it before the run).
 sweep  scans the closed-form stability profile over a gamma range and
        writes gamma,x,y,lambda,inf_A1,argmin_alpha rows (argmin_alpha
        >= 0); a non-finite or out-of-range option is named in the error,

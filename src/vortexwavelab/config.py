@@ -15,9 +15,10 @@ canonical scenario)::
 Exactly one of vortex.gamma / vortex.lambda must appear; gamma sets the
 strength through lambda = pi * sqrt(gamma) * |y0|^(3/2).  A nonzero
 wave.amplitude needs wave.kind = odd_bump.  Without gevrey.delta0 the
-radius decays at L0 / (2 t_end).  A dict's values are typed by key
-(``_TYPES``).  Trajectories are written as CSV with a fixed 16-column
-header and 17-significant-digit floats.
+radius decays at L0 / (2 t_end).  time.scheme is rk4, a run's one
+stepper.  A dict's values are typed by key (``_TYPES``).  Trajectories
+are written as CSV with a fixed 15-column header and 17-significant-digit
+floats.
 """
 
 import math
@@ -51,7 +52,7 @@ _KEYS = {
     "gevrey.delta0": (float, None, lambda v: v > 0, "positive"),
     "time.dt": (float, REQUIRED, lambda v: v > 0, "positive"),
     "time.t_end": (float, REQUIRED, lambda v: v >= 0, "nonnegative"),
-    "time.scheme": (str, "rk4", lambda v: v in ("rk4", "picard"), "rk4 or picard"),
+    "time.scheme": (str, "rk4", lambda v: v == "rk4", "rk4"),
     "output.path": (str, "trajectory.csv", None, None),
     "output.stride": (int, 1, lambda v: v >= 1, "at least 1"),
     "monitor.eta1": (float, None, lambda v: v >= 0, "nonnegative"),

@@ -1,31 +1,24 @@
 """Time integration of the wave + vortex system, runtime monitors, and
 trajectory recording.
 
-Two interchangeable steppers are provided.  The production stepper is
-classical RK4 on the full nonlinear right-hand side.  The cross-check
-stepper advances by the implicit trapezoid rule solved per step by
-fixed-point (Picard) sweeps: each sweep re-evaluates the right-hand side
-on the previous iterate's endpoint, so the frozen-coefficient structure
-of the iteration matches the construction that makes the continuous
-problem solvable, and the sweep-to-sweep contraction ratio is itself a
-diagnostic.  The sweeps contract when dt * sqrt(max A * k_max) / 2 < 1,
-a stronger restriction than the RK4 stability limit; the step raises
-with its residual history if that fails.
-
-A Picard step starts where the last one ended.  It returns the last
-iterate whose right-hand side it evaluated, and the state carries that
-slope, the step's start slope and its dt (:class:`PicardCarry`).  The
-next step takes its start slope from the carry, and its first iterate
-from the variable-step Adams-Bashforth-2 predictor; a state without a
-carry (the first step, a rebuilt state) starts from Euler.  A step's
-sweep count, the ``picard_iters`` of its trajectory row, is the number
-of right-hand sides it evaluates: 2 per step after the first on C10's
-inputs (n = 2^14, dt = 2e-3, tol 1e-9), where an Euler start takes 3.
+A run steps with classical RK4 on the full nonlinear right-hand side;
+:func:`run_simulation` takes no other scheme.  :func:`step_picard`, the
+implicit trapezoid rule solved per step by fixed-point (Picard) sweeps,
+stays as the benchmark's cross-check stepper (demo 06 runs it too): each
+sweep re-evaluates the right-hand side on the previous iterate's
+endpoint, so the frozen-coefficient structure of the iteration matches
+the construction that makes the continuous problem solvable, and the
+sweep-to-sweep contraction ratio is itself a diagnostic.  The sweeps
+contract when dt * sqrt(max A * k_max) / 2 < 1, a stronger restriction
+than the RK4 stability limit; the step raises with its residual history
+if that fails.  A Picard step starts where the last one ended
+(:class:`PicardCarry`): 2 sweeps a step after the first on the
+benchmark's inputs (n = 2^14, dt = 2e-3, tol 1e-9), where Euler takes 3.
 
 A run reads each state's :class:`waves.Derived` record: the CFL guard,
 the eta1 check, the monitor and the next step's first stage.  RK4 derives
-the new state after its step; Picard takes its last sweep's record.  A
-step leaves W and U as half spectra; only a monitored row transforms them.
+the new state after its step.  A step leaves W and U as half spectra;
+only a monitored row transforms them.
 
 The step size is checked each step against
 
@@ -60,6 +53,7 @@ PICARD_MAX_SWEEPS = 50  # a Picard step that has not converged by then raises
 class IntegratorConfig:
     dt: float
     t_end: float
+    # read only by step_picard and the benchmark: run_simulation takes "rk4" alone
     scheme: str = "rk4"
     picard_tol: float = 1e-10       # discrete H4 change between sweeps
 
@@ -179,15 +173,15 @@ def _h4_distance(grid, weight, y1, y2):
 PicardCarry = namedtuple("PicardCarry", "slope start_slope dt")
 
 
-def step_picard(state, dt, config, record=None):
-    """Implicit-trapezoid step solved by Picard sweeps.
+def step_picard(state, dt, config):
+    """Implicit-trapezoid step solved by Picard sweeps, the benchmark's
+    cross-check stepper; ``config.picard_tol`` is its tolerance.
 
     The start slope k0 is the state's carried slope when it has one
-    (bit for bit the right-hand side of the state), else rhs(X_0), with
-    ``record``, the state's :class:`waves.Derived` record, sparing its
-    derivation.  The first iterate is the variable-step Adams-Bashforth-2
-    predictor X_0 + (dt + c) k0 - c k_prev, c = dt^2 / (2 dt_prev), from
-    the carry's start slope k_prev and dt_prev, or Euler without a carry.
+    (bit for bit the right-hand side of the state), else rhs(X_0).  The
+    first iterate is the variable-step Adams-Bashforth-2 predictor
+    X_0 + (dt + c) k0 - c k_prev, c = dt^2 / (2 dt_prev), from the carry's
+    start slope k_prev and dt_prev, or Euler without a carry.
     Sweep n evaluates rhs(X_n) and forms X_{n+1} = X_0 + dt/2 (k0 +
     rhs(X_n)), whose H4 change from X_n is the trapezoid residual of X_n.
     The first X_n whose residual falls below picard_tol is returned, with
@@ -198,16 +192,10 @@ def step_picard(state, dt, config, record=None):
     of the history; raises PicardDivergedError when no residual falls
     below picard_tol within PICARD_MAX_SWEEPS sweeps.
     """
-    return _picard(state, dt, config, record)[:3]
-
-
-def _picard(state, dt, config, record):
-    """:func:`step_picard`, which also returns the :class:`waves.Derived`
-    record of the new state: the last sweep's, which derived it."""
     grid, y, lam = state.grid, state.arrays, state.strengths
     carry = state.carry
     if carry is None:
-        k0 = rhs(grid, y, lam, record)
+        k0 = rhs(grid, y, lam)
         candidate = _advance(y, [k0], [dt])
     else:
         k0, c = carry.slope, dt * dt / (2.0 * carry.dt)
@@ -215,14 +203,13 @@ def _picard(state, dt, config, record):
     weight = _h4_weight(grid)
     history = []
     for iteration in range(1, PICARD_MAX_SWEEPS + 1):
-        record = derive(grid, *candidate, lam)
-        k1 = rhs(grid, candidate, lam, record)
+        k1 = rhs(grid, candidate, lam)
         new = _advance(y, [k0, k1], [dt / 2, dt / 2])
         history.append(_h4_distance(grid, weight, new, candidate))
         if history[-1] < config.picard_tol:
             return (_state(grid, candidate, lam, state.t + dt, PicardCarry(k1, k0, dt)),
-                    iteration, history, record)
-        candidate, record = new, None  # not held through the next derive
+                    iteration, history)
+        candidate = new
     raise PicardDivergedError(
         "no contraction to %g after %d sweeps (last residual %.2e): dt too "
         "large, or the tolerance sits below the discrete H4 round-off floor"
@@ -260,25 +247,17 @@ class StepRecord:
     U_inf: float
     b_residual: float
     symmetry_defect: float
-    picard_iters: object  # int, or None for rk4
     as_flags: dict
 
     def csv_row(self):
-        vals = []
-        for name in self.COLUMNS:
-            v = getattr(self, name)
-            if name == "picard_iters":
-                vals.append("" if v is None else str(int(v)))
-            else:
-                vals.append("%.17g" % v)
-        return ",".join(vals)
+        return ",".join("%.17g" % getattr(self, name) for name in self.COLUMNS)
 
 
 StepRecord.COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "as_flags")
 
 
 def monitor(state, gevrey_params, record, first=None):
-    """The trajectory row of one state, with ``picard_iters`` None.
+    """The trajectory row of one state.
 
     ``record`` is the state's :class:`waves.Derived` record; ``first`` is
     the run's t = 0 row, a state monitored without one is its own first
@@ -304,8 +283,7 @@ def monitor(state, gevrey_params, record, first=None):
                      phi=phi, chord_arc=chord_arc_constant(grid, record.Z),
                      U_L2=state.U.l2_norm(), U_inf=state.U.sup_norm(),
                      b_residual=b_residual(grid, record),
-                     symmetry_defect=symmetry_defect(state), picard_iters=None,
-                     as_flags={})
+                     symmetry_defect=symmetry_defect(state), as_flags={})
     first = row if first is None else first
     finite = all(np.all(np.isfinite(f.samples)) for f in (state.W, state.U)) \
         and all(np.isfinite([row.d_I if m else 0.0, row.inf_A1, row.b_residual]))
@@ -324,14 +302,14 @@ def monitor(state, gevrey_params, record, first=None):
 @dataclass
 class RunResult:
     records: list
-    exit_reason: str  # completed | taylor_negative | vortex_proximity | cfl_violation
-    #                   | non_finite | picard_diverged
+    exit_reason: str  # completed | taylor_negative | vortex_proximity | cfl_violation | non_finite
     final_state: WaveState
     message: str = ""
 
 
 def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
-    """March a state to t_end, recording monitors every ``stride`` steps.
+    """March a state to t_end with RK4, recording monitors every ``stride``
+    steps.
 
     A run ends at t_end (measured from the state's t): it takes the whole
     steps of dt that fit, with a relative slack of 1e-12 so that t_end/dt
@@ -343,11 +321,13 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
     Stops early (reason "taylor_negative") once inf A1 <= -eta1, or with
     a truncated trajectory on fatal vortex proximity, CFL violation, a
     state that is no longer finite (reason "non_finite", raised by
-    :func:`waves.derive` for W, U and the vortex positions) or a Picard
-    step whose sweeps do not converge (reason "picard_diverged").  Raises
-    ValueError unless ``stride`` is an int >= 1 and ``eta1`` None or
-    finite and >= 0.
+    :func:`waves.derive` for W, U and the vortex positions).  Raises
+    ValueError unless the integrator's scheme is "rk4", ``stride`` is an
+    int >= 1 and ``eta1`` None or finite and >= 0.
     """
+    if integrator.scheme != "rk4":
+        raise ValueError("run_simulation steps with rk4 only, got scheme %r: call "
+                         "step_picard for Picard steps" % (integrator.scheme,))
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ValueError("stride must be an int >= 1, got %r" % (stride,))
     if eta1 is not None and not (math.isfinite(eta1) and eta1 >= 0):
@@ -375,16 +355,12 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
             if dt > limit:
                 return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
                             % (dt, limit, state.t))
-            if integrator.scheme == "rk4":
-                state = step_rk4(state, dt, record)
-                record, picard_iters = _derive(state), None
-            else:
-                state, picard_iters, _, record = _picard(state, dt, integrator, record)
+            state = step_rk4(state, dt, record)
+            record = _derive(state)
             last = step_index == n_steps
             hit = eta1 is not None and refine_minimum(state.grid.alpha, record.A1)[1] <= -eta1
             if step_index % stride == 0 or last or hit:
                 row = monitor(state, params, record, first)
-                row.picard_iters = picard_iters
                 records.append(row)
             if hit:
                 return stop("taylor_negative", "inf A1 = %g <= -%g at t=%g"
@@ -393,8 +369,6 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         return stop("vortex_proximity", str(exc))
     except NonFiniteStateError as exc:
         return stop("non_finite", str(exc))
-    except PicardDivergedError as exc:
-        return stop("picard_diverged", str(exc))
     return RunResult(records, "completed", state)
 
 

@@ -118,14 +118,15 @@ def test_trajectory_file_format(tmp_path):
     result = run_scenario(cfg)
     path = tmp_path / "traj.csv"
     write_trajectory(path, result.records)
+    assert all(set(r.as_flags) == {"AS1", "AS2", "AS3", "AS4", "AS5"} for r in result.records)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(StepRecord.COLUMNS)
-    assert len(lines[0].split(",")) == 16
+    assert len(lines[0].split(",")) == 15
     ts = []
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 16
-        assert cells[-1] == ""                    # picard_iters blank for rk4
+        assert len(cells) == 15
+        assert all(cells)                         # no blank cell
         ts.append(float(cells[0]))
         # 17 significant digits survive a round trip
         assert float("%.17g" % float(cells[5])) == float(cells[5])
@@ -156,7 +157,8 @@ def test_cmd_run_exit_codes(tmp_path, capsys):
     ("time.dt", "0"), ("time.t_end", "-1"), ("gevrey.L0", "2"), ("gevrey.delta0", "0"),
     ("vortex.x0", "-1"), ("vortex.x0", "200"), ("vortex.x0", "300"),
     ("vortex.gamma", "-1"), ("wave.amplitude", "-1"), ("wave.amplitude", "0.5"),
-    ("monitor.eta1", "-2"), ("wave.kind", "square_bump"), ("time.scheme", "euler")])
+    ("monitor.eta1", "-2"), ("wave.kind", "square_bump"), ("time.scheme", "euler"),
+    ("time.scheme", "picard")])
 def test_cmd_run_out_of_range_value_names_the_key(tmp_path, capsys, key, value):
     lines = [line for line in MINI_RUN.splitlines() if not line.startswith(key + " ")]
     if key == "vortex.gamma":
@@ -205,13 +207,15 @@ def test_cmd_output_in_missing_directory_fails_before_the_work(tmp_path, monkeyp
 
 def test_cmd_run_proximity_writes_partial_file(tmp_path):
     # vortex starting within the fatal window: exit 1 but the truncated
-    # trajectory is still written
+    # trajectory is still written, over the CSV an earlier run left at the path
     near = MINI_RUN.replace("vortex.y0 = -6.0", "vortex.y0 = -0.6")
     out = tmp_path / "partial.csv"
+    out.write_text("an earlier run's rows\n")
     cfg_path = tmp_path / "near.cfg"
     cfg_path.write_text(near + "output.path = %s\n" % out)
     assert main(["run", str(cfg_path)]) == 1
     lines = out.read_text().strip().splitlines()
+    assert lines[0] == ",".join(StepRecord.COLUMNS)
     assert len(lines) >= 2                      # header + at least one record
 
 
@@ -236,23 +240,6 @@ def test_cmd_run_non_finite_writes_partial_file(tmp_path, monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3                      # header + the two finite records
-
-
-def test_cmd_run_picard_diverged_writes_partial_file(tmp_path, monkeypatch, capsys):
-    # two Picard sweeps do not converge on the canonical pair: exit 1, with
-    # the t = 0 row written over the CSV an earlier run left at the path
-    import vortexwavelab.sim as sim
-    monkeypatch.setattr(sim, "PICARD_MAX_SWEEPS", 2)
-    out = tmp_path / "partial.csv"
-    out.write_text("an earlier run's rows\n")
-    cfg = canonical_scenario({"grid.n": 2 ** 10, "time.t_end": 0.04, "time.scheme": "picard"})
-    cfg_path = tmp_path / "picard.cfg"
-    cfg_path.write_text(cfg.serialize() + "output.path = %s\n" % out)
-    assert main(["run", str(cfg_path)]) == 1
-    assert "run stopped early: no contraction" in capsys.readouterr().err
-    lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(StepRecord.COLUMNS)
-    assert len(lines) == 2 and lines[1].startswith("0,")
 
 
 def test_library_and_cli_share_the_default_radius():
@@ -292,18 +279,6 @@ def test_run_simulation_defaults_to_the_config_schedule():
     assert len(rows) == 21
     assert [r.phi for r in lib.records] == [r.phi for r in rows]
     assert all(math.isfinite(r.E_gevrey) for r in lib.records)
-
-
-def test_run_scenario_picard_records_iterations():
-    text = MINI_RUN.replace("vortex.lambda = 0.0", "vortex.lambda = 5.0")
-    text += "time.scheme = picard\n"
-    cfg = ScenarioConfig.parse(text)
-    result = run_scenario(cfg)
-    assert result.exit_reason == "completed"
-    assert all(r.picard_iters >= 1 for r in result.records[1:])
-    assert all(set(r.as_flags) == {"AS1", "AS2", "AS3", "AS4", "AS5"} for r in result.records)
-    line = result.records[-1].csv_row()
-    assert line.split(",")[-1] != ""            # iterations recorded in CSV
 
 
 def test_sweep_rows_and_threshold():

@@ -140,8 +140,8 @@ def test_picard_contracts_and_matches_rk4(sim_grid):
 
 def test_steps_build_one_state(monkeypatch):
     # a run reads each state's Derived record and wraps only what a step
-    # returns: one WaveState over two Fields a step, no DerivedFields, with
-    # RK4 and with Picard, beyond the Fields of the initial state
+    # returns: one WaveState over two Fields a step, no DerivedFields,
+    # beyond the Fields of the initial state
     from collections import Counter
 
     from vortexwavelab.waves import DerivedFields
@@ -151,15 +151,12 @@ def test_steps_build_one_state(monkeypatch):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
-    for scheme in ("rk4", "picard"):
-        built.clear()
-        s = canonical_start(2 ** 10)
-        initial = built["Field"]
-        res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02, scheme=scheme,
-                                                 picard_tol=1e-9), stride=3)
-        assert res.exit_reason == "completed"
-        assert built["DerivedFields"] == 0 and built["WaveState"] == 1 + 10
-        assert built["Field"] <= initial + 2 * 10
+    s = canonical_start(2 ** 10)
+    initial = built["Field"]
+    res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02), stride=3)
+    assert res.exit_reason == "completed"
+    assert built["DerivedFields"] == 0 and built["WaveState"] == 1 + 10
+    assert built["Field"] <= initial + 2 * 10
 
 
 def _trapezoid_residual(start, end, dt):
@@ -231,25 +228,11 @@ def test_steppers_attach_nothing_to_the_state_they_are_given(sim_grid):
     assert vars(s) == before and s.carry is None
 
 
-def test_picard_run_derives_once_per_sweep(monkeypatch):
-    # per step: two sweeps from the carried slope and the AB2 predictor; the
-    # CFL guard, the eta1 check and the monitor read the last sweep's record
-    import vortexwavelab.waves as waves
-    derives = []
-    real = waves.derive
-
-    def derive(*args):
-        derives.append(1)
-        return real(*args)
-    monkeypatch.setattr(waves, "derive", derive)
-    monkeypatch.setattr(sim, "derive", derive)
-    s = canonical_start(2 ** 10)
-    res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02, scheme="picard",
-                                             picard_tol=1e-9))
-    assert res.exit_reason == "completed"
-    sweeps = [r.picard_iters for r in res.records[1:]]
-    assert len(sweeps) == 10 and sweeps[1:] == [2] * 9
-    assert len(derives) == 1 + sum(sweeps)
+def test_run_steps_with_rk4_only(sim_grid):
+    # a Picard integrator is named, not run as RK4: step_picard is its stepper
+    s = make_initial("odd_bump", 1e-3, canonical_pair(), sim_grid)
+    with pytest.raises(ValueError, match="step_picard"):
+        run_simulation(s, IntegratorConfig(dt=5e-3, t_end=0.02, scheme="picard"))
 
 
 @pytest.mark.parametrize("kwargs", [dict(stride=0), dict(stride=-1), dict(stride=1.5),
@@ -271,18 +254,6 @@ def test_picard_diverges_with_huge_step(sim_grid, monkeypatch):
     with pytest.raises(PicardDivergedError) as err:
         step_picard(s, 0.5, cfg)
     assert len(err.value.history) == 8
-
-
-def test_run_ends_picard_diverged_with_earlier_rows(monkeypatch):
-    # two sweeps do not reach 1e-10 on the canonical pair: the run ends
-    # with a named reason, the error text and the t = 0 row
-    monkeypatch.setattr(sim, "PICARD_MAX_SWEEPS", 2)
-    s = canonical_start(2 ** 10)
-    res = run_simulation(s, IntegratorConfig(dt=0.004, t_end=0.04, scheme="picard"))
-    assert res.exit_reason == "picard_diverged"
-    assert res.message.startswith("no contraction to 1e-10 after 2 sweeps")
-    assert [r.t for r in res.records] == [0.0]
-    assert res.final_state is s
 
 
 def test_monitor_zero_state(sim_grid):
@@ -328,7 +299,7 @@ def test_run_stops_on_cfl(sim_grid):
     s = make_initial("zero_wave", 0.0, canonical_pair(lam=10.0), sim_grid)
     res = run_simulation(s, IntegratorConfig(dt=0.5, t_end=1.0))
     assert res.exit_reason == "cfl_violation"
-    assert len(res.records) == 1
+    assert len(res.records) == 1 and res.final_state is s
 
 
 def test_run_stops_on_proximity(sim_grid):
@@ -391,12 +362,13 @@ def test_default_schedule_keeps_as5_to_t_end(sim_grid, dt, t_end):
     assert all(r.as_flags["AS5"] and math.isfinite(r.E_gevrey) for r in res.records)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "picard"])
+@pytest.mark.parametrize("scheme", ["rk4"])
 @pytest.mark.parametrize("t_end", [0.001, 0.0062, 0.01, 0.0139])
 def test_run_ends_at_t_end(scheme, t_end):
     # dt = 0.004: the whole steps that fit, then one step of the remainder,
     # so the last row sits at t_end, also below dt/2 (0.001); with
-    # gevrey.delta0 left out phi reaches L0/2 exactly there, so AS5 holds
+    # gevrey.delta0 left out phi reaches L0/2 exactly there, so AS5 holds.
+    # time.scheme is set, to the one value it takes
     cfg = canonical_scenario({"grid.n": 2048, "time.t_end": t_end, "time.scheme": scheme,
                               "gevrey.delta0": None, "monitor.eta1": None,
                               "output.stride": 1})
