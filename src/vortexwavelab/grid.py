@@ -166,5 +166,7 @@ def field_from_function(grid, fn):
 
 
 def zero_field(grid):
-    return Field(grid, np.zeros(grid.n_points))
+    """The real zero Field, held as its zero half spectrum: reading its
+    spectrum transforms nothing, and its exact zero samples are made when read."""
+    return Field.from_spectrum(grid, np.zeros(grid.n_points // 2 + 1, np.complex128))
 

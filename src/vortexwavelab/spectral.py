@@ -10,7 +10,8 @@ spectra are already known) and one stacked ``irfft``, in the grid's
 workspace (:meth:`GridSpec.workspace`).  A right-hand side stage stacks
 its rows through it (see :mod:`vortexwavelab.waves`), and so do the
 singular quadratures: their trapezoid sums over a periodized kernel are
-circular convolutions, one pass each.
+circular convolutions, one pass each, in which a field's own parts enter
+as its cached half spectrum and only product rows are transformed.
 The Hilbert transform H = iC is the multiplier -sgn(k), zero on the mean
 and Nyquist modes.  With the transform convention fhat(k) = integral
 f exp(-i k a), boundary values of functions holomorphic in the lower
@@ -115,11 +116,12 @@ def periodic_square_kernel(w, half_length):
 # multipliers, precomputed on the GridSpec
 
 def apply_multiplier(grid, multipliers, rows=None, spectra=None):
-    """Stacked multipliers: row i of the result is irfft(multipliers[i] * fhat_i).
+    """Stacked multipliers: row i of the result is irfft(fhat_i * multipliers[i]).
 
     fhat_i is ``spectra[i]`` when the half spectra are known, else the
-    rfft of the real row ``rows[i]`` (n samples, views included); there
-    must be as many rows or spectra as multipliers (ValueError).  One
+    rfft of the real row ``rows[i]`` (n samples, views included); both forms
+    multiply in that order, so a row and its spectrum give the same bits.
+    There must be as many rows or spectra as multipliers (ValueError).  One
     ``rfft`` (for rows) and one ``irfft`` transform all k rows in the
     grid's workspace (:meth:`GridSpec.workspace`): the float64 (k, n)
     result is a view of it, which the next stacked pass overwrites, so a
@@ -140,7 +142,7 @@ def apply_multiplier(grid, multipliers, rows=None, spectra=None):
             p *= m
     else:
         for p, m, f_hat in zip(products, multipliers, spectra):
-            np.multiply(m, f_hat, out=p)
+            np.multiply(f_hat, m, out=p)
     return np.fft.irfft(products, n, out=out)
 
 
@@ -224,30 +226,32 @@ def cauchy_velocity(Z, F, z):
 # ----------------------------------------------------------------------
 # singular quadratures
 
-def _circulant(grid, kernel, rows):
-    """(K r, S) for the real ``rows`` r: (K r)_i = sum_{j != i} K_ij r_j with
-    K_ij = kernel(alpha_i - alpha_j), a (k, n) view of the grid's workspace
-    (the next stacked pass overwrites it), and the row sum S = sum_{j != i} K_ij.
+def _circulant(grid, kernel, spectra):
+    """(K r, S) for the real rows r with half ``spectra``: (K r)_i = sum_{j != i}
+    K_ij r_j with K_ij = kernel(alpha_i - alpha_j), a (k, n) view of the grid's
+    workspace (the next stacked pass overwrites it), and S = sum_{j != i} K_ij.
     K depends on i - j mod n only, so K r is one :func:`apply_multiplier` pass
     whose multiplier is the rfft of one kernel row, 0 on the diagonal and taken
     at the separation of least modulus (near +-2L the argument would lose the
-    relative accuracy of the near-diagonal cells)."""
+    relative accuracy of the near-diagonal cells).  A field's own parts come
+    as its cached spectrum (:func:`_parts`); only product rows are transformed."""
     n = grid.n_points
     row = np.zeros(n)
     row[1:] = kernel(grid.spacing * np.fft.fftfreq(n, 1.0 / n)[1:], grid.half_length)
     multiplier = np.fft.rfft(row)
-    return apply_multiplier(grid, (multiplier,) * len(rows), rows=rows), multiplier[0].real
+    k_rows = apply_multiplier(grid, (multiplier,) * len(spectra), spectra=spectra)
+    return k_rows, multiplier[0].real
 
 
-def sq_diff_rows(f):
-    """The rows of the spectral squared-difference integral of the samples
-    f: Re f, Im f and |f|^2, each to go through the multiplier |k|."""
-    return f.real, f.imag, f.real * f.real + f.imag * f.imag
+def _parts(f):
+    """The half spectra of Re f and Im f: the field's cached :attr:`Field.fft`,
+    with a zero spectrum as the imaginary part of a real field."""
+    return f.fft if f.is_complex else (f.fft, np.zeros_like(f.fft))
 
 
 def sq_diff_from_rows(f, lam_rows):
-    """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the images of the rows
-    of :func:`sq_diff_rows` under a multiplier L (|k| on the spectral path)."""
+    """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the images of Re f, Im f
+    and |f|^2 under a multiplier L (|k| on the spectral path)."""
     return f.real * lam_rows[0] + f.imag * lam_rows[1] - 0.5 * lam_rows[2]
 
 
@@ -265,20 +269,22 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     S|f|^2 - 2 Re{conj(f) Kf} + K|f|^2 (:func:`_circulant`) over the same three
     rows; ``out_indices``, if given, is returned with the field, whose points
     it selects.  The two paths agree to aliasing level and are cross-checked
-    in the test suite.  The result is nonnegative.
+    in the test suite.  The result is nonnegative.  Both paths take Re f and
+    Im f as the field's cached spectrum and transform only |f|^2.
     """
-    grid = f.grid
-    if method == "spectral":
-        lam = apply_multiplier(grid, (grid.wavenumbers,) * 3, rows=sq_diff_rows(f.samples))
-        return Field(grid, sq_diff_from_rows(f.samples, lam))
-    if method != "quadrature":
+    if method not in ("spectral", "quadrature"):
         raise ValueError("unknown method %r" % method)
+    grid, s = f.grid, f.samples
+    sq = s.real * s.real + s.imag * s.imag
+    spectra = (*_parts(f), np.fft.rfft(sq))
+    if method == "spectral":
+        lam = apply_multiplier(grid, (grid.wavenumbers,) * 3, spectra=spectra)
+        return Field(grid, sq_diff_from_rows(s, lam))
 
     fp = derivative(f).samples
-    rows = sq_diff_rows(f.samples)
-    k_rows, k_sum = _circulant(grid, periodic_square_kernel, rows)
+    k_rows, k_sum = _circulant(grid, periodic_square_kernel, spectra)
     # sum_{j != i} |f_i - f_j|^2 K_ij plus the diagonal limit |f'_i|^2
-    total = k_sum * rows[2] - 2.0 * sq_diff_from_rows(f.samples, k_rows) + np.abs(fp) ** 2
+    total = k_sum * sq - 2.0 * sq_diff_from_rows(s, k_rows) + np.abs(fp) ** 2
     out = Field(grid, total * (grid.spacing / (2.0 * np.pi)))
     return out if out_indices is None else (out, np.asarray(out_indices))
 
@@ -288,15 +294,16 @@ def pv_commutator(f, g):
     (1/pi i) * integral (f(a) - f(b)) / (a - b) * g(b) db,
     periodized kernel, diagonal cell f'(a) g(a) / (pi i).
 
-    Over j != i the sum is f Kg - K(fg) (:func:`_circulant`, four rows in
-    one pass).  Agrees with f*Hg - H(fg) to quadrature accuracy; intended
-    for verification rather than the per-step assembly.
+    Over j != i the sum is f Kg - K(fg) (:func:`_circulant`: one pass over g's
+    cached spectrum and the two parts of fg, the only rows transformed).
+    Agrees with f*Hg - H(fg) to quadrature accuracy; intended for
+    verification rather than the per-step assembly.
     """
     grid = check_same_grid(f, g)
     fp = derivative(f).samples
     fg = f.samples * g.samples
     k_rows, _ = _circulant(grid, periodic_cauchy_kernel,
-                           (g.samples.real, g.samples.imag, fg.real, fg.imag))
+                           (*_parts(g), *np.fft.rfft(np.stack((fg.real, fg.imag)))))
     total = f.samples * (k_rows[0] + 1j * k_rows[1]) - (k_rows[2] + 1j * k_rows[3]) \
         + fp * g.samples
     return Field(grid, total * (grid.spacing / (1j * np.pi)))
@@ -304,11 +311,11 @@ def pv_commutator(f, g):
 
 def hilbert_quadrature(f):
     """H f by principal-value trapezoid in the difference form
-    sum_{j != i} (f_j - f_i) K_ij = Kf - Sf (:func:`_circulant`), which removes
-    the singularity; verification-grade companion to :func:`hilbert`."""
+    sum_{j != i} (f_j - f_i) K_ij = Kf - Sf (:func:`_circulant` over f's cached
+    spectrum), which removes the singularity; a verification-grade :func:`hilbert`."""
     grid = f.grid
     fp = derivative(f).samples
-    k_rows, k_sum = _circulant(grid, periodic_cauchy_kernel, (f.samples.real, f.samples.imag))
+    k_rows, k_sum = _circulant(grid, periodic_cauchy_kernel, _parts(f))
     # Kf - Sf, and the diagonal cell: the limit -f'(a) of (f(b)-f(a)) * kernel(a-b)
     total = k_rows[0] + 1j * k_rows[1] - k_sum * f.samples - fp
     return Field(grid, total * (grid.spacing / (1j * np.pi)))

@@ -48,3 +48,17 @@ def canonical_start(n, overrides=None):
     """The initial state of the canonical scenario on n points (with
     ``overrides`` of :func:`acceptance.canonical_scenario`)."""
     return build_run_inputs(canonical_scenario({"grid.n": n, **(overrides or {})}))[1]
+
+
+def count_transforms(monkeypatch, counts):
+    """Count each call of np.fft's rfft and irfft in counts["transform_calls"]
+    and its real transforms, one per row, in counts["transforms"] and in
+    counts["rfft"] or counts["irfft"]."""
+    for name in ("rfft", "irfft"):
+        def transform(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            rows = int(np.prod(np.shape(x)[:-1]))
+            counts["transform_calls"] += 1
+            counts["transforms"] += rows
+            counts[_name] = counts.get(_name, 0) + rows
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, transform)

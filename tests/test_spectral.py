@@ -21,7 +21,7 @@ from vortexwavelab.spectral import (apply_multiplier, cauchy_velocity, commutato
                                     periodic_square_kernel, pv_commutator,
                                     sq_diff_integral)
 
-from conftest import band_limited, mean_zero, per_pole
+from conftest import band_limited, count_transforms, mean_zero, per_pole
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +97,18 @@ def test_field_roundtrip_and_real_flag(grid):
     for shape in ((grid.n_points // 2,), (3, grid.n_points // 2 + 1)):
         with pytest.raises(ValueError, match="spectrum shape"):
             Field.from_spectrum(grid, np.zeros(shape, dtype=complex))
+
+
+def test_zero_field_is_its_zero_half_spectrum(grid, monkeypatch):
+    # the spectrum of a zero field is read without a transform, and its
+    # samples are the exact zeros of a real field
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    z = zero_field(grid)
+    assert z.fft.shape == (grid.n_points // 2 + 1,) and not np.any(z.fft)
+    assert counts["transform_calls"] == 0
+    assert z.is_complex is False
+    assert z.samples.dtype == np.float64 and not np.any(z.samples)
 
 
 def test_grid_mismatch_raises(grid, small_grid):
@@ -190,6 +202,18 @@ def test_derivative_gaussian_second(grid):
     expected = field_from_function(grid, lambda a: (4 * a * a - 2) * np.exp(-a * a))
     out = derivative(derivative(f))
     assert np.max(np.abs(out.samples - expected.samples)) <= 1e-10
+
+
+def test_apply_multiplier_gives_the_same_bits_from_rows_and_spectra(small_grid):
+    # both input forms multiply fhat * m in that order (complex products do
+    # not commute bit for bit), so a quadrature that passes a field's cached
+    # spectrum gets the bits its samples would give
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(2, small_grid.n_points))
+    m = np.fft.rfft(rng.normal(size=small_grid.n_points))
+    from_rows = apply_multiplier(small_grid, (m, m), rows=rows).copy()
+    assert np.array_equal(from_rows,
+                          apply_multiplier(small_grid, (m, m), spectra=np.fft.rfft(rows)))
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -315,6 +339,36 @@ def test_sq_diff_quadrature_path_matches_spectral(small_grid):
     quad_f = sq_diff_integral(f, method="quadrature").samples.real
     assert np.max(np.abs(spec - quad_f)) <= 1e-10
     assert np.min(spec) >= -1e-13          # nonnegative pointwise
+
+
+def test_quadratures_transform_only_their_product_rows(small_grid, monkeypatch):
+    # a field's own parts enter each circulant pass as its cached half
+    # spectrum: np.fft.rfft sees only the kernel row of each pass and the
+    # product rows, |f|^2 and the two parts of f g
+    rng = np.random.default_rng(4)
+    re, im = band_limited(small_grid, rng).samples, band_limited(small_grid, rng).samples
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    # spectral then quadrature path: the field's spectrum (2 rows complex,
+    # 1 real), |f|^2 twice and one kernel row; 9 and 8 rows when both
+    # paths transformed Re f, Im f and |f|^2 from the samples
+    for samples, rows in ((re + 1j * im, 5), (re, 4)):
+        f = Field(small_grid, samples)
+        counts["rfft"] = 0
+        sq_diff_integral(f)
+        sq_diff_integral(f, method="quadrature")
+        assert counts["rfft"] == rows
+    # on fields whose spectra are cached: the kernel row and the parts of
+    # f g (5 rows when g's parts were transformed again), and the kernel
+    # row alone (3 with the parts of f)
+    f, g = Field(small_grid, re), Field(small_grid, im + 1j * re)
+    f.fft, g.fft
+    counts["rfft"] = 0
+    pv_commutator(f, g)
+    assert counts["rfft"] == 3
+    counts["rfft"] = 0
+    hilbert_quadrature(g)
+    assert counts["rfft"] == 1
 
 
 @pytest.mark.parametrize("complex_input", [False, True])

@@ -13,11 +13,11 @@ from vortexwavelab.spectral import (MIN_SPACINGS, analytic_projection, cauchy_ve
                                     periodic_cauchy_kernel, periodic_square_kernel,
                                     pv_commutator, sq_diff_integral)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
-from vortexwavelab.waves import (Vortex, WaveState, assemble, b_residual, chord_arc_constant,
-                                 compute_Q, interface_distance, pole_kernels,
-                                 reconstruct, refine_minimum, rhs)
+from vortexwavelab.waves import (Derived, Vortex, WaveState, assemble, b_residual,
+                                 chord_arc_constant, compute_Q, derive, interface_distance,
+                                 pole_kernels, reconstruct, refine_minimum, rhs)
 
-from conftest import band_limited, canonical_start, per_pole
+from conftest import band_limited, canonical_start, count_transforms, per_pole
 
 TWO_PI = 2 * math.pi
 
@@ -145,6 +145,17 @@ def test_compute_q_pair_value_and_symmetry(grid):
     rev = (-np.arange(grid.n_points)) % grid.n_points
     assert sup(Q.real + Q.real[rev]) <= 1e-13
     assert sup(Q.imag - Q.imag[rev]) <= 1e-13
+
+
+def test_zero_fields_derive_as_zero_samples(grid):
+    # zero fields held as their zero half spectra derive, bit for bit, what
+    # fields built from zero samples do
+    zeros = Field(grid, np.zeros(grid.n_points)), Field(grid, np.zeros(grid.n_points))
+    states = (flat_pair_state(grid, 1.0, -6.0, 4 * math.pi),
+              WaveState(*zeros, pair_vortices(1.0, -6.0, 4 * math.pi)))
+    held, sampled = (derive(grid, *s.arrays, s.strengths) for s in states)
+    for name in Derived._fields:
+        assert np.array_equal(getattr(held, name), getattr(sampled, name)), name
 
 
 def test_dtq_single_vortex_symbolic(grid):
@@ -308,20 +319,6 @@ def test_rhs_preserves_oddness(grid):
         assert sup(s + s[rev]) <= 1e-8 * max(1.0, sup(s))
     assert zd[0].real == pytest.approx(-zd[1].real, abs=1e-12)
     assert zd[0].imag == pytest.approx(zd[1].imag, abs=1e-12)
-
-
-def count_transforms(monkeypatch, counts):
-    """Count each call of np.fft's rfft and irfft in counts["transform_calls"]
-    and its real transforms, one per row, in counts["transforms"] and in
-    counts["rfft"] or counts["irfft"]."""
-    for name in ("rfft", "irfft"):
-        def transform(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            rows = int(np.prod(np.shape(x)[:-1]))
-            counts["transform_calls"] += 1
-            counts["transforms"] += rows
-            counts[_name] = counts.get(_name, 0) + rows
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, transform)
 
 
 def test_stage_budget(monkeypatch):
