@@ -15,13 +15,9 @@ sweep  scans the closed-form stability profile over a gamma range and
        exit 1.
 verify runs the acceptance checks and prints one line per check;
        exit 0 only if all pass.
-
-The environment variable VWL_THREADS is ignored: the sweep is one array
-computation.
 """
 
 import argparse
-import os
 import sys
 
 from .acceptance import run_all
@@ -30,15 +26,10 @@ from .errors import ConfigError, VortexWaveError
 
 
 def _threads():
-    """Worker count read from VWL_THREADS.  Nothing in the package uses it:
-    it stays only because the benchmark records it, until the next
-    benchmark change deletes it."""
-    raw = os.environ.get("VWL_THREADS", "")
-    try:
-        n = int(raw)
-        return max(1, n)
-    except ValueError:
-        return min(8, os.cpu_count() or 1)
+    """The sweep's one worker: the sweep is one array computation.  Nothing
+    in the package calls it; it stays only because the benchmark records
+    it, until the next benchmark change deletes it."""
+    return 1
 
 
 def _writable(path):

@@ -20,7 +20,8 @@ every stacked transform pass and a stage's pole-kernel stacks overwrite,
 so a stage faults in no fresh large arrays; only
 :func:`spectral.apply_multiplier` and :func:`waves.pole_kernels` hand out
 views of it.  A :class:`Field` is built from its samples or its half
-spectrum and makes the other form when read.
+spectrum and makes the other form when read; a :func:`zero_field` holds
+no memory until its samples are read.
 """
 
 import numbers
@@ -166,7 +167,9 @@ def field_from_function(grid, fn):
 
 
 def zero_field(grid):
-    """The real zero Field, held as its zero half spectrum: reading its
-    spectrum transforms nothing, and its exact zero samples are made when read."""
-    return Field.from_spectrum(grid, np.zeros(grid.n_points // 2 + 1, np.complex128))
+    """The real zero Field, held as a read-only zero half spectrum that owns
+    no memory (one broadcast zero): reading its spectrum transforms nothing,
+    and its exact zero samples are made when read."""
+    zeros = np.broadcast_to(np.complex128(0), (grid.n_points // 2 + 1,))
+    return Field.from_spectrum(grid, zeros)
 

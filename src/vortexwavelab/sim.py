@@ -4,11 +4,11 @@ trajectory recording.
 A run steps with classical RK4 on the full nonlinear right-hand side;
 :func:`run_simulation` takes no other scheme.  :func:`step_picard`, the
 implicit trapezoid rule solved per step by fixed-point (Picard) sweeps,
-stays as the benchmark's cross-check stepper (demo 06 runs it too): each
-sweep re-evaluates the right-hand side on the previous iterate's
-endpoint, so the frozen-coefficient structure of the iteration matches
-the construction that makes the continuous problem solvable, and the
-sweep-to-sweep contraction ratio is itself a diagnostic.  The sweeps
+stays as the benchmark's cross-check stepper: each sweep re-evaluates
+the right-hand side on the previous iterate's endpoint, so the
+frozen-coefficient structure of the iteration matches the construction
+that makes the continuous problem solvable, and the sweep-to-sweep
+contraction ratio is itself a diagnostic.  The sweeps
 contract when dt * sqrt(max A * k_max) / 2 < 1, a stronger restriction
 than the RK4 stability limit; the step raises with its residual history
 if that fails.  A Picard step starts where the last one ended
@@ -152,16 +152,12 @@ def step_rk4(state, dt, record=None):
                   lam, state.t + dt)
 
 
-def _h4_weight(grid):
-    """The H4 weight 1 + k^2 + k^4 + k^6 + k^8 over the half spectrum."""
-    k2 = grid.wavenumbers ** 2
-    return 1.0 + k2 * (1.0 + k2 * (1.0 + k2 * (1.0 + k2)))
-
-
-def _h4_distance(grid, weight, y1, y2):
+def _h4_distance(grid, y1, y2):
     """Discrete H4 x H4 distance of (W, U) plus the vortex separation of two
-    stage layouts: the power of each difference weighted by ``weight``
-    (:func:`_h4_weight`)."""
+    stage layouts: the power of each difference weighted by
+    1 + k^2 + k^4 + k^6 + k^8 over the half spectrum."""
+    k2 = grid.wavenumbers ** 2
+    weight = 1.0 + k2 * (1.0 + k2 * (1.0 + k2 * (1.0 + k2)))
     total = sum(np.sum(power_spectrum(grid, y1[i] - y2[i]) * weight) for i in (0, 1))
     total += np.sum(np.abs(y1[2] - y2[2]) ** 2)
     return math.sqrt(total)
@@ -200,12 +196,11 @@ def step_picard(state, dt, config):
     else:
         k0, c = carry.slope, dt * dt / (2.0 * carry.dt)
         candidate = _advance(y, [k0, carry.start_slope], [dt + c, -c])
-    weight = _h4_weight(grid)
     history = []
     for iteration in range(1, PICARD_MAX_SWEEPS + 1):
         k1 = rhs(grid, candidate, lam)
         new = _advance(y, [k0, k1], [dt / 2, dt / 2])
-        history.append(_h4_distance(grid, weight, new, candidate))
+        history.append(_h4_distance(grid, new, candidate))
         if history[-1] < config.picard_tol:
             return (_state(grid, candidate, lam, state.t + dt, PicardCarry(k1, k0, dt)),
                     iteration, history)

@@ -36,7 +36,7 @@ tanh, exp and products 1-3 ns.
 import numpy as np
 
 from .errors import VortexProximityError
-from .grid import Field, check_same_grid
+from .grid import Field, check_same_grid, zero_field
 
 MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
 
@@ -245,8 +245,9 @@ def _circulant(grid, kernel, spectra):
 
 def _parts(f):
     """The half spectra of Re f and Im f: the field's cached :attr:`Field.fft`,
-    with a zero spectrum as the imaginary part of a real field."""
-    return f.fft if f.is_complex else (f.fft, np.zeros_like(f.fft))
+    with the spectrum of :func:`grid.zero_field` as the imaginary part of a
+    real field."""
+    return f.fft if f.is_complex else (f.fft, zero_field(f.grid).fft)
 
 
 def sq_diff_from_rows(f, lam_rows):

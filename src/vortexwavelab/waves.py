@@ -25,10 +25,11 @@ through the :class:`Derived` record of :func:`derive`; every helper below
 takes and returns arrays.  The record is the one derived type of a run:
 the steppers, the CFL guard and the monitor of :mod:`vortexwavelab.sim`
 read it.  :class:`WaveState` wraps W and U as Fields (a stepper's as the
-Fields of their half spectra), and :func:`assemble` views a state's record
-as :class:`DerivedFields` for callers that read Fields.  Every vortex term
-is array algebra over the (m, n) stacks of the periodized pole kernels,
-taken from one complex exponential over the grid (:func:`pole_kernels`).
+Fields of their half spectra), and :func:`assemble` returns a state's record
+as :class:`DerivedFields`, a namedtuple of the same names with a Field over
+each sampled array, for callers that read Fields.  Every vortex term is
+array algebra over the (m, n) stacks of the periodized pole kernels, taken
+from one complex exponential over the grid (:func:`pole_kernels`).
 
 A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 16 real
 transforms (14 without vortices) in 5 calls, three passes ordered by what
@@ -139,18 +140,9 @@ class WaveState:
 # complex Z to DtQ, float b to G, the (m,) vortex velocities and the
 # vortex-interface distance.
 Derived = namedtuple("Derived", "Z Z_alpha F_alpha F Q DtZ DtQ b A1 A G zdots d_I")
-
-
-class DerivedFields:
-    """A :class:`Derived` record as Fields, for callers that read Fields:
-    Z to G as Fields over its arrays, ``zdots`` and ``d_I`` as they are,
-    and the record itself, ``record``.  Read-only."""
-
-    def __init__(self, grid, record):
-        self.record = record
-        for name in Derived._fields[:-2]:
-            setattr(self, name, Field(grid, getattr(record, name)))
-        self.zdots, self.d_I = record.zdots, record.d_I
+# The same record for callers that read Fields (:func:`assemble`): Z to G as
+# Fields over its arrays, zdots and d_I as they are.
+DerivedFields = namedtuple("DerivedFields", Derived._fields)
 
 
 def reconstruct(grid, w_hat, u_hat):
@@ -419,7 +411,9 @@ def derive(grid, w_hat, u_hat, z, lam):
 def assemble(state):
     """The :class:`Derived` record of a state as :class:`DerivedFields`
     (the errors of :func:`derive`)."""
-    return DerivedFields(state.grid, derive(state.grid, *state.arrays, state.strengths))
+    grid = state.grid
+    d = derive(grid, *state.arrays, state.strengths)
+    return DerivedFields(*(Field(grid, a) for a in d[:-2]), d.zdots, d.d_I)
 
 
 def rhs(grid, y, lam, record=None):

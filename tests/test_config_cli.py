@@ -345,9 +345,8 @@ def test_sweep_depth_trend():
     assert deep > 0.99
 
 
-def test_cmd_sweep_cli(tmp_path, monkeypatch):
+def test_cmd_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
-    monkeypatch.setenv("VWL_THREADS", "2")
     code = main(["sweep", "--gamma-min", "3.9", "--gamma-max", "4.1",
                  "--steps", "5", "--x", "1e-3", "--y", "-10", "--out", str(out)])
     assert code == 0
@@ -356,6 +355,16 @@ def test_cmd_sweep_cli(tmp_path, monkeypatch):
     assert len(lines) == 6
     gammas = [float(l.split(",")[0]) for l in lines[1:]]
     assert gammas == sorted(gammas)
+
+
+def test_threads_is_the_one_worker_whatever_the_environment(monkeypatch):
+    # the sweep is one array computation: no environment variable sets its
+    # worker count (the parent read VWL_THREADS: 7 for "7", and
+    # min(8, cpu_count) for "x", 2 on a 2-core host)
+    from vortexwavelab.cli import _threads
+    for raw in ("7", "x"):
+        monkeypatch.setenv("VWL_THREADS", raw)
+        assert _threads() == 1
 
 
 def test_verify_plumbing_and_mutation(monkeypatch, capsys):

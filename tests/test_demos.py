@@ -1,11 +1,9 @@
 """Smoke test of the narrative demos: each runs to completion, with a
 RuntimeWarning an error as in CI's demo step.
 
-Demo 06 (about 3 s) also runs ``step_picard`` and the RK4 stage
-combinations end to end.  Demos 03 and 04, full runs of 3 to 7 s and 2
-to 4 s on a 2-core host, run in CI's "Library demos" step instead; the
-scenario demo 03 reads is checked here to be the canonical scenario that
-acceptance check C08 runs.
+Demos 03 and 04, full runs of 3 to 7 s and 2 to 4 s on a 2-core host,
+run in CI's "Library demos" step instead; the scenario demo 03 reads is
+checked here to be the canonical scenario that acceptance check C08 runs.
 """
 
 import os
@@ -22,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_hilbert_and_kernels.py", "02_stability_profile.py",
-                                  "05_gevrey_diagnostics.py", "06_scheme_crosscheck.py"])
+                                  "05_gevrey_diagnostics.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -140,22 +140,25 @@ def test_picard_contracts_and_matches_rk4(sim_grid):
 
 def test_steps_build_one_state(monkeypatch):
     # a run reads each state's Derived record and wraps only what a step
-    # returns: one WaveState over two Fields a step, no DerivedFields,
+    # returns: one WaveState over two Fields a step, and no assemble call,
     # beyond the Fields of the initial state
     from collections import Counter
 
-    from vortexwavelab.waves import DerivedFields
+    import vortexwavelab.waves as waves
     built = Counter()
-    for cls in (Field, WaveState, DerivedFields):
+    for cls in (Field, WaveState):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
+    assemble_calls = []
+    monkeypatch.setattr(waves, "assemble",
+                        lambda state, _f=waves.assemble: assemble_calls.append(1) or _f(state))
     s = canonical_start(2 ** 10)
     initial = built["Field"]
     res = run_simulation(s, IntegratorConfig(dt=2e-3, t_end=0.02), stride=3)
     assert res.exit_reason == "completed"
-    assert built["DerivedFields"] == 0 and built["WaveState"] == 1 + 10
+    assert assemble_calls == [] and built["WaveState"] == 1 + 10
     assert built["Field"] <= initial + 2 * 10
 
 
@@ -164,7 +167,7 @@ def _trapezoid_residual(start, end, dt):
     grid, lam = start.grid, start.strengths
     k0, k1 = rhs(grid, start.arrays, lam), rhs(grid, end.arrays, lam)
     target = tuple(y + dt / 2 * (a + b) for y, a, b in zip(start.arrays, k0, k1))
-    return sim._h4_distance(grid, sim._h4_weight(grid), target, end.arrays)
+    return sim._h4_distance(grid, target, end.arrays)
 
 
 def test_picard_carries_the_rhs_of_the_state_it_returns():

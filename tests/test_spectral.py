@@ -111,6 +111,23 @@ def test_zero_field_is_its_zero_half_spectrum(grid, monkeypatch):
     assert z.samples.dtype == np.float64 and not np.any(z.samples)
 
 
+def test_zero_field_holds_no_memory():
+    # a zero field's spectrum is one broadcast zero: read-only, stride 0, and
+    # 14 of them at 2^18 (a benchmark repetition's C05 states) allocate under
+    # 64 KB (the parent's were writeable 2 MB arrays of stride 16: 28 MB)
+    import tracemalloc
+    wide = GridSpec(3200.0, 2 ** 18)
+    z = zero_field(wide)
+    assert not z.fft.flags.writeable and z.fft.strides == (0,)
+    tracemalloc.start()
+    try:
+        held = [zero_field(wide) for _ in range(14)]
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 14 and allocated < 64 * 1024
+
+
 def test_grid_mismatch_raises(grid, small_grid):
     with pytest.raises(GridMismatchError):
         commutator_hilbert(zero_field(grid), zero_field(small_grid))

@@ -41,11 +41,15 @@ def reconstructed(W, U):
     return reconstruct(W.grid, W.fft, U.fft)
 
 
-def state_rhs(state, derived=None):
-    """(dW/dt, dU/dt, dz/dt) at a state, given its assembly or not: the
-    samples of the half spectra rhs returns."""
-    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths,
-                                None if derived is None else derived.record)
+def record_of(state):
+    """The :class:`Derived` record of a state."""
+    return derive(state.grid, *state.arrays, state.strengths)
+
+
+def state_rhs(state, record=None):
+    """(dW/dt, dU/dt, dz/dt) at a state, given its Derived record or not:
+    the samples of the half spectra rhs returns."""
+    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths, record)
     dw, du = np.fft.irfft((dw_hat, du_hat), state.grid.n_points)
     return dw, du, zdots
 
@@ -158,6 +162,21 @@ def test_zero_fields_derive_as_zero_samples(grid):
         assert np.array_equal(getattr(held, name), getattr(sampled, name)), name
 
 
+@pytest.mark.parametrize("vortices", [pair_vortices(1.0, -6.0, 4 * math.pi), ()],
+                         ids=["pair", "no_vortex"])
+def test_assemble_is_the_record_of_derive_as_fields(grid, vortices):
+    # assemble is derive's record with a Field over each sampled array and
+    # zdots and d_I as they are, bit for bit, and keeps no record beside it
+    # (the parent's DerivedFields class had no _fields and kept .record)
+    state = odd_bump_state(grid, 1e-2, vortices)
+    d, record = assemble(state), derive(grid, *state.arrays, state.strengths)
+    assert d._fields == Derived._fields and not hasattr(d, "record")
+    for name, value in zip(Derived._fields[:-2], record):
+        got = getattr(d, name).samples
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+    assert d.zdots.tobytes() == record.zdots.tobytes() and d.d_I == record.d_I
+
+
 def test_dtq_single_vortex_symbolic(grid):
     # flat frozen interface, F = 0, single vortex: the assembled DtQ must
     # equal (lam i/2pi)(Qbar - zdot) kappa2(a - z) built by hand
@@ -201,15 +220,16 @@ def test_vortex_velocity_small_wave_mostly_vertical(grid):
 def test_b_zero_cases(grid):
     d = assemble(WaveState(zero_field(grid), zero_field(grid), ()))
     assert d.b.sup_norm() == 0.0
-    d = assemble(flat_pair_state(grid, 1.0, -6.0, 4 * math.pi))
+    state = flat_pair_state(grid, 1.0, -6.0, 4 * math.pi)
+    d = assemble(state)
     assert d.b.sup_norm() <= 1e-12       # (I-H) kills the pair trace
-    assert b_residual(grid, d.record) <= 1e-12
+    assert b_residual(grid, record_of(state)) <= 1e-12
 
 
 def test_b_residual_bound_generic(grid):
     state = odd_bump_state(grid, 5e-2, pair_vortices(1.0, -8.0, 20.0))
     d = assemble(state)
-    assert b_residual(grid, d.record) <= 1e-6 * (1.0 + d.b.l2_norm())
+    assert b_residual(grid, record_of(state)) <= 1e-6 * (1.0 + d.b.l2_norm())
 
 
 def test_b0_matches_pv_quadrature(small_grid):
@@ -254,7 +274,7 @@ def test_a_times_jacobian_is_a1(grid):
 def test_inf_a1_refinement(grid):
     d = assemble(flat_pair_state(grid, 1.0, -6.0, 2 * math.pi * 6 ** 1.5))
     grid_min = float(np.min(d.A1.samples.real))
-    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, d.record.A1)
+    argmin_alpha, inf_A1 = refine_minimum(grid.alpha, d.A1.samples)
     assert inf_A1 <= grid_min + 1e-12
     from vortexwavelab.taylor import inf_a1_flat
     exact, argmin = inf_a1_flat(PairConfig(1.0, -6.0, 2 * math.pi * 6 ** 1.5))
@@ -288,7 +308,7 @@ def test_g_r_no_vortices(grid):
     d = assemble(state)
     assert d.DtQ.sup_norm() == 0.0
     assert d.G.sup_norm() == 0.0
-    dW, _, _ = state_rhs(state, d)
+    dW, _, _ = state_rhs(state, record_of(state))
     assert sup(dW) == 0.0
 
 
@@ -296,7 +316,7 @@ def test_r_equals_re_q_for_flat_pair(grid):
     # flat interface at rest: the W-forcing Re Q - b reduces to Re Q
     state = flat_pair_state(grid, 1.0, -6.0, 10.0)
     d = assemble(state)
-    dW, _, _ = state_rhs(state, d)
+    dW, _, _ = state_rhs(state, record_of(state))
     assert sup(dW - low_pass(d.Q).samples.real) <= 1e-12
 
 
@@ -305,7 +325,7 @@ def test_rhs_equilibrium_and_pair_forcing(grid):
     assert sup(dW) == 0.0 and sup(dU) == 0.0 and zd.shape == (0,)
     state = flat_pair_state(grid, 1.0, -6.0, 4 * math.pi)
     d = assemble(state)
-    dW, dU, zd = state_rhs(state, d)
+    dW, dU, zd = state_rhs(state, record_of(state))
     assert zd[0] == pytest.approx(1j, abs=1e-12)
     assert sup(dU) > 0.0                 # the pair forces the wave
     assert sup(dU - low_pass(d.G).samples.real) <= 1e-12
@@ -446,7 +466,7 @@ def test_stacked_stage_matches_the_per_operator_formulas(vortices):
     state = WaveState(band_limited(grid, rng, modes=48, scale=0.05),
                       band_limited(grid, rng, modes=48, scale=0.05), vortices)
     d = assemble(state)
-    dW, dU, zdots = state_rhs(state, d)
+    dW, dU, zdots = state_rhs(state, record_of(state))
     got = {"b": d.b.samples, "A1": d.A1.samples, "A": d.A.samples, "G": d.G.samples,
            "dW": dW, "dU": dU, "zdots": zdots}
     ref = per_operator_stage(state)
@@ -518,7 +538,7 @@ def test_steppers_carry_the_spectra_of_w_and_u():
 def test_real_fields_stay_float64(grid):
     state = canonical_start(grid.n_points)
     d = assemble(state)
-    dW, dU, _ = state_rhs(state, d)
+    dW, dU, _ = state_rhs(state, record_of(state))
     for a in [f.samples for f in (state.W, state.U, d.b, d.A1, d.A, d.G)] + [dW, dU]:
         assert a.dtype == np.float64
     for op in (derivative, lambda_op, low_pass):
@@ -539,7 +559,7 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
         monkeypatch.setattr(waves, name, counted)
         monkeypatch.setattr(sim, name, counted)
     state = flat_pair_state(grid, 1.0, -6.0, 10.0)
-    state_rhs(state, assemble(state))
+    state_rhs(state, record_of(state))
     state_rhs(state)
     sim.step_rk4(state, 1e-3)
     assert calls == []
@@ -644,8 +664,8 @@ def test_asymmetric_three_vortex_smoke(grid):
                 Vortex(3.0 - 9.0j, 2.5))
     state = WaveState(zero_field(grid), zero_field(grid), vortices)
     d = assemble(state)
-    assert b_residual(grid, d.record) <= 1e-6 * (1.0 + d.b.l2_norm())
+    assert b_residual(grid, record_of(state)) <= 1e-6 * (1.0 + d.b.l2_norm())
     after = step_rk4(state, 2e-3)
     assert np.all(np.isfinite(after.W.samples))
     d2 = assemble(after)
-    assert np.isfinite(refine_minimum(grid.alpha, d2.record.A1)[1])
+    assert np.isfinite(refine_minimum(grid.alpha, d2.A1.samples)[1])

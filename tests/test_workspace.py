@@ -34,10 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def derived_arrays(derived):
-    """The arrays of an assembly's record (all but d_I); its Fields are over them."""
-    record = derived.record
-    assert all(getattr(derived, name).samples is a for name, a in zip(record._fields[:-2], record))
-    return record[:-1]
+    """The arrays of an assembly (all but d_I): its Fields' samples and zdots."""
+    return [f.samples for f in derived[:-2]] + [derived.zdots]
 
 
 def test_stage_results_survive_later_stages(monkeypatch):
@@ -82,7 +80,7 @@ def test_quadratures_and_stages_keep_each_others_results():
                pv_commutator(start.W, derived.F), hilbert_quadrature(derived.Z_alpha)]
     saved = [r.samples.tobytes() for r in results]
     assert [a.tobytes() for a in derived_arrays(derived)] == derived_bytes
-    rhs(grid, start.arrays, start.strengths, assemble(start).record)
+    rhs(grid, start.arrays, start.strengths, derive(grid, *start.arrays, start.strengths))
     workspace = grid.workspace(0)
     for r, b in zip(results, saved):
         assert r.samples.tobytes() == b
