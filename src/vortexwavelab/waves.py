@@ -37,7 +37,9 @@ each needs:
 
 1. 8 inverse rows in two calls of :func:`spectral.apply_multiplier`:
    W, CW, dW/da and |d/da| W, then the same of U, from the spectra the
-   steppers carry (:func:`reconstruct`);
+   steppers carry (:func:`reconstruct`); a zero W or U spectrum saves its
+   call and its 4 rows, which are zeros (a C05 derivation, with W = U = 0
+   and the pair, makes 6 real transforms in 2 calls);
 2. after the pole kernels, 3 rows forward and back: C Im h (for b),
    |d/da| |DtZ|^2 (for A1) and, with vortices, C Im G2 (the vortex term
    of A1) (:func:`stage_projections`);
@@ -157,13 +159,24 @@ def reconstruct(grid, w_hat, u_hat):
     holomorphic below the interface, so (I - H)(Z - alpha) vanishes.
     Raises NonFiniteStateError when a spectrum is not finite, as every
     mode is once one sample is.
+
+    The four rows of a zero spectrum (held, or transformed from zero
+    samples, -0.0 included) are zeros, which nothing transforms: a zero W
+    gives Z = alpha and Z_a = 1 exactly and a zero U gives F = F_a = 0,
+    while the other field's two arrays keep their bits.  Either way the
+    four arrays returned are new.
     """
     if not (np.all(np.isfinite(w_hat)) and np.all(np.isfinite(u_hat))):
         raise NonFiniteStateError("non-finite W or U")
     multipliers = (1.0, grid.i_sgn, grid.ik, grid.wavenumbers)
-    w, c_w, w_a, lam_w = apply_multiplier(grid, multipliers, spectra=(w_hat,) * 4)
+
+    def rows(f_hat):
+        if not np.any(f_hat):
+            return (np.broadcast_to(0.0, (grid.n_points,)),) * 4
+        return apply_multiplier(grid, multipliers, spectra=(f_hat,) * 4)
+    w, c_w, w_a, lam_w = rows(w_hat)
     Z, Z_alpha = _complex(grid.alpha + w, c_w), _complex(1.0 + w_a, -lam_w)
-    u, c_u, u_a, lam_u = apply_multiplier(grid, multipliers, spectra=(u_hat,) * 4)
+    u, c_u, u_a, lam_u = rows(u_hat)
     return Z, _complex(u, c_u), Z_alpha, _complex(u_a, -lam_u)
 
 

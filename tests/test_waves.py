@@ -61,11 +61,33 @@ def sup(a):
 # ----------------------------------------------------------------------
 # reconstruction
 
-def test_reconstruct_trivial(grid):
-    Z, F, Z_alpha, _ = reconstructed(zero_field(grid), zero_field(grid))
-    assert sup(Z - grid.alpha) == 0.0
-    assert sup(F) == 0.0
-    assert sup(Z_alpha - 1.0) == 0.0
+def test_reconstruct_trivial(grid, monkeypatch):
+    # the 4 rows of a zero W or U spectrum are zeros that nothing transforms:
+    # a zero W gives Z = alpha and Z_a = 1 exactly and leaves F and F_a the
+    # bytes they are beside a nonzero W, and the other way round.  A zero W
+    # or U makes 4 real transforms in 1 call, and both zero make none (the
+    # parent read 8 in 2 for each).  Every array returned is its own: no zero
+    # row leaks out read-only.
+    rng = np.random.default_rng(11)
+    w_hat, u_hat = band_limited(grid, rng).fft, band_limited(grid, rng).fft
+    zero = zero_field(grid).fft
+    Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    for spectra, budget in (((zero, u_hat), (4, 1)), ((w_hat, zero), (4, 1)),
+                            ((zero, zero), (0, 0))):
+        counts.update(transforms=0, transform_calls=0)
+        got = reconstruct(grid, *spectra)
+        assert (counts["transforms"], counts["transform_calls"]) == budget
+        if spectra[0] is zero:
+            assert np.all(got[0] == grid.alpha) and np.all(got[2] == 1.0)
+        else:
+            assert got[0].tobytes() == Z.tobytes() and got[2].tobytes() == Z_alpha.tobytes()
+        if spectra[1] is zero:
+            assert np.all(got[1] == 0.0) and np.all(got[3] == 0.0)
+        else:
+            assert got[1].tobytes() == F.tobytes() and got[3].tobytes() == F_alpha.tobytes()
+        assert all(a.flags.owndata and a.flags.writeable for a in got)
 
 
 def test_reconstruct_pole_eigenrelation(grid):
@@ -151,15 +173,28 @@ def test_compute_q_pair_value_and_symmetry(grid):
     assert sup(Q.imag - Q.imag[rev]) <= 1e-13
 
 
-def test_zero_fields_derive_as_zero_samples(grid):
+def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
     # zero fields held as their zero half spectra derive, bit for bit, what
-    # fields built from zero samples do
-    zeros = Field(grid, np.zeros(grid.n_points)), Field(grid, np.zeros(grid.n_points))
-    states = (flat_pair_state(grid, 1.0, -6.0, 4 * math.pi),
-              WaveState(*zeros, pair_vortices(1.0, -6.0, 4 * math.pi)))
-    held, sampled = (derive(grid, *s.arrays, s.strengths) for s in states)
-    for name in Derived._fields:
-        assert np.array_equal(getattr(held, name), getattr(sampled, name)), name
+    # fields built from zero samples do, with W, U or both zero; and neither
+    # zero spectrum, held or transformed from zero samples, is transformed
+    # back: a derive makes 14 real transforms less the 4 rows of each zero
+    # field (the parent read 14 for every case)
+    bump = band_limited(grid, np.random.default_rng(5), scale=1e-2)
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    for zero, transforms in (("WU", 6), ("W", 10), ("U", 10)):
+        held, sampled = (
+            WaveState(*(form() if name in zero else bump for name in "WU"),
+                      pair_vortices(1.0, -6.0, 4 * math.pi))
+            for form in (lambda: zero_field(grid), lambda: Field(grid, np.zeros(grid.n_points))))
+        inputs = [(*s.arrays, s.strengths) for s in (held, sampled)]  # rfft of sampled zeros
+        records = []
+        for args in inputs:
+            counts["transforms"] = 0
+            records.append(derive(grid, *args))
+            assert counts["transforms"] == transforms, zero
+        for name, a, b in zip(Derived._fields, *records):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (zero, name)
 
 
 @pytest.mark.parametrize("vortices", [pair_vortices(1.0, -6.0, 4 * math.pi), ()],
@@ -382,6 +417,39 @@ def test_stage_budget(monkeypatch):
         assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
         assert counts["transforms"] == transforms
         assert counts["transform_calls"] == 5
+
+
+@pytest.mark.parametrize("case, budget", [("nonzero", (14, 4)), ("W zero", (10, 3)),
+                                          ("U zero", (10, 3)), ("zero_field", (6, 2)),
+                                          ("zero_wave", (6, 2)), ("no vortex", (4, 2))])
+def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
+    # derive with the pair on 2^10 points makes 14 real transforms in 4
+    # calls: the 8 inverse rows of W and U (reconstruct) and 3 rows forward
+    # and back after the pole kernels.  The 4 rows of a zero W or U spectrum
+    # are zeros that nothing transforms, whether the zero is held
+    # (zero_field) or transformed from samples that hold -0.0 (make_initial's
+    # zero_wave); without vortices the second pass is 2 rows.  The parent
+    # read 14 in 4 calls on every case with the pair, 12 in 4 without.
+    from vortexwavelab.sim import make_initial
+    start = canonical_start(2 ** 10)
+    grid = start.grid
+    pair = dict(positions=start.positions, strengths=start.strengths)
+    states = {
+        "nonzero": start,
+        "W zero": WaveState(zero_field(grid), start.U, **pair),
+        "U zero": WaveState(start.W, zero_field(grid), **pair),
+        "zero_field": WaveState(zero_field(grid), zero_field(grid), **pair),
+        "zero_wave": make_initial("zero_wave", 0.0, PairConfig(1.0, -2.0, TWO_PI), grid),
+        "no vortex": WaveState(zero_field(grid), zero_field(grid)),
+    }
+    state = states[case]
+    if case == "zero_wave":   # an allocated zero spectrum that holds a -0.0
+        assert state.W.fft.flags.owndata and np.any(np.signbit(state.W.fft.real))
+    y = state.arrays
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    derive(grid, *y, state.strengths)
+    assert (counts["transforms"], counts["transform_calls"]) == budget
 
 
 def test_run_step_budget(monkeypatch):
