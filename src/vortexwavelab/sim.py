@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NonFiniteStateError, PicardDivergedError, VortexProximityError
 from .gevrey import GevreyParams, energy, power_spectrum
-from .grid import Field, field_from_function
+from .grid import Field, field_from_function, zero_field
 from .spectral import low_pass
 from .waves import (Vortex, WaveState, b_residual, chord_arc_constant, derive,
                     refine_minimum, rhs)
@@ -72,8 +72,9 @@ class IntegratorConfig:
 def make_initial(kind, amplitude, pair, grid):
     """Initial state: wave profile plus the symmetric counter-rotating pair.
 
-    kind "zero_wave" gives W = U = 0 and takes amplitude 0 only; "odd_bump"
-    gives W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying),
+    kind "zero_wave" gives W = U = :func:`grid.zero_field`, which hold no
+    memory, and takes amplitude 0 only; "odd_bump" gives
+    W0 = U0 = amplitude * a * exp(-a^2/4) (odd, rapidly decaying),
     low-passed; W and U share one half spectrum.
     The vortices sit at -x + iy (strength +lam) and x + iy (strength -lam).
     """
@@ -83,8 +84,11 @@ def make_initial(kind, amplitude, pair, grid):
         raise ValueError("unknown initial kind %r" % kind)
     if kind == "zero_wave" and amplitude != 0.0:
         raise ValueError("amplitude must be 0 for a zero_wave, got %r" % (amplitude,))
-    W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
-    U = Field.from_spectrum(grid, W.fft)
+    if kind == "zero_wave":
+        W = U = zero_field(grid)
+    else:
+        W = low_pass(field_from_function(grid, lambda a: amplitude * a * np.exp(-a * a / 4.0)))
+        U = Field.from_spectrum(grid, W.fft)
     vortices = ()
     if pair is not None:
         if pair.y >= 0:

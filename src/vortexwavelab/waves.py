@@ -31,18 +31,17 @@ each sampled array, for callers that read Fields.  Every vortex term is
 array algebra over the (m, n) stacks of the periodized pole kernels, taken
 from one complex exponential over the grid (:func:`pole_kernels`).
 
-A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 16 real
-transforms (14 without vortices) in 5 calls, three passes ordered by what
-each needs:
+A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 14 real
+transforms, with or without vortices, in 5 calls, three passes ordered
+by what each needs:
 
 1. 8 inverse rows in two calls of :func:`spectral.apply_multiplier`:
    W, CW, dW/da and |d/da| W, then the same of U, from the spectra the
    steppers carry (:func:`reconstruct`); a zero W or U spectrum saves its
    call and its 4 rows, which are zeros (a C05 derivation, with W = U = 0
-   and the pair, makes 6 real transforms in 2 calls);
-2. after the pole kernels, 3 rows forward and back: C Im h (for b),
-   |d/da| |DtZ|^2 (for A1) and, with vortices, C Im G2 (the vortex term
-   of A1) (:func:`stage_projections`);
+   and the pair, makes 4 real transforms in 2 calls);
+2. after the pole kernels, 2 rows forward and back: C Im g for b and
+   C Re P for A1 (:func:`stage_projections`);
 3. 2 rows forward: the half spectra of dW/dt and dU/dt, which the
    half-band mask low-passes and the stage returns (:func:`rhs`).
 
@@ -52,28 +51,35 @@ write into the grid's workspace (:meth:`GridSpec.workspace`), which
 on a later pass.  Views of it stay inside this module: every array of
 :class:`Derived` and every slope of :func:`rhs` is its own.
 
-A1 takes one projection besides |D||DtZ|^2, with |D| = |d/da|.  In its
-definition (:func:`compute_A1`) the squared-difference integral is
-Re{conj(DtZ) |D| DtZ} - |D||DtZ|^2 / 2, and the vortex sum, as (I - H) is
-complex linear and zdot_j a constant, is with G1 = sum_j lam_j Z_a K2_j
-and G2 = sum_j lam_j zdot_j Z_a K2_j
+b and A1 are each one part of (I - H), which is I + C on real parts
+(H = iC), applied to one pointwise product:
 
-    sum_j lam_j Re{(I-H)[Z_a K2_j] (DtZ - zdot_j)}
-        = Re{DtZ (I-H) G1} - (Re G2 + C Im G2).
+    b  = Re g + C Im g + <U>,        g = DtZ / Z_a,
+    A1 = 1 - Im P + C Re P,          P = DtZ F_a + Z_a DtQ,
 
-Differentiating the periodized kernel gives d/da K1_j(Z) = -Z_a K2_j, so
-Q_a = (i/2pi) G1 and |D|Q = -C Q_a = -(i/2pi) C G1; and |D|F = i F_a with
-F_a = U_a - i|D|U.  With DtZ = conj(F + Q) the C G1 terms of the two parts
-cancel, which leaves
+<U> the interval mean of U; without vortices A1 is Wu's
+1 - Im (I - H)[DtZ F_a].
 
-    A1 = 1 - Im(DtZ F_a) - |D||DtZ|^2 / 2
-           - (1/2pi) [Re(DtZ G1) - Re G2 - C Im G2].
+*b.*  b minus h + conj(F), h = DtZ (1/Z_a - 1) + conj(Q), must be the
+boundary value of a function holomorphic below and decaying, annihilated
+by (I - H)/2 up to its mean, so b = Re h + C Im h + 2U.  DtZ = conj(F + Q)
+gives h = g - conj(F), Im h = Im g + CU, and C C U = -(U - <U>) for a U
+with no Nyquist mode, as every stage's U is low-passed (b leaves out a
+Nyquist mode of U, as its defining property asks).
 
-b is computed from its defining property: b minus the holomorphic pieces
-(D_t Z (1/Z_a - 1) + conj(Q) + conj(F)) must itself be the boundary value
-of a function holomorphic below and decaying, i.e. annihilated by the
-projection (I - H)/2 up to its mean.  :func:`b_residual` measures exactly
-that (formula-convention independent, which is the point).  It,
+*A1.*  In its definition (:func:`compute_A1`) the squared-difference
+integral is Re{conj(DtZ) |D| DtZ} - |D||DtZ|^2 / 2, |D| = |d/da| = -C d/da,
+and the vortex sum, with G1 = sum_j lam_j Z_a K2_j and
+G2 = sum_j lam_j zdot_j Z_a K2_j, is Re{DtZ (I-H) G1} - Re G2 - C Im G2.
+As d/da K1_j(Z) = -Z_a K2_j, Q_a = (i/2pi) G1; with |D|F = i F_a the
+C G1 terms cancel, and Z_a DtQ = (i/2pi)(DtZ G1 - G2) leaves
+A1 = 1 - Im P - |D||DtZ|^2 / 2 + (1/2pi) C Im G2.  As F_a + Q_a = d/da
+conj(DtZ), Re P = (1/2) d/da |DtZ|^2 + (1/2pi) Im G2, whose C is that
+rest: C d/da = -|D| but at the Nyquist mode, where C is 0.
+
+:func:`b_residual` measures how well b meets that defining property,
+from h and conj(F) recomputed out of the record, not from g
+(formula-convention independent, which is the point).  It,
 :func:`chord_arc_constant` and :func:`refine_minimum` (the refined
 minimum of A1) are plain functions over a record's arrays, which only
 the monitor calls, so right-hand-side stages never pay for them.
@@ -215,13 +221,14 @@ def b_residual(grid, d):
     """||P_-( b - DtZ(1/Z_a - 1) - conj(Q) - conj(F) )||_L2 of the record
     d, with P_- = (I - H)/2 minus its interval mean, which annihilates
     decaying boundary values of lower-half-plane holomorphic functions; at
-    most 1e-6 * (1 + ||b||_L2) for a trustworthy b.  It recomputes
-    DtZ (1/Z_a - 1) + conj(Q) from the record rather than take the h that
-    :func:`derive` built b from, so a wrong h in b shows here."""
-    # g is named: numpy would multiply into the temporary 1/Z_a - 1 as g * DtZ,
+    most 1e-6 * (1 + ||b||_L2) for a trustworthy b.  It keeps the defining
+    form, recomputed from the record, not the g = DtZ / Z_a that
+    :func:`derive` builds b from, so it checks b independently: a wrong g
+    in b shows here."""
+    # r is named: numpy would multiply into the temporary 1/Z_a - 1 as r * DtZ,
     # and its complex product is not commutative bit for bit
-    g = 1.0 / d.Z_alpha - 1.0
-    resid = d.b - d.DtZ * g - np.conj(d.Q) - np.conj(d.F)
+    r = 1.0 / d.Z_alpha - 1.0
+    resid = d.b - d.DtZ * r - np.conj(d.Q) - np.conj(d.F)
     c_re, c_im = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(resid.real, resid.imag))
     p = 0.5 * (resid - 1j * (c_re + 1j * c_im))
     p -= np.mean(p)
@@ -301,70 +308,51 @@ def vortex_velocity(grid, F, Z_alpha, z, lam, K1):
     return np.conj(u) + mutual.sum(axis=1)
 
 
-def compute_DtQ(grid, Z_alpha, DtZ, lam, zdots, K2):
-    """(DtQ, G1, G2) from two combinations of the kernel stack K2:
+def compute_DtQ(grid, DtZ, lam, zdots, K2):
+    """DtQ from two combinations of the kernel stack K2:
 
         DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) K2_j = (i / 2 pi)(DtZ S1 - S2),
 
-    S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j, and the sums
-    the vortex term of A1 projects, G1 = Z_a S1 and G2 = Z_a S2.
+    S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j; zeros without
+    vortices.
     """
     scratch = pole_stacks(grid, len(lam))[1]
     S1 = combine(lam, K2, scratch)
     S2 = combine(lam * zdots, K2, scratch)
-    DtQ = (1j / TWO_PI) * (DtZ * S1 - S2)
-    S1 *= Z_alpha
-    S2 *= Z_alpha
-    return DtQ, S1, S2
+    return (1j / TWO_PI) * (DtZ * S1 - S2)
 
 
-def stage_projections(grid, h, DtZ, G2, with_vortices):
-    """The stacked pass of a stage after the pole kernels: the (3, n) array
-    of the rows
-
-        C Im h,   |D| |DtZ|^2,   C Im G2,
-
-    one forward and one inverse transform for all of them; without
-    vortices the last row is left out (G2 = 0).
-    """
-    rows = (h.imag, DtZ.real * DtZ.real + DtZ.imag * DtZ.imag)
-    multipliers = (grid.i_sgn, grid.wavenumbers)
-    if with_vortices:
-        rows += (G2.imag,)
-        multipliers += (grid.i_sgn,)
-    return apply_multiplier(grid, multipliers, rows=rows)
+def stage_projections(grid, g, P):
+    """The stacked pass of a stage after the pole kernels: the (2, n) array
+    of the rows C Im g (for b) and C Re P (for A1), one forward and one
+    inverse transform for both, with or without vortices."""
+    return apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(g.imag, P.real))
 
 
-def compute_b(u, h, c_im_h):
+def compute_b(g, c_im_g, mean_u):
     """Transport coefficient
 
         b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
 
-    one projection of the summed holomorphic pieces h, as Re h + C Im h,
-    with C Im h from :func:`stage_projections`.  How well b meets its
-    defining property is :func:`b_residual`.
+    as the one projection of g = DtZ / Z_a of the module docstring,
+    b = Re g + C Im g + <U>, with C Im g from :func:`stage_projections`
+    and ``mean_u`` the interval mean <U>.  How well b meets its defining
+    property is :func:`b_residual`.
     """
-    return h.real + c_im_h + 2.0 * u
+    return g.real + c_im_g + mean_u
 
 
-def compute_A1(DtZ, F_alpha, G1, G2, rows):
+def compute_A1(P, c_re_p):
     """Taylor-sign coefficient
 
          A1 = 1 + (1/2pi) int |DtZ(a) - DtZ(b)|^2/(a-b)^2 db
                 - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }
 
-    as the projection-free form of the module docstring,
-
-         A1 = 1 - Im(DtZ F_a) - |D||DtZ|^2 / 2
-                - (1/2pi) [Re(DtZ G1) - Re G2 - C Im G2],
-
-    from the rows of :func:`stage_projections` after C Im h: ``rows`` is
-    |D||DtZ|^2 and, with vortices, C Im G2.
+    as the one projection of P = DtZ F_a + Z_a DtQ of the module
+    docstring, A1 = 1 - Im P + C Re P, with C Re P from
+    :func:`stage_projections`.
     """
-    out = 1.0 - (DtZ.real * F_alpha.imag + DtZ.imag * F_alpha.real) - 0.5 * rows[0]
-    if len(rows) > 1:
-        out -= (DtZ.real * G1.real - DtZ.imag * G1.imag - G2.real - rows[1]) / TWO_PI
-    return out
+    return 1.0 - P.imag + c_re_p
 
 
 def refine_minimum(alpha, values):
@@ -411,12 +399,13 @@ def derive(grid, w_hat, u_hat, z, lam):
     Q = compute_Q(grid, lam, K1)
     DtZ = np.conj(F + Q)
     zdots = vortex_velocity(grid, F, Z_alpha, z, lam, K1)
-    DtQ, G1, G2 = compute_DtQ(grid, Z_alpha, DtZ, lam, zdots, K2)
+    DtQ = compute_DtQ(grid, DtZ, lam, zdots, K2)
     del K1, K2  # workspace views, which the stacked pass overwrites
-    h = DtZ * (1.0 / Z_alpha - 1.0) + np.conj(Q)
-    proj = stage_projections(grid, h, DtZ, G2, len(z) > 0)
-    b = compute_b(F.real, h, proj[0])
-    A1 = compute_A1(DtZ, F_alpha, G1, G2, proj[1:])
+    g = DtZ / Z_alpha
+    P = DtZ * F_alpha + Z_alpha * DtQ
+    c_im_g, c_re_p = stage_projections(grid, g, P)
+    b = compute_b(g, c_im_g, u_hat[0].real / n)
+    A1 = compute_A1(P, c_re_p)
     return Derived(Z, Z_alpha, F_alpha, F, Q, DtZ, DtQ, b, A1,
                    A1 / np.abs(Z_alpha) ** 2, -DtQ.real, zdots, d_I)
 

@@ -177,12 +177,12 @@ def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
     # zero fields held as their zero half spectra derive, bit for bit, what
     # fields built from zero samples do, with W, U or both zero; and neither
     # zero spectrum, held or transformed from zero samples, is transformed
-    # back: a derive makes 14 real transforms less the 4 rows of each zero
-    # field (the parent read 14 for every case)
+    # back: a derive makes 12 real transforms less the 4 rows of each zero
+    # field (the parent, whose second pass was 3 rows, read 6, 10 and 10)
     bump = band_limited(grid, np.random.default_rng(5), scale=1e-2)
     counts = {"transforms": 0, "transform_calls": 0}
     count_transforms(monkeypatch, counts)
-    for zero, transforms in (("WU", 6), ("W", 10), ("U", 10)):
+    for zero, transforms in (("WU", 4), ("W", 8), ("U", 8)):
         held, sampled = (
             WaveState(*(form() if name in zero else bump for name in "WU"),
                       pair_vortices(1.0, -6.0, 4 * math.pi))
@@ -379,14 +379,14 @@ def test_rhs_preserves_oddness(grid):
 def test_stage_budget(monkeypatch):
     # one RHS stage (rhs) on a stage layout the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
-    # 16 real transforms in 5 transform calls.  A call on k rows counts k
-    # real transforms (a complex field is two rows, its real and imaginary
-    # parts).  The stage makes three passes: 8 inverse rows in two calls
-    # from the spectra of W and U, which _advance carries, so neither is
-    # transformed forward; 3 rows forward and back after the pole kernels;
-    # 2 rows forward to low-pass dW/dt and dU/dt, which stay spectra.
-    # Without vortices the middle pass drops its C Im G2 row: 14
-    # transforms.  The
+    # 14 real transforms in 5 transform calls, with or without vortices.  A
+    # call on k rows counts k real transforms (a complex field is two rows,
+    # its real and imaginary parts).  The stage makes three passes: 8
+    # inverse rows in two calls from the spectra of W and U, which _advance
+    # carries, so neither is transformed forward; 2 rows (C Im g and
+    # C Re P) forward and back after the pole kernels; 2 rows forward to
+    # low-pass dW/dt and dU/dt, which stay spectra.  The parent read 16
+    # with vortices and 14 without: its middle pass was 3 rows, or 2.  The
     # transforms are counted at np.fft, the one backend of the package.
     import sys
 
@@ -410,7 +410,7 @@ def test_stage_budget(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    for start, y, transforms in zip(starts, stages, (16, 14)):
+    for start, y, transforms in zip(starts, stages, (14, 14)):
         counts.update(dict.fromkeys(counts, 0))
         rhs(grid, y, start.strengths)
         assert counts["pole_kernels"] == 1
@@ -419,27 +419,29 @@ def test_stage_budget(monkeypatch):
         assert counts["transform_calls"] == 5
 
 
-@pytest.mark.parametrize("case, budget", [("nonzero", (14, 4)), ("W zero", (10, 3)),
-                                          ("U zero", (10, 3)), ("zero_field", (6, 2)),
-                                          ("zero_wave", (6, 2)), ("no vortex", (4, 2))])
+@pytest.mark.parametrize("case, budget", [("nonzero", (12, 4)), ("W zero", (8, 3)),
+                                          ("U zero", (8, 3)), ("zero_field", (4, 2)),
+                                          ("zero_wave", (4, 2)), ("no vortex", (4, 2))])
 def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
-    # derive with the pair on 2^10 points makes 14 real transforms in 4
-    # calls: the 8 inverse rows of W and U (reconstruct) and 3 rows forward
-    # and back after the pole kernels.  The 4 rows of a zero W or U spectrum
-    # are zeros that nothing transforms, whether the zero is held
-    # (zero_field) or transformed from samples that hold -0.0 (make_initial's
-    # zero_wave); without vortices the second pass is 2 rows.  The parent
-    # read 14 in 4 calls on every case with the pair, 12 in 4 without.
-    from vortexwavelab.sim import make_initial
+    # derive with the pair on 2^10 points makes 12 real transforms in 4
+    # calls: the 8 inverse rows of W and U (reconstruct) and 2 rows forward
+    # and back after the pole kernels, with or without vortices.  The 4 rows
+    # of a zero W or U spectrum are zeros that nothing transforms, whether
+    # the zero is held (zero_field, as make_initial's zero_wave holds it) or
+    # transformed from samples that hold -0.0 (the zero_wave case, the
+    # low-passed zero bump).  The parent read 14, 10, 10, 6, 6 and 4: its
+    # second pass was 3 rows with the pair.
     start = canonical_start(2 ** 10)
     grid = start.grid
     pair = dict(positions=start.positions, strengths=start.strengths)
+    zero_bump = low_pass(field_from_function(grid, lambda a: 0.0 * a * np.exp(-a * a / 4.0)))
     states = {
         "nonzero": start,
         "W zero": WaveState(zero_field(grid), start.U, **pair),
         "U zero": WaveState(start.W, zero_field(grid), **pair),
         "zero_field": WaveState(zero_field(grid), zero_field(grid), **pair),
-        "zero_wave": make_initial("zero_wave", 0.0, PairConfig(1.0, -2.0, TWO_PI), grid),
+        "zero_wave": WaveState(zero_bump, Field.from_spectrum(grid, zero_bump.fft),
+                               pair_vortices(1.0, -2.0, TWO_PI)),
         "no vortex": WaveState(zero_field(grid), zero_field(grid)),
     }
     state = states[case]
@@ -453,10 +455,10 @@ def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
 
 
 def test_run_step_budget(monkeypatch):
-    # an RK4 step of run_simulation with vortices takes 64 real transforms:
+    # an RK4 step of run_simulation with vortices takes 56 real transforms:
     # the first stage on the state's record (its low-pass, 2), three full
-    # stages (48) and the derive of the new state (the stage without its
-    # low-pass, 14).  The new state's W and U stay half spectra, so a
+    # stages (42) and the derive of the new state (the stage without its
+    # low-pass, 12); the parent read 64, its stages 16.  The new state's W and U stay half spectra, so a
     # monitored row adds the 2 inverse transforms of their samples to the
     # monitor's b_residual (2 rows forward and back, 4).  Two runs that
     # differ by one step, each monitoring its first and last rows only,
@@ -476,7 +478,7 @@ def test_run_step_budget(monkeypatch):
                              stride=stride)
         assert res.exit_reason == "completed" and len(res.records) == 1 + steps // stride
         totals.append(counts["transforms"])
-    assert totals[1] - totals[0] == 64
+    assert totals[1] - totals[0] == 56
     assert totals[2] - totals[1] == 2 * (4 + 2)
 
 
@@ -587,6 +589,50 @@ def test_a1_matches_the_projection_form(name):
     assert np.max(np.abs(d.A1.samples - A1)) <= 1e-12 * np.max(np.abs(A1))
 
 
+def projection_identity_state(name):
+    """A state for the one-projection forms of b and A1 at n = 2^12: the
+    canonical start, or band-limited W and U, U with a nonzero mean, under
+    two unequal vortices, none or three."""
+    if name == "canonical":
+        return canonical_start(2 ** 12)
+    grid = GridSpec(200.0, 2 ** 12)
+    rng = np.random.default_rng(43)
+    W, U = (band_limited(grid, rng, modes=48, scale=0.05) for _ in range(2))
+    vortices = {"non_odd_mean_u": (Vortex(-1.3 - 4.0j, 7.0), Vortex(0.6 - 5.5j, -3.0)),
+                "no_vortex": (), "three_vortices": IDENTITY_VORTICES["three_vortices"]}
+    return WaveState(W, Field(grid, U.samples + 0.3), vortices[name])
+
+
+@pytest.mark.parametrize("name", ["canonical", "non_odd_mean_u", "no_vortex", "three_vortices"])
+def test_b_and_a1_are_one_projection_each(name):
+    # b = Re g + C Im g + <U> and A1 = 1 - Im P + C Re P, one (I - H)
+    # projection each of g = DtZ / Z_a and P = DtZ F_a + Z_a DtQ, against
+    # the forms the parent's stage computed, operator by operator through
+    # spectral.hilbert (C = -iH): b = Re (I - H) h + 2U with
+    # h = DtZ (1/Z_a - 1) + conj(Q), and the three-row
+    # A1 = 1 - Im(DtZ F_a) - |D||DtZ|^2 / 2 - (1/2pi) [Re(DtZ G1) - Re G2 - C Im G2]
+    # with G1 = sum_j lam_j Z_a K2_j and G2 = sum_j lam_j zdot_j Z_a K2_j.
+    # The kernels are the stage's own, copied out of the workspace.
+    state = projection_identity_state(name)
+    grid, lam = state.grid, state.strengths
+    d = record_of(state)
+    K2 = pole_kernels(grid, d.Z, state.positions)[1].copy()
+    h = d.DtZ * (1.0 / d.Z_alpha - 1.0) + np.conj(d.Q)
+    b = (h - hilbert(Field(grid, h)).samples).real + 2.0 * state.U.samples
+    G1 = d.Z_alpha * np.sum(lam[:, None] * K2, axis=0)
+    G2 = d.Z_alpha * np.sum((lam * d.zdots)[:, None] * K2, axis=0)
+    c_im_g2 = hilbert(Field(grid, G2.imag)).samples.imag
+    A1 = (1.0 - (d.DtZ * d.F_alpha).imag
+          - 0.5 * lambda_op(Field(grid, np.abs(d.DtZ) ** 2)).samples
+          - ((d.DtZ * G1).real - G2.real - c_im_g2) / TWO_PI)
+    # the canonical b (1.8e-3) is small against its parts, of the size of DtZ,
+    # whose round-off it keeps: it reads 8.4e-17 off, and A1 at most
+    # 1.9e-14 (three vortices)
+    for got, want in ((d.b, b), (d.A1, A1)):
+        scale = max(np.max(np.abs(want)), np.max(np.abs(d.DtZ)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 def test_steppers_carry_the_spectra_of_w_and_u():
     # the spectra _advance and reversed_state attach are the rfft of the
     # samples they go with, to round-off
@@ -638,10 +684,12 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
 
 
 def test_b_residual_sees_a_wrong_b(monkeypatch):
-    # b_residual recomputes DtZ (1/Z_a - 1) + conj(Q) rather than take the h
-    # derive builds b from, so a b built from a wrong h (1e-4 off, its
-    # projection C Im h too), or a b off by a smooth bump, reads far above
-    # the round-off of the canonical state (8.5e-9 and 7.9e-7 against 2.3e-16)
+    # b_residual keeps the defining form of b rather than take the
+    # g = DtZ / Z_a derive builds b from, so a b built from a wrong g (1e-4
+    # off, its projection C Im g too), or a b off by a smooth bump, reads
+    # far above the round-off of the canonical state (2.3e-7 and 7.9e-7
+    # against 2.1e-16; the parent, whose b was built from h = g - conj(F),
+    # read 8.5e-9 for the same mutant on h, 7.9e-7 and 2.3e-16)
     import vortexwavelab.waves as waves
     state = canonical_start(2 ** 12)
     grid = state.grid
@@ -651,10 +699,10 @@ def test_b_residual_sees_a_wrong_b(monkeypatch):
     assert residual() <= 1e-12
     compute_b = waves.compute_b
     monkeypatch.setattr(waves, "compute_b",
-                        lambda u, h, c: compute_b(u, h * (1 + 1e-4), c * (1 + 1e-4)))
+                        lambda g, c, u: compute_b(g * (1 + 1e-4), c * (1 + 1e-4), u))
     assert residual() > 1e-12
     monkeypatch.setattr(waves, "compute_b",
-                        lambda u, h, c: compute_b(u, h, c) + 1e-6 * np.exp(-grid.alpha ** 2))
+                        lambda g, c, u: compute_b(g, c, u) + 1e-6 * np.exp(-grid.alpha ** 2))
     assert residual() > 1e-12
 
 
