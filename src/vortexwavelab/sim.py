@@ -217,9 +217,11 @@ def step_picard(state, dt, config):
 
 def symmetry_defect(state):
     """Deviation from the odd/symmetric-pair structure: sup of
-    |f(a) + f(-a)| over W and U plus the pair-position defects."""
-    idx = (-np.arange(state.grid.n_points)) % state.grid.n_points
-    defect = max(float(np.max(np.abs(f.samples + f.samples[idx]))) for f in (state.W, state.U))
+    |f(a) + f(-a)| over W and U plus the pair-position defects.  The node
+    -alpha of alpha_i is alpha_{n - i}, and -alpha_0 = L is alpha_0 itself,
+    so the sums are a reversed view's, f[1:] + f[:0:-1], and 2 f[0]."""
+    defect = max(float(np.max(np.abs(f[1:] + f[:0:-1]), initial=abs(2.0 * f[0])))
+                 for f in (state.W.samples, state.U.samples))
     if len(state.positions) == 2:
         z1, z2 = state.positions
         defect = max(defect, abs(z1.real + z2.real), abs(z1.imag - z2.imag))

@@ -36,7 +36,7 @@ tanh, exp and products 1-3 ns.
 import numpy as np
 
 from .errors import VortexProximityError
-from .grid import Field, check_same_grid, zero_field
+from .grid import Field, check_same_grid
 
 MIN_SPACINGS = 4.0  # nearest approach of a pole to the curve the quadratures resolve
 
@@ -234,7 +234,8 @@ def _circulant(grid, kernel, spectra):
     whose multiplier is the rfft of one kernel row, 0 on the diagonal and taken
     at the separation of least modulus (near +-2L the argument would lose the
     relative accuracy of the near-diagonal cells).  A field's own parts come
-    as its cached spectrum (:func:`_parts`); only product rows are transformed."""
+    as its cached spectrum (:func:`_parts`); only product rows are transformed,
+    and the zero imaginary part of a real field or product is no row at all."""
     n = grid.n_points
     row = np.zeros(n)
     row[1:] = kernel(grid.spacing * np.fft.fftfreq(n, 1.0 / n)[1:], grid.half_length)
@@ -244,16 +245,29 @@ def _circulant(grid, kernel, spectra):
 
 
 def _parts(f):
-    """The half spectra of Re f and Im f: the field's cached :attr:`Field.fft`,
-    with the spectrum of :func:`grid.zero_field` as the imaginary part of a
-    real field."""
-    return f.fft if f.is_complex else (f.fft, zero_field(f.grid).fft)
+    """The half spectra of Re f and, for a complex f, of Im f: the field's
+    cached :attr:`Field.fft`.  A real field's zero imaginary part has none."""
+    return f.fft if f.is_complex else (f.fft,)
+
+
+def _rows(x):
+    """The real rows of the samples x, as a (k, n) array: Re x and Im x for
+    a complex x, x itself (a view) for a real one."""
+    return np.stack((x.real, x.imag)) if np.iscomplexobj(x) else x[None]
+
+
+def _joined(rows):
+    """The samples of the real rows of :func:`_rows`: Re + i Im, or the one row."""
+    return rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0]
 
 
 def sq_diff_from_rows(f, lam_rows):
     """Re{conj(f) Lf} - L(|f|^2)/2 from ``lam_rows``, the images of Re f, Im f
-    and |f|^2 under a multiplier L (|k| on the spectral path)."""
-    return f.real * lam_rows[0] + f.imag * lam_rows[1] - 0.5 * lam_rows[2]
+    (for a complex f only) and |f|^2 under a multiplier L (|k| on the
+    spectral path)."""
+    if np.iscomplexobj(f):
+        return f.real * lam_rows[0] + f.imag * lam_rows[1] - 0.5 * lam_rows[2]
+    return f * lam_rows[0] - 0.5 * lam_rows[1]
 
 
 def sq_diff_integral(f, method="spectral", out_indices=None):
@@ -263,11 +277,11 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
 
         (1/2pi) int |f(a)-f(b)|^2/(a-b)^2 db = Re{conj(f) Lf} - L(|f|^2)/2,
 
-    with L = |d/da| (three rows in one stacked pass, exact for resolved
-    fields).
+    with L = |d/da| (three rows in one stacked pass, two for a real f,
+    exact for resolved fields).
     method="quadrature" performs the trapezoid sum with the periodized
     1/(a-b)^2 kernel and the diagonal cell set to its limit |f'(a)|^2, as
-    S|f|^2 - 2 Re{conj(f) Kf} + K|f|^2 (:func:`_circulant`) over the same three
+    S|f|^2 - 2 Re{conj(f) Kf} + K|f|^2 (:func:`_circulant`) over the same
     rows; ``out_indices``, if given, is returned with the field, whose points
     it selects.  The two paths agree to aliasing level and are cross-checked
     in the test suite.  The result is nonnegative.  Both paths take Re f and
@@ -279,7 +293,7 @@ def sq_diff_integral(f, method="spectral", out_indices=None):
     sq = s.real * s.real + s.imag * s.imag
     spectra = (*_parts(f), np.fft.rfft(sq))
     if method == "spectral":
-        lam = apply_multiplier(grid, (grid.wavenumbers,) * 3, spectra=spectra)
+        lam = apply_multiplier(grid, (grid.wavenumbers,) * len(spectra), spectra=spectra)
         return Field(grid, sq_diff_from_rows(s, lam))
 
     fp = derivative(f).samples
@@ -296,17 +310,18 @@ def pv_commutator(f, g):
     periodized kernel, diagonal cell f'(a) g(a) / (pi i).
 
     Over j != i the sum is f Kg - K(fg) (:func:`_circulant`: one pass over g's
-    cached spectrum and the two parts of fg, the only rows transformed).
+    cached spectrum and the parts of fg, the only rows transformed).
     Agrees with f*Hg - H(fg) to quadrature accuracy; intended for
     verification rather than the per-step assembly.
     """
     grid = check_same_grid(f, g)
     fp = derivative(f).samples
     fg = f.samples * g.samples
+    g_parts = _parts(g)
     k_rows, _ = _circulant(grid, periodic_cauchy_kernel,
-                           (*_parts(g), *np.fft.rfft(np.stack((fg.real, fg.imag)))))
-    total = f.samples * (k_rows[0] + 1j * k_rows[1]) - (k_rows[2] + 1j * k_rows[3]) \
-        + fp * g.samples
+                           (*g_parts, *np.fft.rfft(_rows(fg))))
+    m = len(g_parts)
+    total = f.samples * _joined(k_rows[:m]) - _joined(k_rows[m:]) + fp * g.samples
     return Field(grid, total * (grid.spacing / (1j * np.pi)))
 
 
@@ -318,5 +333,5 @@ def hilbert_quadrature(f):
     fp = derivative(f).samples
     k_rows, k_sum = _circulant(grid, periodic_cauchy_kernel, _parts(f))
     # Kf - Sf, and the diagonal cell: the limit -f'(a) of (f(b)-f(a)) * kernel(a-b)
-    total = k_rows[0] + 1j * k_rows[1] - k_sum * f.samples - fp
+    total = _joined(k_rows) - k_sum * f.samples - fp
     return Field(grid, total * (grid.spacing / (1j * np.pi)))

@@ -32,20 +32,22 @@ array algebra over the (m, n) stacks of the periodized pole kernels, taken
 from one complex exponential over the grid (:func:`pole_kernels`).
 
 A stage (:func:`derive` then the low-pass of :func:`rhs`) makes 14 real
-transforms, with or without vortices, in 5 calls, three passes ordered
-by what each needs:
+transforms, with or without vortices, counting a complex n-point
+transform as 2, in 7 calls, three passes ordered by what each needs:
 
-1. 8 inverse rows in two calls of :func:`spectral.apply_multiplier`:
-   W, CW, dW/da and |d/da| W, then the same of U, from the spectra the
-   steppers carry (:func:`reconstruct`); a zero W or U spectrum saves its
-   call and its 4 rows, which are zeros (a C05 derivation, with W = U = 0
-   and the pair, makes 4 real transforms in 2 calls);
-2. after the pole kernels, 2 rows forward and back: C Im g for b and
-   C Re P for A1 (:func:`stage_projections`);
+1. 4 complex transforms, one ``fft`` each for Z, Z_a, F and F_a, from
+   the spectra the steppers carry (:func:`reconstruct`): each trace is
+   one-sided, so it is the transform of one half spectrum, with no real
+   rows to interleave; a zero W or U spectrum saves its 2 transforms (a
+   C05 derivation, with W = U = 0 and the pair, makes 4 real transforms
+   in 2 calls);
+2. after the pole kernels, 2 rows forward and back in one
+   :func:`spectral.apply_multiplier` pass: C Im g for b and C Re P for
+   A1 (:func:`stage_projections`);
 3. 2 rows forward: the half spectra of dW/dt and dU/dt, which the
    half-band mask low-passes and the stage returns (:func:`rhs`).
 
-The first two passes and the pole-kernel stacks (:func:`pole_stacks`)
+The second pass and the pole-kernel stacks (:func:`pole_stacks`)
 write into the grid's workspace (:meth:`GridSpec.workspace`), which
 :func:`derive` asks for at its largest first, so that it does not grow
 on a later pass.  Views of it stay inside this module: every array of
@@ -79,7 +81,8 @@ rest: C d/da = -|D| but at the Nyquist mode, where C is 0.
 
 :func:`b_residual` measures how well b meets that defining property,
 from h and conj(F) recomputed out of the record, not from g
-(formula-convention independent, which is the point).  It,
+(formula-convention independent, which is the point), by Parseval from
+one forward complex transform (2 real).  It,
 :func:`chord_arc_constant` and :func:`refine_minimum` (the refined
 minimum of A1) are plain functions over a record's arrays, which only
 the monitor calls, so right-hand-side stages never pay for them.
@@ -154,51 +157,71 @@ DerivedFields = namedtuple("DerivedFields", Derived._fields)
 
 
 def reconstruct(grid, w_hat, u_hat):
-    """(Z, F, Z_alpha, F_alpha) from the half spectra of W and U, in two
-    inverse passes of four rows, one per field: with H = iC and
-    C d/da = -|d/da| = -|D|,
+    """(Z, F, Z_alpha, F_alpha) from the half spectra of W and U, one
+    complex transform each: with H = iC and C d/da = -|d/da| = -|D|,
 
-        Z - alpha = W + iCW,  F = U + iCU,  Z_a = 1 + W_a - i|D|W,  F_a = U_a - i|D|U.
+        Z - alpha = (I + H) W,  F = (I + H) U,  Z_a = 1 + d/da (I + H) W,  F_a = d/da (I + H) U.
 
     The plus sign in (I + H) is forced: with the -sgn(k) multiplier it
     projects onto k <= 0 modes, exactly the boundary values of functions
-    holomorphic below the interface, so (I - H)(Z - alpha) vanishes.
+    holomorphic below the interface, so (I - H)(Z - alpha) vanishes.  So
+    each trace is the forward ``fft`` of a one-sided spectrum (:func:`_trace`),
+    the same as W + iCW and dW/da - i|D|W to round-off.
     Raises NonFiniteStateError when a spectrum is not finite, as every
     mode is once one sample is.
 
-    The four rows of a zero spectrum (held, or transformed from zero
-    samples, -0.0 included) are zeros, which nothing transforms: a zero W
-    gives Z = alpha and Z_a = 1 exactly and a zero U gives F = F_a = 0,
-    while the other field's two arrays keep their bits.  Either way the
-    four arrays returned are new.
+    A zero spectrum (held, or transformed from zero samples, -0.0
+    included) transforms nothing: a zero W gives Z = alpha and Z_a = 1
+    exactly and a zero U gives F = F_a = 0, while the other field's two
+    arrays keep their bits.  Either way the four arrays returned are new.
     """
     if not (np.all(np.isfinite(w_hat)) and np.all(np.isfinite(u_hat))):
         raise NonFiniteStateError("non-finite W or U")
-    multipliers = (1.0, grid.i_sgn, grid.ik, grid.wavenumbers)
+    n = grid.n_points
+    if np.any(w_hat):
+        Z, Z_alpha = _trace(grid, w_hat)
+        Z.real += grid.alpha
+        Z_alpha.real += 1.0
+    else:
+        Z, Z_alpha = grid.alpha.astype(np.complex128), np.ones(n, dtype=np.complex128)
+    if np.any(u_hat):
+        F, F_alpha = _trace(grid, u_hat)
+    else:
+        F, F_alpha = np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
+    return Z, F, Z_alpha, F_alpha
 
-    def rows(f_hat):
-        if not np.any(f_hat):
-            return (np.broadcast_to(0.0, (grid.n_points,)),) * 4
-        return apply_multiplier(grid, multipliers, spectra=(f_hat,) * 4)
-    w, c_w, w_a, lam_w = rows(w_hat)
-    Z, Z_alpha = _complex(grid.alpha + w, c_w), _complex(1.0 + w_a, -lam_w)
-    u, c_u, u_a, lam_u = rows(u_hat)
-    return Z, _complex(u, c_u), Z_alpha, _complex(u_a, -lam_u)
 
-
-def _complex(re, im):
-    """The new complex array re + i im, written part by part: at n = 2^14 it
-    takes less than half the time of ``re + 1j * im``, which makes two
-    complex temporaries."""
-    out = np.empty(len(re), dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
+def _trace(grid, f_hat):
+    """(I + H) f and its a-derivative, each a new complex array, from the
+    half spectrum f_hat of the real f.  (I + H) f has the modes -k of f
+    doubled, its mean and the unpaired Nyquist mode once, and nothing at
+    k > 0, so it is (1/n) sum_m v_m exp(-i k_m a) over the half spectrum
+    v = conj(f_hat) so weighted: the forward ``fft`` of v, zero-padded to
+    n.  Its derivative takes v times -ik.  The mean and Nyquist modes
+    enter by their real parts, as ``irfft`` reads them."""
+    n = grid.n_points
+    v = np.conj(f_hat)
+    v[1:-1] *= 2.0
+    v[0], v[-1] = v[0].real, v[-1].real
+    f = np.fft.fft(v, n, norm="forward")
+    v *= grid.ik
+    np.negative(v, out=v)
+    return f, np.fft.fft(v, n, norm="forward")
 
 
 def interface_distance(Z, z):
-    """min over the samples Z and the positions z of |Z(a) - z_j|; inf for no z."""
-    return float(np.min(np.abs(Z - z[:, None]), initial=np.inf))
+    """min over the samples Z and the positions z of |Z(a) - z_j|; inf for no z.
+    The nearest pair is found from the squared distances (dRe)^2 + (dIm)^2,
+    and only its distance is taken as the ``np.abs`` of a complex difference."""
+    if not len(z):
+        return np.inf
+    # one (2, m, n) block: two (m, n) arrays freed beside the stage's own left
+    # heap holes that the next stage faulted in again (twice the minor faults)
+    dx, dy = np.empty((2, len(z), len(Z)))
+    np.subtract(Z.real, z.real[:, None], out=dx)
+    np.subtract(Z.imag, z.imag[:, None], out=dy)
+    j, i = np.unravel_index(np.argmin(_sum_of_squares(dx, dy)), dx.shape)
+    return float(np.abs(Z[i] - z[j]))
 
 
 def chord_arc_constant(grid, Z):
@@ -206,15 +229,29 @@ def chord_arc_constant(grid, Z):
 
     Pairs are taken at every separation s*h with s a power of two (all
     offsets at each separation), which resolves self-approach at any
-    scale without the O(n^2) full search.
+    scale without the O(n^2) full search.  At each separation the nearest
+    pair is found from the squared distances (dRe)^2 + (dIm)^2, and only
+    its distance is taken as the ``np.abs`` of a complex difference.
     """
+    n = grid.n_points
+    x, y = np.ascontiguousarray(Z.real), np.ascontiguousarray(Z.imag)
+    dx, dy = np.empty((2, n))
     best = np.inf
     s = 1
-    while s <= grid.n_points // 2:
-        d = np.abs(Z[s:] - Z[:-s]) / (s * grid.spacing)
-        best = min(best, float(np.min(d)))
+    while s <= n // 2:
+        i = int(np.argmin(_sum_of_squares(np.subtract(x[s:], x[:-s], out=dx[:n - s]),
+                                          np.subtract(y[s:], y[:-s], out=dy[:n - s]))))
+        best = min(best, float(np.abs(Z[i + s] - Z[i])) / (s * grid.spacing))
         s *= 2
     return best
+
+
+def _sum_of_squares(dx, dy):
+    """dx^2 + dy^2, written into dx (dy is overwritten too)."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def b_residual(grid, d):
@@ -224,15 +261,19 @@ def b_residual(grid, d):
     most 1e-6 * (1 + ||b||_L2) for a trustworthy b.  It keeps the defining
     form, recomputed from the record, not the g = DtZ / Z_a that
     :func:`derive` builds b from, so it checks b independently: a wrong g
-    in b shows here."""
+    in b shows here.
+
+    P_- keeps the k > 0 modes of the residual and half its Nyquist mode, so
+    by Parseval the norm is that power of one forward ``fft`` of the
+    residual, with no inverse transform."""
     # r is named: numpy would multiply into the temporary 1/Z_a - 1 as r * DtZ,
     # and its complex product is not commutative bit for bit
     r = 1.0 / d.Z_alpha - 1.0
     resid = d.b - d.DtZ * r - np.conj(d.Q) - np.conj(d.F)
-    c_re, c_im = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(resid.real, resid.imag))
-    p = 0.5 * (resid - 1j * (c_re + 1j * c_im))
-    p -= np.mean(p)
-    return float(np.sqrt(grid.spacing * np.sum(np.abs(p) ** 2)))
+    n, half = grid.n_points, grid.n_points // 2
+    spectrum = np.fft.fft(resid)
+    power = np.sum(np.square(spectrum[1:half].view(np.float64))) + 0.25 * abs(spectrum[half]) ** 2
+    return float(np.sqrt(grid.spacing / n * power))
 
 
 def pole_stacks(grid, m):
@@ -388,7 +429,7 @@ def derive(grid, w_hat, u_hat, z, lam):
     if not np.all(np.isfinite(z)):
         raise NonFiniteStateError("non-finite vortex position")
     n = grid.n_points
-    grid.workspace(max(3 * len(z) * n, 4 * (n + 1)))  # the stage's largest block first
+    grid.workspace(max(3 * len(z) * n, 2 * (n + 1)))  # the stage's largest block first
     Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
     d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:

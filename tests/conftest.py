@@ -51,12 +51,14 @@ def canonical_start(n, overrides=None):
 
 
 def count_transforms(monkeypatch, counts):
-    """Count each call of np.fft's rfft and irfft in counts["transform_calls"]
-    and its real transforms, one per row, in counts["transforms"] and in
-    counts["rfft"] or counts["irfft"]."""
-    for name in ("rfft", "irfft"):
-        def transform(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            rows = int(np.prod(np.shape(x)[:-1]))
+    """Count each call of np.fft's rfft, irfft, fft and ifft in
+    counts["transform_calls"] and its real transforms in counts["transforms"]
+    and in counts[name]: one per row for rfft and irfft, and two per row for
+    fft and ifft, whose n-point complex row costs about two real rows."""
+    for name, weight in (("rfft", 1), ("irfft", 1), ("fft", 2), ("ifft", 2)):
+        def transform(x, *args, _fn=getattr(np.fft, name), _name=name, _weight=weight,
+                      **kwargs):
+            rows = _weight * int(np.prod(np.shape(x)[:-1]))
             counts["transform_calls"] += 1
             counts["transforms"] += rows
             counts[_name] = counts.get(_name, 0) + rows

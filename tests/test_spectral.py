@@ -388,6 +388,39 @@ def test_quadratures_transform_only_their_product_rows(small_grid, monkeypatch):
     assert counts["rfft"] == 1
 
 
+def test_quadratures_skip_the_zero_rows_of_real_fields(small_grid, monkeypatch):
+    # the imaginary part of a real field, or of a real product f g, is zero and
+    # is no row of a pass: on real fields sq_diff_integral (spectral then
+    # quadrature) makes 5 inverse rows, hilbert_quadrature 2 and pv_commutator
+    # 3, their derivative rows included; pv_commutator transforms the kernel
+    # row and f g forward, 2 rows
+    rng = np.random.default_rng(6)
+    f, g = band_limited(small_grid, rng), band_limited(small_grid, rng)
+    f.fft, g.fft
+    counts = {"transforms": 0, "transform_calls": 0}
+    count_transforms(monkeypatch, counts)
+    for run, rows in ((lambda: (sq_diff_integral(f), sq_diff_integral(f, method="quadrature")),
+                       (5, 3)),
+                      (lambda: hilbert_quadrature(f), (2, 1)),
+                      (lambda: pv_commutator(f, g), (3, 2))):
+        counts.update(irfft=0, rfft=0)
+        run()
+        assert (counts["irfft"], counts["rfft"]) == rows
+
+
+def test_pv_commutator_of_mixed_fields_is_linear_in_parts(small_grid):
+    # a real f with a complex g, and the other way round, pass fewer rows than
+    # two complex fields; the commutator is linear in f and in g, so each mixed
+    # case is its real cases part by part
+    rng = np.random.default_rng(8)
+    a, b, c = (band_limited(small_grid, rng, modes=24) for _ in range(3))
+    for f, g, parts in ((a, Field(small_grid, b.samples + 1j * c.samples), ((a, b), (a, c))),
+                        (Field(small_grid, b.samples + 1j * c.samples), a, ((b, a), (c, a)))):
+        got = pv_commutator(f, g).samples
+        ref = pv_commutator(*parts[0]).samples + 1j * pv_commutator(*parts[1]).samples
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("complex_input", [False, True])
 def test_quadratures_match_a_pairwise_double_loop(complex_input):
     # each quadrature against its definition summed cell by cell over (i, j),

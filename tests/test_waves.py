@@ -8,8 +8,9 @@ import pytest
 
 from vortexwavelab.errors import NonFiniteStateError, VortexProximityError
 from vortexwavelab.grid import Field, GridSpec, field_from_function, zero_field
-from vortexwavelab.spectral import (MIN_SPACINGS, analytic_projection, cauchy_velocity,
-                                    commutator_hilbert, derivative, hilbert, lambda_op, low_pass,
+from vortexwavelab.spectral import (MIN_SPACINGS, analytic_projection, apply_multiplier,
+                                    cauchy_velocity, commutator_hilbert, derivative, hilbert,
+                                    lambda_op, low_pass,
                                     periodic_cauchy_kernel, periodic_square_kernel,
                                     pv_commutator, sq_diff_integral)
 from vortexwavelab.taylor import PairConfig, a1_flat_pair
@@ -62,19 +63,18 @@ def sup(a):
 # reconstruction
 
 def test_reconstruct_trivial(grid, monkeypatch):
-    # the 4 rows of a zero W or U spectrum are zeros that nothing transforms:
-    # a zero W gives Z = alpha and Z_a = 1 exactly and leaves F and F_a the
-    # bytes they are beside a nonzero W, and the other way round.  A zero W
-    # or U makes 4 real transforms in 1 call, and both zero make none (the
-    # parent read 8 in 2 for each).  Every array returned is its own: no zero
-    # row leaks out read-only.
+    # a zero W or U spectrum transforms nothing: a zero W gives Z = alpha and
+    # Z_a = 1 exactly and leaves F and F_a the bytes they are beside a nonzero
+    # W, and the other way round.  A zero W or U leaves the other field's two
+    # complex transforms, 4 real transforms in 2 calls, and both zero make
+    # none.  Every array returned is its own: none is a view or read-only.
     rng = np.random.default_rng(11)
     w_hat, u_hat = band_limited(grid, rng).fft, band_limited(grid, rng).fft
     zero = zero_field(grid).fft
     Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
     counts = {"transforms": 0, "transform_calls": 0}
     count_transforms(monkeypatch, counts)
-    for spectra, budget in (((zero, u_hat), (4, 1)), ((w_hat, zero), (4, 1)),
+    for spectra, budget in (((zero, u_hat), (4, 2)), ((w_hat, zero), (4, 2)),
                             ((zero, zero), (0, 0))):
         counts.update(transforms=0, transform_calls=0)
         got = reconstruct(grid, *spectra)
@@ -88,6 +88,40 @@ def test_reconstruct_trivial(grid, monkeypatch):
         else:
             assert got[1].tobytes() == F.tobytes() and got[3].tobytes() == F_alpha.tobytes()
         assert all(a.flags.owndata and a.flags.writeable for a in got)
+
+
+def real_row_traces(grid, w_hat, u_hat):
+    """(Z, F, Z_alpha, F_alpha) in the real-row form: the rows W, CW, dW/da
+    and |D| W of each field from one inverse pass, interleaved part by part
+    into Z = alpha + W + iCW and Z_a = 1 + W_a - i|D|W, and the same of U."""
+    multipliers = (1.0, grid.i_sgn, grid.ik, grid.wavenumbers)
+    traces = []
+    for f_hat, offset, slope in ((w_hat, grid.alpha, 1.0), (u_hat, 0.0, 0.0)):
+        f, c_f, f_a, lam_f = apply_multiplier(grid, multipliers, spectra=(f_hat,) * 4)
+        for re, im in ((offset + f, c_f), (slope + f_a, -lam_f)):
+            trace = np.empty(grid.n_points, dtype=np.complex128)
+            trace.real, trace.imag = re, im
+            traces.append(trace)
+    Z, Z_alpha, F, F_alpha = traces
+    return Z, F, Z_alpha, F_alpha
+
+
+@pytest.mark.parametrize("n", [2 ** 10, 2 ** 14])
+def test_reconstruct_matches_the_real_row_form(n):
+    # each trace is one complex transform of a one-sided spectrum; on random
+    # states over the whole band, the Nyquist mode included, it gives the
+    # real-row form to round-off, also when the mean mode carries an
+    # imaginary part, which both forms read as irfft does: not at all
+    grid = GridSpec(200.0, n)
+    rng = np.random.default_rng(n)
+    for imaginary_mean in (False, False, True):
+        w_hat, u_hat = (np.fft.rfft(rng.normal(size=n) * scale) for scale in (1e-2, 1.0))
+        assert np.all(w_hat[[0, -1]] != 0) and np.all(u_hat[[0, -1]] != 0)
+        if imaginary_mean:
+            w_hat[0] += 1j
+            u_hat[0] -= 1j
+        for got, ref in zip(reconstruct(grid, w_hat, u_hat), real_row_traces(grid, w_hat, u_hat)):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_reconstruct_pole_eigenrelation(grid):
@@ -177,12 +211,12 @@ def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
     # zero fields held as their zero half spectra derive, bit for bit, what
     # fields built from zero samples do, with W, U or both zero; and neither
     # zero spectrum, held or transformed from zero samples, is transformed
-    # back: a derive makes 12 real transforms less the 4 rows of each zero
-    # field (the parent, whose second pass was 3 rows, read 6, 10 and 10)
+    # back: a derive makes 12 real transforms in 6 calls less the 2 complex
+    # transforms (4 real) of each zero field
     bump = band_limited(grid, np.random.default_rng(5), scale=1e-2)
     counts = {"transforms": 0, "transform_calls": 0}
     count_transforms(monkeypatch, counts)
-    for zero, transforms in (("WU", 4), ("W", 8), ("U", 8)):
+    for zero, budget in (("WU", (4, 2)), ("W", (8, 4)), ("U", (8, 4))):
         held, sampled = (
             WaveState(*(form() if name in zero else bump for name in "WU"),
                       pair_vortices(1.0, -6.0, 4 * math.pi))
@@ -190,9 +224,9 @@ def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
         inputs = [(*s.arrays, s.strengths) for s in (held, sampled)]  # rfft of sampled zeros
         records = []
         for args in inputs:
-            counts["transforms"] = 0
+            counts.update(transforms=0, transform_calls=0)
             records.append(derive(grid, *args))
-            assert counts["transforms"] == transforms, zero
+            assert (counts["transforms"], counts["transform_calls"]) == budget, zero
         for name, a, b in zip(Derived._fields, *records):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (zero, name)
 
@@ -379,15 +413,14 @@ def test_rhs_preserves_oddness(grid):
 def test_stage_budget(monkeypatch):
     # one RHS stage (rhs) on a stage layout the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
-    # 14 real transforms in 5 transform calls, with or without vortices.  A
-    # call on k rows counts k real transforms (a complex field is two rows,
-    # its real and imaginary parts).  The stage makes three passes: 8
-    # inverse rows in two calls from the spectra of W and U, which _advance
+    # 14 real transforms in 7 transform calls, with or without vortices.  A
+    # real call on k rows counts k real transforms, a complex n-point
+    # transform 2.  The stage makes three passes: Z, Z_a, F and F_a, one
+    # complex transform each (8) from the spectra of W and U, which _advance
     # carries, so neither is transformed forward; 2 rows (C Im g and
     # C Re P) forward and back after the pole kernels; 2 rows forward to
-    # low-pass dW/dt and dU/dt, which stay spectra.  The parent read 16
-    # with vortices and 14 without: its middle pass was 3 rows, or 2.  The
-    # transforms are counted at np.fft, the one backend of the package.
+    # low-pass dW/dt and dU/dt, which stay spectra.  The transforms are
+    # counted at np.fft, the one backend of the package.
     import sys
 
     from vortexwavelab import spectral, waves
@@ -416,21 +449,20 @@ def test_stage_budget(monkeypatch):
         assert counts["pole_kernels"] == 1
         assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
         assert counts["transforms"] == transforms
-        assert counts["transform_calls"] == 5
+        assert counts["transform_calls"] == 7
 
 
-@pytest.mark.parametrize("case, budget", [("nonzero", (12, 4)), ("W zero", (8, 3)),
-                                          ("U zero", (8, 3)), ("zero_field", (4, 2)),
+@pytest.mark.parametrize("case, budget", [("nonzero", (12, 6)), ("W zero", (8, 4)),
+                                          ("U zero", (8, 4)), ("zero_field", (4, 2)),
                                           ("zero_wave", (4, 2)), ("no vortex", (4, 2))])
 def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
-    # derive with the pair on 2^10 points makes 12 real transforms in 4
-    # calls: the 8 inverse rows of W and U (reconstruct) and 2 rows forward
-    # and back after the pole kernels, with or without vortices.  The 4 rows
-    # of a zero W or U spectrum are zeros that nothing transforms, whether
-    # the zero is held (zero_field, as make_initial's zero_wave holds it) or
-    # transformed from samples that hold -0.0 (the zero_wave case, the
-    # low-passed zero bump).  The parent read 14, 10, 10, 6, 6 and 4: its
-    # second pass was 3 rows with the pair.
+    # derive with the pair on 2^10 points makes 12 real transforms in 6
+    # calls: the 4 complex transforms of Z, Z_a, F and F_a (reconstruct, 8)
+    # and 2 rows forward and back after the pole kernels, with or without
+    # vortices.  A zero W or U spectrum saves its 2 complex transforms,
+    # whether the zero is held (zero_field, as make_initial's zero_wave
+    # holds it) or transformed from samples that hold -0.0 (the zero_wave
+    # case, the low-passed zero bump).
     start = canonical_start(2 ** 10)
     grid = start.grid
     pair = dict(positions=start.positions, strengths=start.strengths)
@@ -458,9 +490,9 @@ def test_run_step_budget(monkeypatch):
     # an RK4 step of run_simulation with vortices takes 56 real transforms:
     # the first stage on the state's record (its low-pass, 2), three full
     # stages (42) and the derive of the new state (the stage without its
-    # low-pass, 12); the parent read 64, its stages 16.  The new state's W and U stay half spectra, so a
+    # low-pass, 12).  The new state's W and U stay half spectra, so a
     # monitored row adds the 2 inverse transforms of their samples to the
-    # monitor's b_residual (2 rows forward and back, 4).  Two runs that
+    # monitor's b_residual (one complex forward transform, 2).  Two runs that
     # differ by one step, each monitoring its first and last rows only,
     # differ by one step's transforms; monitoring the two middle rows of
     # the longer run adds two rows' transforms.  Building the initial state
@@ -479,7 +511,7 @@ def test_run_step_budget(monkeypatch):
         assert res.exit_reason == "completed" and len(res.records) == 1 + steps // stride
         totals.append(counts["transforms"])
     assert totals[1] - totals[0] == 56
-    assert totals[2] - totals[1] == 2 * (4 + 2)
+    assert totals[2] - totals[1] == 2 * (2 + 2)
 
 
 def per_operator_stage(state):
@@ -688,8 +720,7 @@ def test_b_residual_sees_a_wrong_b(monkeypatch):
     # g = DtZ / Z_a derive builds b from, so a b built from a wrong g (1e-4
     # off, its projection C Im g too), or a b off by a smooth bump, reads
     # far above the round-off of the canonical state (2.3e-7 and 7.9e-7
-    # against 2.1e-16; the parent, whose b was built from h = g - conj(F),
-    # read 8.5e-9 for the same mutant on h, 7.9e-7 and 2.3e-16)
+    # against 2.7e-16)
     import vortexwavelab.waves as waves
     state = canonical_start(2 ** 12)
     grid = state.grid
@@ -704,6 +735,39 @@ def test_b_residual_sees_a_wrong_b(monkeypatch):
     monkeypatch.setattr(waves, "compute_b",
                         lambda g, c, u: compute_b(g, c, u) + 1e-6 * np.exp(-grid.alpha ** 2))
     assert residual() > 1e-12
+
+
+def projected_residual(grid, d):
+    """b_residual's norm in the explicit projection form: (I - H)/2 of the
+    defining residual by its multiplier, less its mean, summed on the grid."""
+    resid = d.b - d.DtZ * (1.0 / d.Z_alpha - 1.0) - np.conj(d.Q) - np.conj(d.F)
+    p = 0.5 * analytic_projection(Field(grid, resid)).samples
+    p -= np.mean(p)
+    return math.sqrt(grid.spacing * np.sum(np.abs(p) ** 2))
+
+
+def test_b_residual_is_the_norm_of_the_projection():
+    # b_residual takes the power of one forward fft of the residual, its
+    # k > 0 modes and a quarter of its Nyquist mode, for the norm of its
+    # (I - H)/2 projection less the mean.  On 4 states, each with b off by
+    # a random real perturbation over the whole band (Nyquist mode included),
+    # it is that projection's norm to 1e-12; with b as derived, both read
+    # round-off
+    from vortexwavelab.sim import step_rk4
+    rng = np.random.default_rng(21)
+    start = canonical_start(2 ** 12)
+    grid = start.grid
+    states = (start, step_rk4(step_rk4(start, 4e-3), 4e-3),
+              odd_bump_state(grid, 1e-2),
+              odd_bump_state(grid, 1e-2, (Vortex(-2.0 - 7.0j, 9.0), Vortex(0.5 - 5.0j, -4.0),
+                                          Vortex(3.0 - 9.0j, 2.5))))
+    for state in states:
+        d = record_of(state)
+        assert b_residual(grid, d) <= 1e-15 and projected_residual(grid, d) <= 1e-15
+        off = d._replace(b=d.b + 1e-6 * rng.normal(size=grid.n_points))
+        ref = projected_residual(grid, off)
+        assert ref > 1e-8
+        assert abs(b_residual(grid, off) - ref) <= 1e-12 * ref
 
 
 def test_wave_state_names_bad_vortex_arrays(grid):

@@ -120,7 +120,7 @@ def test_a_run_sizes_the_workspace_once():
     assert grid._workspace is None
     state = step_rk4(state, 2e-3)
     workspace = grid._workspace
-    assert len(workspace) == max(3 * len(state.positions) * n, 4 * (n + 1))
+    assert len(workspace) == max(3 * len(state.positions) * n, 2 * (n + 1))
     for _ in range(3):
         state = step_rk4(state, 2e-3)
     sim.monitor(state, params, derive(grid, *state.arrays, state.strengths))
