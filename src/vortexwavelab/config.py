@@ -148,19 +148,6 @@ class ScenarioConfig:
         with open(path, "r") as fh:
             return cls.parse(fh.read())
 
-    def serialize(self):
-        """Canonical text form; parsing it reproduces the same key set and
-        values."""
-        order = sorted(self.values)
-        lines = []
-        for key in order:
-            v = self.values[key]
-            if isinstance(v, float):
-                lines.append("%s = %.17g" % (key, v))
-            else:
-                lines.append("%s = %s" % (key, v))
-        return "\n".join(lines) + "\n"
-
 
 def build_run_inputs(cfg):
     """(grid, initial state, integrator, gevrey params, eta1, stride)."""

@@ -53,7 +53,8 @@ PICARD_MAX_SWEEPS = 50  # a Picard step that has not converged by then raises
 class IntegratorConfig:
     dt: float
     t_end: float
-    # read only by step_picard and the benchmark: run_simulation takes "rk4" alone
+    # read only by run_simulation, which takes "rk4" alone; step_picard reads
+    # only picard_tol, so "picard" just labels a config handed to it
     scheme: str = "rk4"
     picard_tol: float = 1e-10       # discrete H4 change between sweeps
 

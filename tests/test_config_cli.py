@@ -56,12 +56,6 @@ def test_lambda_from_gamma():
     assert cfg.lam == pytest.approx(math.pi * math.sqrt(8.0) * 6.0 ** 1.5, rel=1e-15)
 
 
-def test_roundtrip():
-    cfg = ScenarioConfig.parse(TRANSITION_MINI)
-    again = ScenarioConfig.parse(cfg.serialize())
-    assert again.values == cfg.values
-
-
 def test_parse_errors_name_the_key():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.parse(MINI_RUN + "\nvortex.spin = 3\n")
@@ -180,7 +174,8 @@ def test_cli_and_library_write_the_same_csv(tmp_path):
     cfg = canonical_scenario({"grid.n": 1024, "time.t_end": 0.12, "output.stride": 1,
                               "monitor.eta1": None})
     cfg_path = tmp_path / "short.cfg"
-    cfg_path.write_text(cfg.serialize() + "output.path = %s\n" % (tmp_path / "cli.csv"))
+    cfg_path.write_text("".join("%s = %s\n" % item for item in cfg.values.items())
+                        + "output.path = %s\n" % (tmp_path / "cli.csv"))
     assert main(["run", str(cfg_path)]) == 0
     write_trajectory(tmp_path / "library.csv", run_scenario(cfg).records)
     cli_csv = (tmp_path / "cli.csv").read_bytes()
@@ -255,7 +250,7 @@ def test_library_and_cli_share_the_default_radius():
 
 def test_derived_delta0_keeps_the_radius_to_t_end():
     cfg = ScenarioConfig.parse(MINI_RUN)        # no gevrey.delta0
-    assert "gevrey.delta0" not in cfg.serialize()
+    assert "gevrey.delta0" not in cfg.values
     result = run_scenario(cfg)
     assert result.exit_reason == "completed"
     assert result.records[-1].t == pytest.approx(cfg.get("time.t_end"))

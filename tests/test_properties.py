@@ -13,23 +13,15 @@ from hypothesis import strategies as st
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.spectral import (analytic_projection, apply_multiplier, derivative,
                                     hilbert, lambda_op, low_pass)
-from vortexwavelab.sim import reversed_state
+from vortexwavelab.sim import reversed_state, step_rk4
 from vortexwavelab.waves import (Vortex, WaveState, b_residual, derive, reconstruct,
-                                 refine_minimum, rhs)
+                                 refine_minimum)
 
-from conftest import band_limited
+from conftest import band_limited, state_rhs
 
 SETTINGS = settings(max_examples=25, deadline=None)
 GRIDS = st.sampled_from([GridSpec(50.0, 2 ** p) for p in (8, 9, 10)])
 SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-def state_rhs(state):
-    """(dW/dt, dU/dt, dz/dt) at a state: the samples of the half spectra
-    rhs returns."""
-    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths)
-    dw, du = np.fft.irfft((dw_hat, du_hat), state.grid.n_points)
-    return dw, du, zdots
 
 
 def random_field(grid, rng, amplitude=1.0):
@@ -197,6 +189,33 @@ def test_rhs_keeps_odd_fields_odd(grid, seed, x, y, lam, amplitude):
     scale = max(abs(z1), abs(z2)) + inputs
     assert abs(z1.real + z2.real) <= 1e-14 * scale
     assert abs(z1.imag - z2.imag) <= 1e-14 * scale
+
+
+# strengths and positions of three vortices that are no antisymmetric pair
+FROUDE_VORTICES = ((110.0, -1.3 - 6.0j), (-70.0, 0.7 - 8.0j), (25.0, 2.1 - 5.5j))
+
+
+@SETTINGS
+@given(SEEDS, st.integers(-3, 3))
+def test_froude_scaling_is_exact(seed, k):
+    # with mu = 2^k, lengths (L, W, positions) times mu^2, velocities (U)
+    # times mu, strengths times mu^3 and time times mu give the same motion;
+    # every factor is a power of two, which rounding commutes with, so one
+    # RK4 step of the scaled state, scaled back, is the unscaled step's bytes
+    mu = 2.0 ** k
+    rng = np.random.default_rng(seed)
+    base = GridSpec(200.0, 2 ** 10)
+    W, U = (random_field(base, rng, amplitude) for amplitude in (0.3, 0.2))
+    steps = []
+    for factor in (1.0, mu):
+        grid = GridSpec(base.half_length * factor ** 2, base.n_points)
+        state = WaveState(Field(grid, factor ** 2 * W.samples), Field(grid, factor * U.samples),
+                          [Vortex(factor ** 2 * z, factor ** 3 * lam)
+                           for lam, z in FROUDE_VORTICES])
+        new = step_rk4(state, factor * 1e-3)
+        steps.append((new.W.fft / factor ** 2, new.U.fft / factor, new.positions / factor ** 2))
+    for unscaled, scaled in zip(*steps):
+        assert np.array_equal(scaled, unscaled)
 
 
 TAYLOR_GRID = GridSpec(50.0, 2 ** 11)

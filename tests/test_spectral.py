@@ -21,7 +21,7 @@ from vortexwavelab.spectral import (apply_multiplier, cauchy_velocity, commutato
                                     periodic_square_kernel, pv_commutator,
                                     sq_diff_integral)
 
-from conftest import band_limited, count_transforms, mean_zero, per_pole
+from conftest import band_limited, mean_zero, per_pole
 
 
 # ----------------------------------------------------------------------
@@ -99,14 +99,12 @@ def test_field_roundtrip_and_real_flag(grid):
             Field.from_spectrum(grid, np.zeros(shape, dtype=complex))
 
 
-def test_zero_field_is_its_zero_half_spectrum(grid, monkeypatch):
+def test_zero_field_is_its_zero_half_spectrum(grid, count_transforms):
     # the spectrum of a zero field is read without a transform, and its
     # samples are the exact zeros of a real field
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
     z = zero_field(grid)
     assert z.fft.shape == (grid.n_points // 2 + 1,) and not np.any(z.fft)
-    assert counts["transform_calls"] == 0
+    assert count_transforms["transform_calls"] == 0
     assert z.is_complex is False
     assert z.samples.dtype == np.float64 and not np.any(z.samples)
 
@@ -358,60 +356,37 @@ def test_sq_diff_quadrature_path_matches_spectral(small_grid):
     assert np.min(spec) >= -1e-13          # nonnegative pointwise
 
 
-def test_quadratures_transform_only_their_product_rows(small_grid, monkeypatch):
+def test_quadratures_transform_only_their_product_rows(small_grid, count_transforms):
     # a field's own parts enter each circulant pass as its cached half
     # spectrum: np.fft.rfft sees only the kernel row of each pass and the
     # product rows, |f|^2 and the two parts of f g
     rng = np.random.default_rng(4)
     re, im = band_limited(small_grid, rng).samples, band_limited(small_grid, rng).samples
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
     # spectral then quadrature path: the field's spectrum (2 rows complex,
     # 1 real), |f|^2 twice and one kernel row; 9 and 8 rows when both
     # paths transformed Re f, Im f and |f|^2 from the samples
     for samples, rows in ((re + 1j * im, 5), (re, 4)):
         f = Field(small_grid, samples)
-        counts["rfft"] = 0
+        count_transforms["rfft"] = 0
         sq_diff_integral(f)
         sq_diff_integral(f, method="quadrature")
-        assert counts["rfft"] == rows
+        assert count_transforms["rfft"] == rows
     # on fields whose spectra are cached: the kernel row and the parts of
     # f g (5 rows when g's parts were transformed again), and the kernel
     # row alone (3 with the parts of f)
     f, g = Field(small_grid, re), Field(small_grid, im + 1j * re)
     f.fft, g.fft
-    counts["rfft"] = 0
+    count_transforms["rfft"] = 0
     pv_commutator(f, g)
-    assert counts["rfft"] == 3
-    counts["rfft"] = 0
+    assert count_transforms["rfft"] == 3
+    count_transforms["rfft"] = 0
     hilbert_quadrature(g)
-    assert counts["rfft"] == 1
-
-
-def test_quadratures_skip_the_zero_rows_of_real_fields(small_grid, monkeypatch):
-    # the imaginary part of a real field, or of a real product f g, is zero and
-    # is no row of a pass: on real fields sq_diff_integral (spectral then
-    # quadrature) makes 5 inverse rows, hilbert_quadrature 2 and pv_commutator
-    # 3, their derivative rows included; pv_commutator transforms the kernel
-    # row and f g forward, 2 rows
-    rng = np.random.default_rng(6)
-    f, g = band_limited(small_grid, rng), band_limited(small_grid, rng)
-    f.fft, g.fft
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
-    for run, rows in ((lambda: (sq_diff_integral(f), sq_diff_integral(f, method="quadrature")),
-                       (5, 3)),
-                      (lambda: hilbert_quadrature(f), (2, 1)),
-                      (lambda: pv_commutator(f, g), (3, 2))):
-        counts.update(irfft=0, rfft=0)
-        run()
-        assert (counts["irfft"], counts["rfft"]) == rows
+    assert count_transforms["rfft"] == 1
 
 
 def test_pv_commutator_of_mixed_fields_is_linear_in_parts(small_grid):
-    # a real f with a complex g, and the other way round, pass fewer rows than
-    # two complex fields; the commutator is linear in f and in g, so each mixed
-    # case is its real cases part by part
+    # a real f with a complex g, and the other way round: the commutator is
+    # linear in f and in g, so each mixed case is its real cases part by part
     rng = np.random.default_rng(8)
     a, b, c = (band_limited(small_grid, rng, modes=24) for _ in range(3))
     for f, g, parts in ((a, Field(small_grid, b.samples + 1j * c.samples), ((a, b), (a, c))),

@@ -2,6 +2,7 @@
 coefficient, Taylor coefficient, and the evolution right-hand side."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vortexwavelab.waves import (Derived, Vortex, WaveState, assemble, b_residua
                                  chord_arc_constant, compute_Q, derive, interface_distance,
                                  pole_kernels, reconstruct, refine_minimum, rhs)
 
-from conftest import band_limited, canonical_start, count_transforms, per_pole
+from conftest import band_limited, canonical_start, count_calls, per_pole, state_rhs
 
 TWO_PI = 2 * math.pi
 
@@ -47,14 +48,6 @@ def record_of(state):
     return derive(state.grid, *state.arrays, state.strengths)
 
 
-def state_rhs(state, record=None):
-    """(dW/dt, dU/dt, dz/dt) at a state, given its Derived record or not:
-    the samples of the half spectra rhs returns."""
-    dw_hat, du_hat, zdots = rhs(state.grid, state.arrays, state.strengths, record)
-    dw, du = np.fft.irfft((dw_hat, du_hat), state.grid.n_points)
-    return dw, du, zdots
-
-
 def sup(a):
     return np.max(np.abs(a))
 
@@ -62,7 +55,7 @@ def sup(a):
 # ----------------------------------------------------------------------
 # reconstruction
 
-def test_reconstruct_trivial(grid, monkeypatch):
+def test_reconstruct_trivial(grid, count_transforms):
     # a zero W or U spectrum transforms nothing: a zero W gives Z = alpha and
     # Z_a = 1 exactly and leaves F and F_a the bytes they are beside a nonzero
     # W, and the other way round.  A zero W or U leaves the other field's two
@@ -72,13 +65,11 @@ def test_reconstruct_trivial(grid, monkeypatch):
     w_hat, u_hat = band_limited(grid, rng).fft, band_limited(grid, rng).fft
     zero = zero_field(grid).fft
     Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
     for spectra, budget in (((zero, u_hat), (4, 2)), ((w_hat, zero), (4, 2)),
                             ((zero, zero), (0, 0))):
-        counts.update(transforms=0, transform_calls=0)
+        count_transforms.clear()
         got = reconstruct(grid, *spectra)
-        assert (counts["transforms"], counts["transform_calls"]) == budget
+        assert (count_transforms["transforms"], count_transforms["transform_calls"]) == budget
         if spectra[0] is zero:
             assert np.all(got[0] == grid.alpha) and np.all(got[2] == 1.0)
         else:
@@ -207,15 +198,13 @@ def test_compute_q_pair_value_and_symmetry(grid):
     assert sup(Q.imag - Q.imag[rev]) <= 1e-13
 
 
-def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
+def test_zero_fields_derive_as_zero_samples(grid, count_transforms):
     # zero fields held as their zero half spectra derive, bit for bit, what
     # fields built from zero samples do, with W, U or both zero; and neither
     # zero spectrum, held or transformed from zero samples, is transformed
     # back: a derive makes 12 real transforms in 6 calls less the 2 complex
     # transforms (4 real) of each zero field
     bump = band_limited(grid, np.random.default_rng(5), scale=1e-2)
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
     for zero, budget in (("WU", (4, 2)), ("W", (8, 4)), ("U", (8, 4))):
         held, sampled = (
             WaveState(*(form() if name in zero else bump for name in "WU"),
@@ -224,9 +213,10 @@ def test_zero_fields_derive_as_zero_samples(grid, monkeypatch):
         inputs = [(*s.arrays, s.strengths) for s in (held, sampled)]  # rfft of sampled zeros
         records = []
         for args in inputs:
-            counts.update(transforms=0, transform_calls=0)
+            count_transforms.clear()
             records.append(derive(grid, *args))
-            assert (counts["transforms"], counts["transform_calls"]) == budget, zero
+            assert (count_transforms["transforms"], count_transforms["transform_calls"]) \
+                == budget, zero
         for name, a, b in zip(Derived._fields, *records):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (zero, name)
 
@@ -410,7 +400,7 @@ def test_rhs_preserves_oddness(grid):
     assert zd[0].imag == pytest.approx(zd[1].imag, abs=1e-12)
 
 
-def test_stage_budget(monkeypatch):
+def test_stage_budget(monkeypatch, count_transforms):
     # one RHS stage (rhs) on a stage layout the steppers produce: one
     # pole_kernels call for both vortices, no tan-based kernel, and exactly
     # 14 real transforms in 7 transform calls, with or without vortices.  A
@@ -421,30 +411,16 @@ def test_stage_budget(monkeypatch):
     # C Re P) forward and back after the pole kernels; 2 rows forward to
     # low-pass dW/dt and dU/dt, which stay spectra.  The transforms are
     # counted at np.fft, the one backend of the package.
-    import sys
-
-    from vortexwavelab import spectral, waves
     from vortexwavelab.sim import _advance, make_initial
     start = canonical_start(2 ** 10)
     grid = start.grid
     starts = (start, make_initial("odd_bump", 1e-3, None, grid))
     stages = [_advance(s.arrays, [rhs(grid, s.arrays, s.strengths)], [4e-3]) for s in starts]
-    counts = dict.fromkeys(("transforms", "transform_calls", "periodic_cauchy_kernel",
-                            "periodic_square_kernel", "pole_kernels"), 0)
-    count_transforms(monkeypatch, counts)
-    modules = [m for name, m in sys.modules.items() if name.startswith("vortexwavelab")]
-    for owner, name in ((spectral, "periodic_cauchy_kernel"),
-                        (spectral, "periodic_square_kernel"), (waves, "pole_kernels")):
-        original = getattr(owner, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    counts = count_transforms
+    for fn in (periodic_cauchy_kernel, periodic_square_kernel, pole_kernels):
+        count_calls(monkeypatch, counts, fn)
     for start, y, transforms in zip(starts, stages, (14, 14)):
-        counts.update(dict.fromkeys(counts, 0))
+        counts.clear()
         rhs(grid, y, start.strengths)
         assert counts["pole_kernels"] == 1
         assert counts["periodic_cauchy_kernel"] == counts["periodic_square_kernel"] == 0
@@ -455,7 +431,7 @@ def test_stage_budget(monkeypatch):
 @pytest.mark.parametrize("case, budget", [("nonzero", (12, 6)), ("W zero", (8, 4)),
                                           ("U zero", (8, 4)), ("zero_field", (4, 2)),
                                           ("zero_wave", (4, 2)), ("no vortex", (4, 2))])
-def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
+def test_derive_budget_of_zero_spectra(count_transforms, case, budget):
     # derive with the pair on 2^10 points makes 12 real transforms in 6
     # calls: the 4 complex transforms of Z, Z_a, F and F_a (reconstruct, 8)
     # and 2 rows forward and back after the pole kernels, with or without
@@ -480,13 +456,12 @@ def test_derive_budget_of_zero_spectra(monkeypatch, case, budget):
     if case == "zero_wave":   # an allocated zero spectrum that holds a -0.0
         assert state.W.fft.flags.owndata and np.any(np.signbit(state.W.fft.real))
     y = state.arrays
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
+    count_transforms.clear()
     derive(grid, *y, state.strengths)
-    assert (counts["transforms"], counts["transform_calls"]) == budget
+    assert (count_transforms["transforms"], count_transforms["transform_calls"]) == budget
 
 
-def test_run_step_budget(monkeypatch):
+def test_run_step_budget(count_transforms):
     # an RK4 step of run_simulation with vortices takes 56 real transforms:
     # the first stage on the state's record (its low-pass, 2), three full
     # stages (42) and the derive of the new state (the stage without its
@@ -498,14 +473,13 @@ def test_run_step_budget(monkeypatch):
     # the longer run adds two rows' transforms.  Building the initial state
     # takes one forward transform, of the bump it low-passes.
     from vortexwavelab.sim import IntegratorConfig, run_simulation
-    counts = {"transforms": 0, "transform_calls": 0}
-    count_transforms(monkeypatch, counts)
+    counts = count_transforms
     totals = []
     for steps, stride in ((2, 2), (3, 3), (3, 1)):
-        counts.update(dict.fromkeys(counts, 0))
+        counts.clear()
         start = canonical_start(2 ** 10)
-        assert (counts.get("rfft", 0), counts.get("irfft", 0)) == (1, 0)
-        counts.update(transforms=0)
+        assert (counts["rfft"], counts["irfft"]) == (1, 0)
+        counts["transforms"] = 0
         res = run_simulation(start, IntegratorConfig(dt=2e-3, t_end=steps * 2e-3),
                              stride=stride)
         assert res.exit_reason == "completed" and len(res.records) == 1 + steps // stride
@@ -696,21 +670,17 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
     # stages never pay for the diagnostics: rhs and an RK4 step call neither
     # b_residual nor chord_arc_constant, and the monitor calls each once
     import vortexwavelab.sim as sim
-    import vortexwavelab.waves as waves
     from vortexwavelab.gevrey import GevreyParams
-    calls = []
-    for name in ("b_residual", "chord_arc_constant"):
-        original = getattr(waves, name)
-        counted = (lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
-        monkeypatch.setattr(waves, name, counted)
-        monkeypatch.setattr(sim, name, counted)
+    calls = Counter()
+    for fn in (b_residual, chord_arc_constant):
+        count_calls(monkeypatch, calls, fn)
     state = flat_pair_state(grid, 1.0, -6.0, 10.0)
     state_rhs(state, record_of(state))
     state_rhs(state)
     sim.step_rk4(state, 1e-3)
-    assert calls == []
+    assert calls == {}
     row = sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0), sim._derive(state))
-    assert sorted(calls) == ["b_residual", "chord_arc_constant"]
+    assert calls == {"b_residual": 1, "chord_arc_constant": 1}
     assert row.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert row.inf_A1 <= float(np.min(assemble(state).A1.samples))
 
