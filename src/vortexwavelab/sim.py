@@ -113,22 +113,21 @@ def cfl_limit(state, record):
     return min(adv, disp)
 
 
-def _weighted_sum(base, weights, terms):
-    """base + sum_i weights[i] * terms[i], summed in that order into one
-    new array (w d + base is base + w d bit for bit)."""
-    total = np.multiply(weights[0], terms[0])
-    total += base
-    for w, d in zip(weights[1:], terms[1:]):
-        total += w * d
-    return total
-
-
 def _advance(y, parts, weights):
     """y + sum_i weights[i] * parts[i], entry by entry of the stage layout
     (w_hat, u_hat, z) of :func:`waves.rhs`: W and U advance as half
     spectra, the same combination of the spectra of the state and of the
-    low-passed parts, which is all the next stage reads of them."""
-    return tuple(_weighted_sum(base, weights, terms) for base, *terms in zip(y, *parts))
+    low-passed parts, which is all the next stage reads of them.  Each
+    entry is summed in that order into one new array (w d + base is
+    base + w d bit for bit)."""
+    out = []
+    for base, *terms in zip(y, *parts):
+        total = np.multiply(weights[0], terms[0])
+        total += base
+        for w, d in zip(weights[1:], terms[1:]):
+            total += w * d
+        out.append(total)
+    return tuple(out)
 
 
 def _state(grid, y, lam, t, carry=None):
@@ -137,11 +136,6 @@ def _state(grid, y, lam, t, carry=None):
     w_hat, u_hat, z = y
     return WaveState(Field.from_spectrum(grid, w_hat), Field.from_spectrum(grid, u_hat),
                      t=t, positions=z, strengths=lam, carry=carry)
-
-
-def _derive(state):
-    """The :class:`waves.Derived` record of a state."""
-    return derive(state.grid, *state.arrays, state.strengths)
 
 
 def step_rk4(state, dt, record=None):
@@ -344,7 +338,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
         return RunResult(records, reason, state, message)
 
     try:
-        record = _derive(state)
+        record = derive(state.grid, *state.arrays, state.strengths)
         first = monitor(state, params, record)
         records.append(first)
         for step_index in range(1, n_steps + 1):
@@ -358,7 +352,7 @@ def run_simulation(state, integrator, gevrey_params=None, eta1=None, stride=1):
                 return stop("cfl_violation", "dt=%g exceeds stability limit %g at t=%g"
                             % (dt, limit, state.t))
             state = step_rk4(state, dt, record)
-            record = _derive(state)
+            record = derive(state.grid, *state.arrays, state.strengths)
             last = step_index == n_steps
             hit = eta1 is not None and refine_minimum(state.grid.alpha, record.A1)[1] <= -eta1
             if step_index % stride == 0 or last or hit:

@@ -42,16 +42,16 @@ transform as 2, in 7 calls, three passes ordered by what each needs:
    C05 derivation, with W = U = 0 and the pair, makes 4 real transforms
    in 2 calls);
 2. after the pole kernels, 2 rows forward and back in one
-   :func:`spectral.apply_multiplier` pass: C Im g for b and C Re P for
-   A1 (:func:`stage_projections`);
+   :func:`spectral.apply_multiplier` pass of :func:`derive`: C Im g for
+   b and C Re P for A1;
 3. 2 rows forward: the half spectra of dW/dt and dU/dt, which the
    half-band mask low-passes and the stage returns (:func:`rhs`).
 
-The second pass and the pole-kernel stacks (:func:`pole_stacks`)
-write into the grid's workspace (:meth:`GridSpec.workspace`), which
-:func:`derive` asks for at its largest first, so that it does not grow
-on a later pass.  Views of it stay inside this module: every array of
-:class:`Derived` and every slope of :func:`rhs` is its own.
+The pole-kernel stacks and the second pass write into the grid's
+workspace (:meth:`GridSpec.workspace`): the stacks ask first, for 3 m n
+values, more than the pass's 2 (n + 1) with any vortex, so it does not
+grow on a later pass.  Views of it stay inside this module: every array
+of :class:`Derived` and every slope of :func:`rhs` is its own.
 
 b and A1 are each one part of (I - H), which is I + C on real parts
 (H = iC), applied to one pointwise product:
@@ -276,15 +276,6 @@ def b_residual(grid, d):
     return float(np.sqrt(grid.spacing / n * power))
 
 
-def pole_stacks(grid, m):
-    """Three (m, n) complex views of the grid's workspace
-    (:meth:`GridSpec.workspace`): the stacks K2 and K1 that
-    :func:`pole_kernels` writes, around the scratch of their combinations.
-    The next stacked pass on the grid overwrites them."""
-    n = grid.n_points
-    return grid.workspace(3 * m * n)[:3 * m * n].reshape(3, m, n)
-
-
 def pole_kernels(grid, Z, z):
     """The (m, n) stacks of the periodized K1_j = 1/(Z - z_j) and
     K2_j = 1/(Z - z_j)^2 at the positions z, from one complex exponential
@@ -300,11 +291,12 @@ def pole_kernels(grid, Z, z):
     its relative accuracy kept.  Near the curve e_j - 1 cancels, with a
     relative error of about eps / |2s(Z - z_j)|.
 
-    Both stacks are views of the grid's workspace (:func:`pole_stacks`),
-    valid until the next stacked pass on the grid.
+    K2, the scratch 1/(e - 1) and K1 are the first 3 m n values of the
+    grid's workspace, valid until the next stacked pass on the grid.
     """
+    m, n = len(z), grid.n_points
     s = np.pi / (2.0 * grid.half_length)
-    e, r, K1 = pole_stacks(grid, len(z))
+    e, r, K1 = grid.workspace(3 * m * n)[:3 * m * n].reshape(3, m, n)
     np.multiply(np.exp(2j * s * Z), np.exp(-2j * s * z)[:, None], out=e)
     np.subtract(e, 1.0, out=r)
     np.reciprocal(r, out=r)
@@ -317,17 +309,23 @@ def pole_kernels(grid, Z, z):
     return K1, e
 
 
-def combine(weights, stack, scratch):
-    """sum_j weights_j stack_j over the rows of an (m, n) stack, with the
-    products in ``scratch``, an array of the stack's shape.  Not
-    ``weights @ stack``: OpenBLAS runs that vector-matrix product on all
-    cores above a few thousand points, doubling the CPU of ``vwl run``."""
-    return np.sum(np.multiply(weights[:, None], stack, out=scratch), axis=0)
+def combine(weights, stack):
+    """sum_j weights_j stack_j over the rows of an (m, n) stack, summed
+    in row order from the first row's product into a new array (zeros for
+    no rows).  Not ``weights @ stack``: OpenBLAS runs that vector-matrix
+    product on all cores above a few thousand points, doubling the CPU of
+    ``vwl run``."""
+    if not len(stack):
+        return np.zeros(stack.shape[1], dtype=np.complex128)
+    total = np.multiply(weights[0], stack[0])
+    for w, row in zip(weights[1:], stack[1:]):
+        total += w * row
+    return total
 
 
-def compute_Q(grid, lam, K1):
+def compute_Q(lam, K1):
     """Q = -sum_j (lam_j i / 2 pi) / (Z - z_j), K1 from :func:`pole_kernels`."""
-    return combine(lam * -1j / TWO_PI, K1, pole_stacks(grid, len(lam))[1])
+    return combine(lam * -1j / TWO_PI, K1)
 
 
 def vortex_velocity(grid, F, Z_alpha, z, lam, K1):
@@ -349,7 +347,7 @@ def vortex_velocity(grid, F, Z_alpha, z, lam, K1):
     return np.conj(u) + mutual.sum(axis=1)
 
 
-def compute_DtQ(grid, DtZ, lam, zdots, K2):
+def compute_DtQ(DtZ, lam, zdots, K2):
     """DtQ from two combinations of the kernel stack K2:
 
         DtQ = sum_j (lam_j i / 2 pi) (DtZ - zdot_j) K2_j = (i / 2 pi)(DtZ S1 - S2),
@@ -357,17 +355,9 @@ def compute_DtQ(grid, DtZ, lam, zdots, K2):
     S1 = sum_j lam_j K2_j and S2 = sum_j lam_j zdot_j K2_j; zeros without
     vortices.
     """
-    scratch = pole_stacks(grid, len(lam))[1]
-    S1 = combine(lam, K2, scratch)
-    S2 = combine(lam * zdots, K2, scratch)
+    S1 = combine(lam, K2)
+    S2 = combine(lam * zdots, K2)
     return (1j / TWO_PI) * (DtZ * S1 - S2)
-
-
-def stage_projections(grid, g, P):
-    """The stacked pass of a stage after the pole kernels: the (2, n) array
-    of the rows C Im g (for b) and C Re P (for A1), one forward and one
-    inverse transform for both, with or without vortices."""
-    return apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(g.imag, P.real))
 
 
 def compute_b(g, c_im_g, mean_u):
@@ -376,9 +366,9 @@ def compute_b(g, c_im_g, mean_u):
         b = Re (I-H)[DtZ (1/Z_a - 1) + conj(Q)] + 2 Re F,    Re F = U,
 
     as the one projection of g = DtZ / Z_a of the module docstring,
-    b = Re g + C Im g + <U>, with C Im g from :func:`stage_projections`
-    and ``mean_u`` the interval mean <U>.  How well b meets its defining
-    property is :func:`b_residual`.
+    b = Re g + C Im g + <U>, with C Im g from the projection pass of
+    :func:`derive` and ``mean_u`` the interval mean <U>.  How well b
+    meets its defining property is :func:`b_residual`.
     """
     return g.real + c_im_g + mean_u
 
@@ -390,8 +380,8 @@ def compute_A1(P, c_re_p):
                 - sum_j (lam_j/2pi) Re{ (I-H)[Z_a/(Z-z_j)^2] (DtZ - zdot_j) }
 
     as the one projection of P = DtZ F_a + Z_a DtQ of the module
-    docstring, A1 = 1 - Im P + C Re P, with C Re P from
-    :func:`stage_projections`.
+    docstring, A1 = 1 - Im P + C Re P, with C Re P from the projection
+    pass of :func:`derive`.
     """
     return 1.0 - P.imag + c_re_p
 
@@ -428,8 +418,6 @@ def derive(grid, w_hat, u_hat, z, lam):
     NonFiniteStateError when W, U or a position is not finite."""
     if not np.all(np.isfinite(z)):
         raise NonFiniteStateError("non-finite vortex position")
-    n = grid.n_points
-    grid.workspace(max(3 * len(z) * n, 2 * (n + 1)))  # the stage's largest block first
     Z, F, Z_alpha, F_alpha = reconstruct(grid, w_hat, u_hat)
     d_I = interface_distance(Z, z)
     if d_I < MIN_SPACINGS * grid.spacing:
@@ -437,15 +425,15 @@ def derive(grid, w_hat, u_hat, z, lam):
             "vortex within %.3g of the interface (< %g grid spacings)"
             % (d_I, MIN_SPACINGS))
     K1, K2 = pole_kernels(grid, Z, z)
-    Q = compute_Q(grid, lam, K1)
+    Q = compute_Q(lam, K1)
     DtZ = np.conj(F + Q)
     zdots = vortex_velocity(grid, F, Z_alpha, z, lam, K1)
-    DtQ = compute_DtQ(grid, DtZ, lam, zdots, K2)
+    DtQ = compute_DtQ(DtZ, lam, zdots, K2)
     del K1, K2  # workspace views, which the stacked pass overwrites
     g = DtZ / Z_alpha
     P = DtZ * F_alpha + Z_alpha * DtQ
-    c_im_g, c_re_p = stage_projections(grid, g, P)
-    b = compute_b(g, c_im_g, u_hat[0].real / n)
+    c_im_g, c_re_p = apply_multiplier(grid, (grid.i_sgn,) * 2, rows=(g.imag, P.real))
+    b = compute_b(g, c_im_g, u_hat[0].real / grid.n_points)
     A1 = compute_A1(P, c_re_p)
     return Derived(Z, Z_alpha, F_alpha, F, Q, DtZ, DtQ, b, A1,
                    A1 / np.abs(Z_alpha) ** 2, -DtQ.real, zdots, d_I)

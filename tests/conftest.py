@@ -8,7 +8,7 @@ from vortexwavelab.acceptance import canonical_scenario
 from vortexwavelab.config import build_run_inputs
 from vortexwavelab.grid import GridSpec, Field
 from vortexwavelab.spectral import periodic_cauchy_kernel, periodic_square_kernel
-from vortexwavelab.waves import rhs
+from vortexwavelab.waves import derive, rhs
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,11 @@ def canonical_start(n, overrides=None):
     """The initial state of the canonical scenario on n points (with
     ``overrides`` of :func:`acceptance.canonical_scenario`)."""
     return build_run_inputs(canonical_scenario({"grid.n": n, **(overrides or {})}))[1]
+
+
+def record_of(state):
+    """The :class:`waves.Derived` record of a state."""
+    return derive(state.grid, *state.arrays, state.strengths)
 
 
 def state_rhs(state, record=None):

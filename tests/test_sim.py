@@ -21,7 +21,7 @@ from vortexwavelab.sim import (IntegratorConfig, make_initial, monitor,
 from vortexwavelab.taylor import PairConfig
 from vortexwavelab.waves import WaveState, assemble, rhs
 
-from conftest import canonical_start
+from conftest import canonical_start, record_of
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +261,7 @@ def test_picard_diverges_with_huge_step(sim_grid, monkeypatch):
 
 def test_monitor_zero_state(sim_grid):
     s = WaveState(zero_field(sim_grid), zero_field(sim_grid), ())
-    rep = monitor(s, GevreyParams(L0=10, delta0=1), sim._derive(s))
+    rep = monitor(s, GevreyParams(L0=10, delta0=1), record_of(s))
     assert rep.E_gevrey == 0.0
     assert rep.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert all(rep.as_flags.values())
@@ -349,7 +349,7 @@ def test_radius_exhaustion_marks_energy_nan(sim_grid):
     assert res.exit_reason == "completed"
     assert math.isnan(res.records[-1].E_gevrey)
     assert not monitor(res.final_state, GevreyParams(L0=10.0, delta0=1000.0),
-                       sim._derive(res.final_state)).as_flags["AS5"]
+                       record_of(res.final_state)).as_flags["AS5"]
 
 
 @pytest.mark.parametrize("dt, t_end", [(0.004, 0.12), (0.004, 0.6), (0.01, 0.03)])
@@ -387,7 +387,7 @@ def test_as5_slack_is_round_off_only(sim_grid):
 
     def as5(t):
         s = WaveState(zero_field(sim_grid), zero_field(sim_grid), (), t)
-        return monitor(s, p, sim._derive(s)).as_flags["AS5"]
+        return monitor(s, p, record_of(s)).as_flags["AS5"]
     assert as5(5.0 + 4e-15)                # phi a few ulps below L0/2
     assert not as5(5.0 + 1e-9 * p.L0)      # phi 1e-9 L0 below L0/2
 

@@ -19,7 +19,8 @@ from vortexwavelab.waves import (Derived, Vortex, WaveState, assemble, b_residua
                                  chord_arc_constant, compute_Q, derive, interface_distance,
                                  pole_kernels, reconstruct, refine_minimum, rhs)
 
-from conftest import band_limited, canonical_start, count_calls, per_pole, state_rhs
+from conftest import (band_limited, canonical_start, count_calls, per_pole, record_of,
+                      state_rhs)
 
 TWO_PI = 2 * math.pi
 
@@ -41,11 +42,6 @@ def odd_bump_state(grid, amp, vortices=()):
 def reconstructed(W, U):
     """(Z, F, Z_alpha, F_alpha) of the Fields W and U."""
     return reconstruct(W.grid, W.fft, U.fft)
-
-
-def record_of(state):
-    """The :class:`Derived` record of a state."""
-    return derive(state.grid, *state.arrays, state.strengths)
 
 
 def sup(a):
@@ -178,13 +174,13 @@ def test_pole_kernels_match_direct_evaluation(grid):
 
 def test_compute_q_no_vortices(grid):
     Z = grid.alpha.astype(complex)
-    assert sup(compute_Q(grid, np.empty(0), pole_kernels(grid, Z, np.empty(0, complex))[0])) == 0.0
+    assert sup(compute_Q(np.empty(0), pole_kernels(grid, Z, np.empty(0, complex))[0])) == 0.0
 
 
 def test_compute_q_pair_value_and_symmetry(grid):
     Z = grid.alpha.astype(complex)
     K1, _ = pole_kernels(grid, Z, np.array([-1 - 2j, 1 - 2j]))
-    Q = compute_Q(grid, np.array([math.pi, -math.pi]), K1)
+    Q = compute_Q(np.array([math.pi, -math.pi]), K1)
     i0 = grid.n_points // 2          # alpha = 0
     # line value: -(pi i/2pi) [1/(1+2i) - 1/(-1+2i)] = -0.2i, periodization O(1/L^2)
     assert abs(Q[i0] + 0.2j) <= 1e-4
@@ -679,7 +675,7 @@ def test_diagnostics_computed_on_read(grid, monkeypatch):
     state_rhs(state)
     sim.step_rk4(state, 1e-3)
     assert calls == {}
-    row = sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0), sim._derive(state))
+    row = sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0), record_of(state))
     assert calls == {"b_residual": 1, "chord_arc_constant": 1}
     assert row.chord_arc == pytest.approx(1.0, rel=1e-14)
     assert row.inf_A1 <= float(np.min(assemble(state).A1.samples))

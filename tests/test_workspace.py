@@ -21,6 +21,7 @@ import pytest
 
 from vortexwavelab import config, sim
 from vortexwavelab.acceptance import canonical_scenario
+from vortexwavelab.gevrey import GevreyParams
 from vortexwavelab.grid import Field, GridSpec
 from vortexwavelab.sim import IntegratorConfig, step_picard, step_rk4
 from vortexwavelab.spectral import (analytic_projection, derivative, hilbert,
@@ -28,7 +29,7 @@ from vortexwavelab.spectral import (analytic_projection, derivative, hilbert,
                                     sq_diff_integral)
 from vortexwavelab.waves import Vortex, WaveState, assemble, b_residual, derive, rhs
 
-from conftest import band_limited, canonical_start
+from conftest import band_limited, canonical_start, record_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,9 +89,9 @@ def test_quadratures_and_stages_keep_each_others_results():
 
 
 def test_a_two_vortex_grid_allocates_its_workspace_once(monkeypatch):
-    # the first stage asks for its largest block, the pole-kernel stacks,
-    # before its first pass, and nothing after it needs more: a buffer that
-    # grew would free the old one, which raises glibc's mmap threshold
+    # the first stage's pole-kernel stacks ask for the largest block before
+    # its pass does, and nothing after them needs more: a buffer that grew
+    # would free the old one, which raises glibc's mmap threshold
     buffers = []
     workspace = GridSpec.workspace
 
@@ -114,7 +115,8 @@ def test_a_two_vortex_grid_allocates_its_workspace_once(monkeypatch):
 def test_a_run_sizes_the_workspace_once():
     # building a run's inputs leaves the workspace alone (the initial
     # low-pass is a product of half spectra); the first step allocates it at
-    # the stage's largest block, and later steps and the monitor keep it
+    # the size of the pole-kernel stacks, and later steps and the monitor
+    # keep it
     n = 2 ** 10
     grid, state, _, params = config.build_run_inputs(canonical_scenario({"grid.n": n}))[:4]
     assert grid._workspace is None
@@ -123,7 +125,28 @@ def test_a_run_sizes_the_workspace_once():
     assert len(workspace) == max(3 * len(state.positions) * n, 2 * (n + 1))
     for _ in range(3):
         state = step_rk4(state, 2e-3)
-    sim.monitor(state, params, derive(grid, *state.arrays, state.strengths))
+    sim.monitor(state, params, record_of(state))
+    assert grid._workspace is workspace
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_the_first_stage_sizes_the_workspace(m):
+    # a stage asks for the pole-kernel stacks (3 m n values) before its
+    # two-row pass (2 (n + 1)), so on a fresh grid the first stage leaves
+    # the workspace at the larger of the two, with no vortex, one, or three
+    # unpaired ones, and later stages, a step and the monitor keep it
+    n = 2 ** 10
+    grid = GridSpec(200.0, n)
+    rng = np.random.default_rng(11)
+    vortices = (Vortex(-1.0 - 6.0j, 10.0), Vortex(1.5 - 5.0j, -7.0), Vortex(2.5 - 3.0j, 3.0))
+    state = WaveState(band_limited(grid, rng, scale=1e-3), band_limited(grid, rng, scale=1e-3),
+                      vortices[:m])
+    rhs(grid, state.arrays, state.strengths)
+    workspace = grid._workspace
+    assert len(workspace) == max(3 * m * n, 2 * (n + 1))
+    rhs(grid, state.arrays, state.strengths)
+    state = step_rk4(state, 1e-3)
+    sim.monitor(state, GevreyParams(L0=10.0, delta0=1.0), record_of(state))
     assert grid._workspace is workspace
 
 
